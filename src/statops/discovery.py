@@ -20,12 +20,11 @@ from statops.stats import (
     LogOddsModel,
     TestOutcome,
     bh_select,
-    empirical_cdf,
     ks_p_value,
-    ks_statistic,
-    log_odds_dependence,
+    ks_statistic_segments,
+    log_odds_segments,
 )
-from statops.traces import ChannelId, HostTrace, delay_samples, virtual_random_delays
+from statops.traces import ChannelId, HostTrace, pair_delays, virtual_departures
 
 __all__ = [
     "DiscoveryConfig",
@@ -91,67 +90,81 @@ def local_dependencies(trace: HostTrace, config: DiscoveryConfig) -> list[Channe
     a pair is dependent when its q-value clears alpha (method "ks"), when its
     log Bayes factor clears the threshold (method "log_odds"), or both
     (method "both").  Deterministic per (trace, config).
+
+    Pairs are tested in batches, one per input channel: all output
+    channels' times are paired with the input at once, and each statistic
+    is computed for every pair of the batch in one segmented pass.
     """
     inputs = sorted(c for c in trace.channels if c.direction == "in")
     outputs = sorted(c for c in trace.channels if c.direction == "out")
-    rng = np.random.default_rng(config.seed)
+    if not inputs or not outputs:
+        return []
+    # One virtual-channel seed per pair, drawn in input-major pair order.
+    seeds = np.random.default_rng(config.seed).integers(0, 2**63, size=(len(inputs), len(outputs)))
     duration = trace.duration
     model = LogOddsModel(config.horizon, config.log_odds_bins, config.dirichlet_alpha)
+    out_sizes = np.array([trace.channels[c].times.size for c in outputs])
+    out_times = np.concatenate([trace.channels[c].times for c in outputs])
+    out_pair = np.repeat(np.arange(len(outputs)), out_sizes)
 
-    pairs: list[tuple[ChannelId, ChannelId, np.ndarray, np.ndarray | None]] = []
-    for cin in inputs:
-        for cout in outputs:
-            virtual_seed = int(rng.integers(0, 2**63))
-            delays = delay_samples(trace.channels[cin], trace.channels[cout], config.horizon)
-            virtual = None
-            if delays.size >= config.min_samples and duration > 0:
-                virtual = virtual_random_delays(
-                    trace.channels[cin], trace.channels[cout].times.size,
-                    duration, config.horizon, virtual_seed,
-                )
-                if virtual.size == 0:
-                    virtual = None
-            pairs.append((cin, cout, delays, virtual))
+    n_delays, log_bfs, outcomes = [], [], []
+    for i, cin in enumerate(inputs):
+        in_times = trace.channels[cin].times
+        delays, kept = pair_delays(in_times, out_times, config.horizon)
+        pair_of = out_pair[kept]
+        n = np.bincount(pair_of, minlength=len(outputs))
+        counts = n.tolist()
+        n_delays.append(counts)
+        log_bfs.append(log_odds_segments(delays, n, model).tolist())
 
-    tested = [i for i, (_, _, _, virtual) in enumerate(pairs) if virtual is not None]
-    p_values = []
-    outcomes: dict[int, TestOutcome] = {}
-    for i in tested:
-        _, _, delays, virtual = pairs[i]
-        d = ks_statistic(empirical_cdf(delays), empirical_cdf(virtual))
-        p = ks_p_value(d, delays.size, virtual.size)
-        outcomes[i] = TestOutcome(
-            statistic=d, p_value=p, n_a=int(delays.size), n_b=int(virtual.size),
-            significant=p <= config.alpha,
-        )
-        p_values.append(p)
-    selection = bh_select(p_values, config.alpha) if p_values else None
-    position = {i: pos for pos, i in enumerate(tested)}
+        # Virtual-channel null sample for every pair with enough real delays.
+        enough = np.flatnonzero(n >= config.min_samples) if duration > 0 else np.empty(0, int)
+        departures = [virtual_departures(int(out_sizes[j]), duration, int(seeds[i, j]))
+                      for j in enough]
+        virtual, v_kept = pair_delays(in_times, np.concatenate([np.empty(0), *departures]),
+                                      config.horizon)
+        n_virtual = np.bincount(np.repeat(np.arange(enough.size), out_sizes[enough])[v_kept],
+                                minlength=enough.size)
+        tested, n_virtual = enough[n_virtual > 0], n_virtual[n_virtual > 0]
+        is_tested = np.zeros(len(outputs), dtype=bool)
+        is_tested[tested] = True
+        d = ks_statistic_segments(delays[is_tested[pair_of]], n[tested], virtual, n_virtual)
 
+        outcome: list[TestOutcome | None] = [None] * len(outputs)
+        for j, stat, n_b in zip(tested.tolist(), d.tolist(), n_virtual.tolist()):
+            p = ks_p_value(stat, counts[j], n_b)
+            outcome[j] = TestOutcome(statistic=stat, p_value=p, n_a=counts[j], n_b=n_b,
+                                     significant=p <= config.alpha)
+        outcomes.append(outcome)
+
+    tested_ks = [ks for row in outcomes for ks in row if ks is not None]
+    selection = bh_select([ks.p_value for ks in tested_ks], config.alpha) if tested_ks else None
     results = []
-    for i, (cin, cout, delays, virtual) in enumerate(pairs):
-        log_bf = log_odds_dependence(delays, model)
-        if i not in outcomes:
+    pos = 0
+    for i, cin in enumerate(inputs):
+        for j, cout in enumerate(outputs):
+            ks, n, log_bf = outcomes[i][j], n_delays[i][j], log_bfs[i][j]
+            if ks is None:
+                results.append(ChannelPairResult(
+                    input=cin, output=cout, n_delays=n, ks=None,
+                    log_odds=log_bf, q_value=float("nan"), dependent=False,
+                    insufficient_data=True,
+                ))
+                continue
+            q = float(selection.q_values[pos])
+            bh_dependent = pos in selection.rejected_indices
+            pos += 1
+            bf_dependent = log_bf >= config.log_bf_threshold
+            if config.method == "ks":
+                dependent = bh_dependent
+            elif config.method == "log_odds":
+                dependent = bf_dependent
+            else:
+                dependent = bh_dependent and bf_dependent
             results.append(ChannelPairResult(
-                input=cin, output=cout, n_delays=int(delays.size), ks=None,
-                log_odds=log_bf, q_value=float("nan"), dependent=False,
-                insufficient_data=True,
+                input=cin, output=cout, n_delays=n, ks=ks,
+                log_odds=log_bf, q_value=q, dependent=dependent, insufficient_data=False,
             ))
-            continue
-        pos = position[i]
-        q = float(selection.q_values[pos])
-        bh_dependent = pos in selection.rejected_indices
-        bf_dependent = log_bf >= config.log_bf_threshold
-        if config.method == "ks":
-            dependent = bh_dependent
-        elif config.method == "log_odds":
-            dependent = bf_dependent
-        else:
-            dependent = bh_dependent and bf_dependent
-        results.append(ChannelPairResult(
-            input=cin, output=cout, n_delays=int(delays.size), ks=outcomes[i],
-            log_odds=log_bf, q_value=q, dependent=dependent, insufficient_data=False,
-        ))
     return results
 
 

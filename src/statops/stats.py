@@ -36,6 +36,8 @@ __all__ = [
     "mean_difference_test",
     "calibrate_p_value",
     "log_odds_dependence",
+    "ks_statistic_segments",
+    "log_odds_segments",
 ]
 
 _SERIES_TOL = 1e-12
@@ -114,14 +116,52 @@ def empirical_cdf(samples: Sequence[float] | np.ndarray) -> EmpiricalCdf:
     return EmpiricalCdf(sorted_samples=out, n=int(out.size))
 
 
-def _ks_numerator(a: EmpiricalCdf, b: EmpiricalCdf) -> int:
-    """max |b.n * count_a(x) - a.n * count_b(x)| over the union of sample
-    points.  Integer-exact so that lattice ties compare reliably;
-    D = numerator / (a.n * b.n)."""
-    grid = np.union1d(a.sorted_samples, b.sorted_samples)
-    ca = np.searchsorted(a.sorted_samples, grid, side="right")
-    cb = np.searchsorted(b.sorted_samples, grid, side="right")
-    return int(np.abs(b.n * ca - a.n * cb).max())
+def _segment_ids(counts: np.ndarray) -> np.ndarray:
+    return np.repeat(np.arange(counts.size), counts)
+
+
+def _ks_numerators(a: np.ndarray, a_counts: np.ndarray,
+                   b: np.ndarray, b_counts: np.ndarray) -> np.ndarray:
+    """Per segment j, max |n_b * count_a(x) - n_a * count_b(x)| over the
+    union of its sample points, where segment j is the next a_counts[j]
+    values of ``a`` and the next b_counts[j] values of ``b``.
+    Integer-exact so that lattice ties compare reliably;
+    D = numerator / (n_a * n_b).  Every count must be >= 1.
+
+    Sorting by (segment, value) merges each segment's two samples; a
+    running sum of +n_b per a-point and -n_a per b-point is then the
+    numerator's signed argument, read after the last point of each tie run
+    (right-continuous CDFs).  Each segment's steps sum to zero, so one
+    running sum serves all segments.
+    """
+    x = np.concatenate([a, b])
+    seg = np.concatenate([_segment_ids(a_counts), _segment_ids(b_counts)])
+    step = np.concatenate([np.repeat(b_counts, a_counts), -np.repeat(a_counts, b_counts)])
+    order = np.argsort(x)
+    # A stable sort on the narrowest integer type is a radix sort.
+    order = order[np.argsort(seg[order].astype(np.min_scalar_type(a_counts.size)), kind="stable")]
+    x, seg = x[order], seg[order]
+    height = np.abs(np.cumsum(step[order]))
+    height[:-1][(x[:-1] == x[1:]) & (seg[:-1] == seg[1:])] = 0
+    starts = np.concatenate([[0], np.cumsum(a_counts + b_counts)[:-1]])
+    return np.maximum.reduceat(height, starts)
+
+
+def ks_statistic_segments(a: np.ndarray, a_counts: Sequence[int] | np.ndarray,
+                          b: np.ndarray, b_counts: Sequence[int] | np.ndarray) -> np.ndarray:
+    """ks_statistic of many sample pairs at once.
+
+    Pair j holds the next a_counts[j] values of ``a`` against the next
+    b_counts[j] values of ``b`` (ragged segments laid end to end, in any
+    order within a segment).  Every count must be >= 1.
+    """
+    a_counts = np.asarray(a_counts, dtype=np.int64)
+    b_counts = np.asarray(b_counts, dtype=np.int64)
+    if a_counts.size == 0:
+        return np.empty(0)
+    if a_counts.min() < 1 or b_counts.min() < 1:
+        raise ValueError("every segment needs at least one sample on each side")
+    return _ks_numerators(a, a_counts, b, b_counts) / (a_counts * b_counts)
 
 
 def ks_statistic(a: EmpiricalCdf, b: EmpiricalCdf) -> float:
@@ -130,7 +170,7 @@ def ks_statistic(a: EmpiricalCdf, b: EmpiricalCdf) -> float:
     Evaluated over the union of both sample points (right-continuous
     convention handles ties), so the supremum is attained exactly.
     """
-    return _ks_numerator(a, b) / (a.n * b.n)
+    return float(ks_statistic_segments(a.sorted_samples, [a.n], b.sorted_samples, [b.n])[0])
 
 
 def ks_p_value(d: float, n: int, m: int) -> float:
@@ -179,7 +219,7 @@ def permutation_p_value(
     xb = np.asarray(b, dtype=float)
     if xa.size == 0 or xb.size == 0:
         raise ValueError("both samples must be non-empty")
-    observed = _ks_numerator(empirical_cdf(xa), empirical_cdf(xb))
+    observed = int(_ks_numerators(xa, np.array([xa.size]), xb, np.array([xb.size]))[0])
 
     n, m = int(xa.size), int(xb.size)
     total = n + m
@@ -322,22 +362,35 @@ def log_odds_dependence(delays: Sequence[float] | np.ndarray, model: LogOddsMode
     Positive values favor dependence.  Conjugacy keeps this exact and cheap,
     with no simulation-based inference in the loop.
     """
-    k = model.bins
-    if k < 2:
-        raise ValueError(f"need at least 2 bins, got {k}")
+    if model.bins < 2:
+        raise ValueError(f"need at least 2 bins, got {model.bins}")
     x = np.asarray(delays, dtype=float)
-    if x.size == 0:
-        return 0.0
     if np.any(x < 0) or np.any(x > model.horizon):
         bad = x[(x < 0) | (x > model.horizon)][0]
         raise ValueError(f"delay {bad} outside [0, {model.horizon}]")
+    return float(log_odds_segments(x, [x.size], model)[0])
 
+
+def log_odds_segments(delays: np.ndarray, counts: Sequence[int] | np.ndarray,
+                      model: LogOddsModel) -> np.ndarray:
+    """log_odds_dependence of many delay samples at once: segment j is the
+    next counts[j] values of ``delays``, all within [0, horizon].  An empty
+    segment scores 0.
+
+    One bincount over (segment * K + bin) yields every segment's bin
+    counts.  Each segment's lgamma(c_k + a) terms are added left to right,
+    bin by bin, by a cumulative sum, so the result does not depend on how
+    many segments share the call.
+    """
+    k, a = model.bins, model.dirichlet_alpha
+    counts = np.asarray(counts, dtype=np.int64)
     width = model.horizon / k
-    idx = np.minimum((x / width).astype(int), k - 1)
-    counts = np.bincount(idx, minlength=k)
-    n = int(x.size)
-    a = model.dirichlet_alpha
-    log_bf = math.lgamma(k * a) - math.lgamma(n + k * a) - k * math.lgamma(a)
-    log_bf += float(sum(math.lgamma(c + a) for c in counts))
-    log_bf += n * math.log(k)
-    return log_bf
+    bins = np.minimum((delays / width).astype(int), k - 1)
+    hist = np.bincount(_segment_ids(counts) * k + bins, minlength=counts.size * k)
+    values, where = np.unique(hist, return_inverse=True)
+    terms = np.array([math.lgamma(c + a) for c in values.tolist()])[where]
+    bin_sums = np.cumsum(terms.reshape(counts.size, k), axis=1)[:, -1]
+    head = np.array([math.lgamma(k * a) - math.lgamma(n + k * a) - k * math.lgamma(a)
+                     for n in counts.tolist()])
+    log_bf = head + bin_sums + counts * math.log(k)
+    return np.where(counts > 0, log_bf, 0.0)

@@ -10,9 +10,10 @@ Trace files are newline-delimited, UTF-8, one record per line:
 
     ts=<float seconds> host=<id> remote=<id> service=<label> dir=<in|out>
 
-Fields are space-separated in fixed order; ids and labels match
-``[A-Za-z0-9._-]+``.  Synthetic-trace specs reuse the same token syntax (see
-``parse_synth_spec``).
+Fields come in fixed order; ids and labels match ``[A-Za-z0-9._-]+``.
+``serialize_trace`` writes single spaces, and the parser also accepts any run
+of whitespace between and around fields, blank lines and CRLF line ends.
+Synthetic-trace specs reuse the same token syntax (see ``parse_synth_spec``).
 """
 
 from __future__ import annotations
@@ -20,13 +21,12 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, NoReturn
 
 import numpy as np
 
 __all__ = [
     "TraceFormatError",
-    "PacketRecord",
     "ChannelId",
     "ChannelSeries",
     "HostTrace",
@@ -35,7 +35,9 @@ __all__ = [
     "SynthSpec",
     "parse_trace",
     "serialize_trace",
+    "pair_delays",
     "delay_samples",
+    "virtual_departures",
     "virtual_random_delays",
     "synth_trace",
     "parse_synth_spec",
@@ -43,8 +45,14 @@ __all__ = [
     "parse_ground_truth",
 ]
 
-_ID_RE = re.compile(r"[A-Za-z0-9._-]+\Z")
+_ID = r"[A-Za-z0-9._-]+"
+_ID_RE = re.compile(_ID + r"\Z")
 _DIRECTIONS = ("in", "out")
+# A trace record as serialize_trace writes it: single spaces, nothing around.
+_CANONICAL_RE = re.compile(
+    rf"ts=(\S+) (host={_ID} remote={_ID} service={_ID} dir=(?:in|out))"
+)
+_CHANNEL_KEY = "host={} remote={} service={} dir={}"
 
 
 class TraceFormatError(ValueError):
@@ -53,17 +61,6 @@ class TraceFormatError(ValueError):
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
-
-
-@dataclass(frozen=True)
-class PacketRecord:
-    """One packet-header event as seen by a single host."""
-
-    timestamp: float
-    host: str
-    remote: str
-    service: str
-    direction: str
 
 
 @dataclass(frozen=True, order=True)
@@ -152,8 +149,12 @@ def _parse_float(line_no: int, token: str, key: str) -> float:
     return value
 
 
-def parse_record(line_no: int, line: str) -> PacketRecord:
+def _check_record(line_no: int, line: str) -> tuple[float, str, str, str, str] | None:
+    """Apply every per-line rule of the trace format, in the order its errors
+    are reported: (ts, host, remote, service, dir), or None for a blank line."""
     tokens = line.split()
+    if not tokens:
+        return None
     if len(tokens) != 5:
         raise TraceFormatError(line_no, f"expected 5 fields, got {len(tokens)}")
     ts = _parse_float(line_no, tokens[0], "ts")
@@ -167,30 +168,79 @@ def parse_record(line_no: int, line: str) -> PacketRecord:
         raise TraceFormatError(line_no, f"bad dir '{direction}' (want in|out)")
     if host == remote:
         raise TraceFormatError(line_no, f"host equals remote '{host}'")
-    return PacketRecord(ts, host, remote, service, direction)
+    return ts, host, remote, service, direction
+
+
+def _raise_first_error(lines: list[str]) -> NoReturn:
+    """Re-check ``lines`` one at a time and raise the first line's error."""
+    host = None
+    for line_no, line in enumerate(lines, start=1):
+        record = _check_record(line_no, line)
+        if record is None:
+            continue
+        if host is None:
+            host = record[1]
+        elif record[1] != host:
+            raise TraceFormatError(line_no, f"host '{record[1]}' differs from '{host}'")
+    raise AssertionError("the columnar pass rejected a valid trace")
 
 
 def parse_trace(source) -> HostTrace:
     """Parse a trace stream into a HostTrace.
 
     Accepts bytes, str, a file-like object, or an iterable of lines.  Blank
-    lines are skipped.  All records must share one host id; per-channel
-    duplicate timestamps are coalesced.
+    lines are skipped, and fields may be separated and surrounded by any
+    whitespace.  All records must share one host id; per-channel duplicate
+    timestamps are coalesced.  The first malformed line raises
+    TraceFormatError with its 1-based line number.
     """
-    host: str | None = None
-    raw: dict[ChannelId, list[float]] = {}
-    for line_no, line in enumerate(_iter_lines(source), start=1):
-        if not line.strip():
-            continue
-        rec = parse_record(line_no, line)
-        if host is None:
-            host = rec.host
-        elif rec.host != host:
-            raise TraceFormatError(line_no, f"host '{rec.host}' differs from '{host}'")
-        cid = ChannelId(rec.direction, rec.service, rec.remote)
-        raw.setdefault(cid, []).append(rec.timestamp)
-    channels = {cid: ChannelSeries(cid, np.asarray(ts)) for cid, ts in raw.items()}
-    return HostTrace(host=host or "", channels=channels)
+    lines = _iter_lines(source)
+    # One pass: each line's channel key maps to an integer code, and its
+    # timestamp stays text until a single float() map converts them all.
+    # Lines in any form but the canonical one go through _check_record.
+    match = _CANONICAL_RE.fullmatch
+    codes: dict[str, int] = {}
+    stamps: list[str | float] = []
+    channel_of: list[int] = []
+    add_stamp, add_channel = stamps.append, channel_of.append
+    for line_no, line in enumerate(lines, start=1):
+        m = match(line)
+        if m is not None:
+            ts, key = m.groups()
+        else:
+            try:
+                record = _check_record(line_no, line)
+            except TraceFormatError:
+                _raise_first_error(lines)
+            if record is None:
+                continue
+            ts, key = record[0], _CHANNEL_KEY.format(*record[1:])
+        code = codes.get(key)
+        if code is None:
+            code = codes[key] = len(codes)
+        add_stamp(ts)
+        add_channel(code)
+
+    keys = [[token.split("=", 1)[1] for token in key.split(" ")] for key in codes]
+    try:
+        times = np.fromiter(map(float, stamps), dtype=float, count=len(stamps))
+    except ValueError:
+        _raise_first_error(lines)
+    if (
+        len({host for host, _, _, _ in keys}) > 1
+        or any(host == remote for host, remote, _, _ in keys)
+        or not np.all(np.isfinite(times) & (times >= 0))
+    ):
+        _raise_first_error(lines)
+
+    channel_codes = np.asarray(channel_of, dtype=np.intp)
+    by_channel = np.split(times[np.argsort(channel_codes, kind="stable")],
+                          np.cumsum(np.bincount(channel_codes, minlength=len(keys)))[:-1])
+    channels = {}
+    for (_, remote, service, direction), ts in zip(keys, by_channel):
+        cid = ChannelId(direction, service, remote)
+        channels[cid] = ChannelSeries(cid, ts)
+    return HostTrace(host=keys[0][0] if keys else "", channels=channels)
 
 
 def serialize_trace(trace: HostTrace) -> str:
@@ -205,11 +255,22 @@ def serialize_trace(trace: HostTrace) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _pair_delays(in_times: np.ndarray, out_times: np.ndarray, horizon: float) -> np.ndarray:
+def pair_delays(
+    in_times: np.ndarray, out_times: np.ndarray, horizon: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Delays from each output time back to the latest input time at or
+    before it, dropping pairs farther apart than ``horizon``.
+
+    Returns the delays, in output order, and the mask of the output times
+    they belong to.  ``in_times`` must be ascending and non-empty;
+    ``out_times`` need not be sorted, so several output channels' times may
+    be laid end to end and told apart afterwards through the mask.
+    """
     idx = np.searchsorted(in_times, out_times, side="right") - 1
-    valid = idx >= 0
-    delays = out_times[valid] - in_times[idx[valid]]
-    return delays[delays <= horizon]
+    # idx -1 (no input at or before) reads the last input; the mask drops it.
+    delays = out_times - in_times[idx]
+    kept = (idx >= 0) & (delays <= horizon)
+    return delays[kept], kept
 
 
 def delay_samples(input: ChannelSeries, output: ChannelSeries, horizon: float) -> np.ndarray:
@@ -221,7 +282,15 @@ def delay_samples(input: ChannelSeries, output: ChannelSeries, horizon: float) -
     """
     if not horizon > 0:
         raise ValueError(f"horizon must be > 0, got {horizon}")
-    return _pair_delays(input.times, output.times, horizon)
+    return pair_delays(input.times, output.times, horizon)[0]
+
+
+def virtual_departures(n_out: int, duration: float, seed: int) -> np.ndarray:
+    """Departure times of a virtual output channel: ``n_out`` i.i.d.
+    Uniform(0, duration) draws, sorted."""
+    # The generator default_rng(seed) builds, without its argument checks.
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return np.sort(rng.uniform(0.0, duration, n_out))
 
 
 def virtual_random_delays(
@@ -239,9 +308,7 @@ def virtual_random_delays(
         raise ValueError(f"duration must be > 0, got {duration}")
     if n_out == 0:
         return np.empty(0)
-    rng = np.random.default_rng(seed)
-    departures = np.sort(rng.uniform(0.0, duration, n_out))
-    return _pair_delays(input.times, departures, horizon)
+    return pair_delays(input.times, virtual_departures(n_out, duration, seed), horizon)[0]
 
 
 @dataclass(frozen=True)
