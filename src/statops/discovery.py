@@ -101,7 +101,7 @@ def local_dependencies(trace: HostTrace, config: DiscoveryConfig) -> list[Channe
         return []
     # One virtual-channel seed per pair, drawn in input-major pair order.
     seeds = np.random.default_rng(config.seed).integers(0, 2**63, size=(len(inputs), len(outputs)))
-    duration = trace.duration
+    window = trace.window
     model = LogOddsModel(config.horizon, config.log_odds_bins, config.dirichlet_alpha)
     out_sizes = np.array([trace.channels[c].times.size for c in outputs])
     out_times = np.concatenate([trace.channels[c].times for c in outputs])
@@ -118,8 +118,9 @@ def local_dependencies(trace: HostTrace, config: DiscoveryConfig) -> list[Channe
         log_bfs.append(log_odds_segments(delays, n, model).tolist())
 
         # Virtual-channel null sample for every pair with enough real delays.
-        enough = np.flatnonzero(n >= config.min_samples) if duration > 0 else np.empty(0, int)
-        departures = [virtual_departures(int(out_sizes[j]), duration, int(seeds[i, j]))
+        enough = (np.flatnonzero(n >= config.min_samples) if window[1] > window[0]
+                  else np.empty(0, int))
+        departures = [virtual_departures(int(out_sizes[j]), window, int(seeds[i, j]))
                       for j in enough]
         virtual, v_kept = pair_delays(in_times, np.concatenate([np.empty(0), *departures]),
                                       config.horizon)

@@ -98,13 +98,18 @@ class HostTrace:
     channels: dict[ChannelId, ChannelSeries] = field(default_factory=dict)
 
     @property
-    def duration(self) -> float:
-        """Max minus min timestamp over all channels; 0 with fewer than 2 events."""
-        n_events = sum(s.times.size for s in self.channels.values())
-        if n_events < 2:
-            return 0.0
+    def window(self) -> tuple[float, float]:
+        """(first, last) timestamp over all channels; (0.0, 0.0) without events."""
+        if not self.channels:
+            return 0.0, 0.0
         lo = min(float(s.times[0]) for s in self.channels.values())
         hi = max(float(s.times[-1]) for s in self.channels.values())
+        return lo, hi
+
+    @property
+    def duration(self) -> float:
+        """Max minus min timestamp over all channels; 0 with fewer than 2 events."""
+        lo, hi = self.window
         return hi - lo
 
     def __eq__(self, other: object) -> bool:
@@ -285,30 +290,33 @@ def delay_samples(input: ChannelSeries, output: ChannelSeries, horizon: float) -
     return pair_delays(input.times, output.times, horizon)[0]
 
 
-def virtual_departures(n_out: int, duration: float, seed: int) -> np.ndarray:
+def virtual_departures(n_out: int, window: tuple[float, float], seed: int) -> np.ndarray:
     """Departure times of a virtual output channel: ``n_out`` i.i.d.
-    Uniform(0, duration) draws, sorted."""
+    Uniform(t_min, t_max) draws over the observation ``window``, sorted."""
     # The generator default_rng(seed) builds, without its argument checks.
     rng = np.random.Generator(np.random.PCG64(seed))
-    return np.sort(rng.uniform(0.0, duration, n_out))
+    return np.sort(rng.uniform(window[0], window[1], n_out))
 
 
 def virtual_random_delays(
-    input: ChannelSeries, n_out: int, duration: float, horizon: float, seed: int
+    input: ChannelSeries, n_out: int, window: tuple[float, float], horizon: float, seed: int
 ) -> np.ndarray:
     """Delay sample of ``input`` against a virtual output channel whose
-    departure times are i.i.d. Uniform(0, duration).
+    departure times are i.i.d. uniform over the observation window
+    (t_min, t_max), the trace's first and last timestamps.
 
     This is the null reference for the dependence test: a real output channel
-    that ignores the input should look like this one.
+    that ignores the input should look like this one.  Drawing over the
+    observed window, not from time 0, keeps the test invariant to the time
+    origin, so epoch-stamped captures test like zero-based ones.
     """
     if n_out < 0:
         raise ValueError("n_out must be >= 0")
-    if not duration > 0:
-        raise ValueError(f"duration must be > 0, got {duration}")
+    if not window[1] > window[0]:
+        raise ValueError(f"window must have t_max > t_min, got {window}")
     if n_out == 0:
         return np.empty(0)
-    return pair_delays(input.times, virtual_departures(n_out, duration, seed), horizon)[0]
+    return pair_delays(input.times, virtual_departures(n_out, window, seed), horizon)[0]
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,24 @@ def test_discover_finds_planted_edges(tmp_path):
     assert pairs.startswith("#") and "seed=5" in pairs.splitlines()[0]
 
 
+def test_discover_epoch_timestamps_tests_every_pair(tmp_path):
+    spec = _write_spec(tmp_path)
+    trace = tmp_path / "host.trace"
+    main(["gen-trace", str(spec), "--out", str(trace)])
+    epoch = tmp_path / "epoch.trace"
+    epoch.write_text("".join(
+        f"ts={float(line.split()[0][3:]) + 1.7e9!r} {line.split(' ', 1)[1]}\n"
+        for line in trace.read_text().splitlines()
+    ))
+    out = tmp_path / "report"
+    assert main(["discover", str(epoch), "--out", str(out)]) == 0
+    rows = (out / "pairs.csv").read_text().splitlines()[2:]
+    assert len(rows) == 4 and all(row.endswith(",false") for row in rows)
+    payload = json.loads((out / "graph.json").read_text())
+    edges = {(e["from"], e["to"], e["service"]) for e in payload["edges"]}
+    assert ("web01", "desktop", "http") in edges
+
+
 def test_discover_empty_trace_warns_exit_1(tmp_path):
     trace = tmp_path / "empty.trace"
     trace.write_text("")

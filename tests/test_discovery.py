@@ -19,6 +19,7 @@ from statops.discovery import (
 from statops.stats import TestOutcome as KsOutcome
 from statops.traces import (
     ChannelId,
+    ChannelSeries,
     ChannelSpec,
     DependencySpec,
     HostTrace,
@@ -109,6 +110,31 @@ def test_method_both_requires_both_signals():
             for r in local_dependencies(trace, DiscoveryConfig(method="both", seed=6))}
     for key, flag in both.items():
         assert flag == (ks[key] and bf[key])
+
+
+def _shifted(trace, offset):
+    return HostTrace(trace.host, {cid: ChannelSeries(cid, s.times + offset)
+                                  for cid, s in trace.channels.items()})
+
+
+@pytest.mark.parametrize("offset", [250.0, 1000.0, 1.7e9])
+def test_time_origin_does_not_change_the_answer(offset):
+    # The virtual channel is drawn over the observed window, so moving every
+    # timestamp (say, to Unix epoch time) leaves every pair tested and the
+    # answer unchanged, up to the rounding of the shifted timestamps.
+    trace, truth = synth_trace(planted_host_spec(seed=8, n_in=4, n_out=4, n_deps=2,
+                                                 duration=300.0))
+    config = DiscoveryConfig(alpha=0.05, seed=8)
+    base = local_dependencies(trace, config)
+    moved = local_dependencies(_shifted(trace, offset), config)
+    assert sum(not r.insufficient_data for r in base) == 16
+    assert [r.insufficient_data for r in moved] == [r.insufficient_data for r in base]
+    dependent = {(r.input, r.output) for r in base if r.dependent}
+    assert truth <= dependent
+    assert {(r.input, r.output) for r in moved if r.dependent} == dependent
+    for a, b in zip(base, moved):
+        assert (a.input, a.output) == (b.input, b.output)
+        assert abs(a.q_value - b.q_value) <= 1e-6
 
 
 def test_sparse_planted_dependency_still_detected():

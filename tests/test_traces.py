@@ -159,16 +159,16 @@ def test_delay_pairing_horizon_nesting_and_bounds():
 
 def test_virtual_delays_empty_and_deterministic():
     inp = _series("in", [1.0, 2.0, 3.0])
-    assert virtual_random_delays(inp, 0, 10.0, 1.0, seed=1).size == 0
-    a = virtual_random_delays(inp, 50, 10.0, 1.0, seed=42)
-    b = virtual_random_delays(inp, 50, 10.0, 1.0, seed=42)
+    assert virtual_random_delays(inp, 0, (0.0, 10.0), 1.0, seed=1).size == 0
+    a = virtual_random_delays(inp, 50, (0.0, 10.0), 1.0, seed=42)
+    b = virtual_random_delays(inp, 50, (0.0, 10.0), 1.0, seed=42)
     np.testing.assert_array_equal(a, b)
 
 
 def test_virtual_delays_dense_input_mostly_paired():
     rng = np.random.default_rng(8)
     inp = _series("in", np.sort(rng.uniform(0, 100, 1000)))  # rate 10/s
-    virtual = virtual_random_delays(inp, 1000, 100.0, 1.0, seed=9)
+    virtual = virtual_random_delays(inp, 1000, (0.0, 100.0), 1.0, seed=9)
     assert virtual.size >= 990
 
 
@@ -216,7 +216,7 @@ def test_synth_trace_independent_pairs_look_null():
                     continue
                 virtual = virtual_random_delays(
                     trace.channels[cin], trace.channels[cout].times.size,
-                    trace.duration, 1.0, seed=1000 + 100 * seed + 10 * i + j,
+                    trace.window, 1.0, seed=1000 + 100 * seed + 10 * i + j,
                 )
                 p = ks_p_value(
                     ks_statistic(empirical_cdf(delays), empirical_cdf(virtual)),
