@@ -166,7 +166,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     signatures = [
         diagnosis.signature(model, dataset.metrics[i], epoch=float(dataset.timestamps[i]))
         for i in violation_idx
-    ] if model is not None else []
+    ] if {"signatures", "cluster"} & set(actions) else []
 
     if "signatures" in actions:
         catalog = diagnosis.SignatureCatalog()

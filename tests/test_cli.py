@@ -213,6 +213,22 @@ def test_diagnose_retrieve_round_trip(tmp_path):
     assert payload["results"][0]["distance"] == 0.0
 
 
+def test_diagnose_retrieve_computes_only_the_query_signature(tmp_path, monkeypatch):
+    metrics = _metrics_file(tmp_path, seed=4)
+    out = tmp_path / "diag"
+    assert main(["diagnose", str(metrics), "--slo-threshold", "200",
+                 "--actions", "signatures", "--out", str(out)]) == 0
+    calls = []
+    real_signature = diagnosis.signature
+    monkeypatch.setattr(diagnosis, "signature",
+                        lambda *a, **k: calls.append(1) or real_signature(*a, **k))
+    query_ts = json.loads((out / "signatures.jsonl").read_text().splitlines()[0])["ts"]
+    assert main(["diagnose", str(metrics), "--slo-threshold", "200", "--actions", "retrieve",
+                 "--catalog", str(out / "signatures.jsonl"), "--query-epoch", str(query_ts),
+                 "--out", str(out)]) == 0
+    assert len(calls) == 1
+
+
 def test_diagnose_retrieve_empty_catalog_exit_2(tmp_path, capsys):
     metrics = _metrics_file(tmp_path, seed=5, n_epochs=300)
     empty = tmp_path / "empty.jsonl"

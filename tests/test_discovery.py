@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from statops.discovery import (
@@ -16,6 +17,13 @@ from statops.discovery import (
     local_dependencies,
     reachable,
 )
+from statops.stats import (
+    LogOddsModel,
+    empirical_cdf,
+    ks_p_value,
+    ks_statistic,
+    log_odds_dependence,
+)
 from statops.stats import TestOutcome as KsOutcome
 from statops.traces import (
     ChannelId,
@@ -24,7 +32,9 @@ from statops.traces import (
     DependencySpec,
     HostTrace,
     SynthSpec,
+    delay_samples,
     synth_trace,
+    virtual_random_delays,
 )
 
 
@@ -110,6 +120,35 @@ def test_method_both_requires_both_signals():
             for r in local_dependencies(trace, DiscoveryConfig(method="both", seed=6))}
     for key, flag in both.items():
         assert flag == (ks[key] and bf[key])
+
+
+def test_batched_pairs_match_single_pair_functions():
+    # Channel sizes far apart, so the per-input batches are ragged and some
+    # pairs fall short of min_samples.
+    rates = [25.0, 3.0, 0.05]
+    ins = [ChannelSpec(ChannelId("in", "http", f"src{i}"), r) for i, r in enumerate(rates)]
+    outs = [ChannelSpec(ChannelId("out", "sql", f"dst{j}"), r) for j, r in enumerate(rates)]
+    deps = (DependencySpec(ins[1].id, outs[0].id, 0.05, 0.9),)
+    trace, _ = synth_trace(SynthSpec("h", 200.0, tuple(ins + outs), deps, seed=12))
+    config = DiscoveryConfig(seed=12)
+    model = LogOddsModel(config.horizon, config.log_odds_bins, config.dirichlet_alpha)
+    results = local_dependencies(trace, config)
+    # One virtual-channel seed per pair, in input-major pair order.
+    seeds = iter(np.random.default_rng(config.seed).integers(0, 2**63, size=len(results)))
+    assert any(r.insufficient_data for r in results)
+    for r in results:
+        seed = int(next(seeds))
+        delays = delay_samples(trace.channels[r.input], trace.channels[r.output], config.horizon)
+        assert r.n_delays == delays.size
+        assert r.log_odds == log_odds_dependence(delays, model)
+        if r.insufficient_data:
+            continue
+        virtual = virtual_random_delays(trace.channels[r.input],
+                                        trace.channels[r.output].times.size,
+                                        trace.window, config.horizon, seed)
+        d = ks_statistic(empirical_cdf(delays), empirical_cdf(virtual))
+        assert (r.ks.statistic, r.ks.n_b) == (d, virtual.size)
+        assert r.ks.p_value == ks_p_value(d, delays.size, virtual.size)
 
 
 def _shifted(trace, offset):
