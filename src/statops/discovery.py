@@ -107,19 +107,17 @@ def local_dependencies(trace: HostTrace, config: DiscoveryConfig) -> list[Channe
     out_times = np.concatenate([trace.channels[c].times for c in outputs])
     out_pair = np.repeat(np.arange(len(outputs)), out_sizes)
 
-    n_delays, log_bfs, outcomes = [], [], []
+    # (input, output, n_delays, log BF, KS outcome or None), input-major.
+    pairs: list[tuple[ChannelId, ChannelId, int, float, TestOutcome | None]] = []
     for i, cin in enumerate(inputs):
         in_times = trace.channels[cin].times
         delays, kept = pair_delays(in_times, out_times, config.horizon)
         pair_of = out_pair[kept]
         n = np.bincount(pair_of, minlength=len(outputs))
-        counts = n.tolist()
-        n_delays.append(counts)
-        log_bfs.append(log_odds_segments(delays, n, model).tolist())
+        log_bfs = log_odds_segments(delays, n, model)
 
         # Virtual-channel null sample for every pair with enough real delays.
-        enough = (np.flatnonzero(n >= config.min_samples) if window[1] > window[0]
-                  else np.empty(0, int))
+        enough = np.flatnonzero((n >= config.min_samples) & (window[1] > window[0]))
         departures = [virtual_departures(int(out_sizes[j]), window, int(seeds[i, j]))
                       for j in enough]
         virtual, v_kept = pair_delays(in_times, np.concatenate([np.empty(0), *departures]),
@@ -127,45 +125,42 @@ def local_dependencies(trace: HostTrace, config: DiscoveryConfig) -> list[Channe
         n_virtual = np.bincount(np.repeat(np.arange(enough.size), out_sizes[enough])[v_kept],
                                 minlength=enough.size)
         tested, n_virtual = enough[n_virtual > 0], n_virtual[n_virtual > 0]
-        is_tested = np.zeros(len(outputs), dtype=bool)
-        is_tested[tested] = True
-        d = ks_statistic_segments(delays[is_tested[pair_of]], n[tested], virtual, n_virtual)
+        d = ks_statistic_segments(delays[np.isin(pair_of, tested)], n[tested], virtual, n_virtual)
 
+        counts = n.tolist()
         outcome: list[TestOutcome | None] = [None] * len(outputs)
         for j, stat, n_b in zip(tested.tolist(), d.tolist(), n_virtual.tolist()):
             p = ks_p_value(stat, counts[j], n_b)
             outcome[j] = TestOutcome(statistic=stat, p_value=p, n_a=counts[j], n_b=n_b,
                                      significant=p <= config.alpha)
-        outcomes.append(outcome)
+        pairs += zip([cin] * len(outputs), outputs, counts, log_bfs.tolist(), outcome)
 
-    tested_ks = [ks for row in outcomes for ks in row if ks is not None]
+    tested_ks = [ks for *_, ks in pairs if ks is not None]
     selection = bh_select([ks.p_value for ks in tested_ks], config.alpha) if tested_ks else None
     results = []
     pos = 0
-    for i, cin in enumerate(inputs):
-        for j, cout in enumerate(outputs):
-            ks, n, log_bf = outcomes[i][j], n_delays[i][j], log_bfs[i][j]
-            if ks is None:
-                results.append(ChannelPairResult(
-                    input=cin, output=cout, n_delays=n, ks=None,
-                    log_odds=log_bf, q_value=float("nan"), dependent=False,
-                    insufficient_data=True,
-                ))
-                continue
-            q = float(selection.q_values[pos])
-            bh_dependent = pos in selection.rejected_indices
-            pos += 1
-            bf_dependent = log_bf >= config.log_bf_threshold
-            if config.method == "ks":
-                dependent = bh_dependent
-            elif config.method == "log_odds":
-                dependent = bf_dependent
-            else:
-                dependent = bh_dependent and bf_dependent
+    for cin, cout, n, log_bf, ks in pairs:
+        if ks is None:
             results.append(ChannelPairResult(
-                input=cin, output=cout, n_delays=n, ks=ks,
-                log_odds=log_bf, q_value=q, dependent=dependent, insufficient_data=False,
+                input=cin, output=cout, n_delays=n, ks=None,
+                log_odds=log_bf, q_value=float("nan"), dependent=False,
+                insufficient_data=True,
             ))
+            continue
+        q = float(selection.q_values[pos])
+        bh_dependent = pos in selection.rejected_indices
+        pos += 1
+        bf_dependent = log_bf >= config.log_bf_threshold
+        if config.method == "ks":
+            dependent = bh_dependent
+        elif config.method == "log_odds":
+            dependent = bf_dependent
+        else:
+            dependent = bh_dependent and bf_dependent
+        results.append(ChannelPairResult(
+            input=cin, output=cout, n_delays=n, ks=ks,
+            log_odds=log_bf, q_value=q, dependent=dependent, insufficient_data=False,
+        ))
     return results
 
 

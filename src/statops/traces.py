@@ -200,37 +200,36 @@ def parse_trace(source) -> HostTrace:
     TraceFormatError with its 1-based line number.
     """
     lines = _iter_lines(source)
-    # One pass: each line's channel key maps to an integer code, and its
-    # timestamp stays text until a single float() map converts them all.
-    # Lines in any form but the canonical one go through _check_record.
+    # One pass maps each line's channel key to an integer code.  Lines in any
+    # form but the canonical one go through _check_record; the host, sign and
+    # finiteness rules run once over all lines afterwards.  On any failure the
+    # lines are re-checked one by one, so the first bad line's error wins.
     match = _CANONICAL_RE.fullmatch
     codes: dict[str, int] = {}
-    stamps: list[str | float] = []
+    stamps: list[float] = []
     channel_of: list[int] = []
     add_stamp, add_channel = stamps.append, channel_of.append
-    for line_no, line in enumerate(lines, start=1):
-        m = match(line)
-        if m is not None:
-            ts, key = m.groups()
-        else:
-            try:
+    try:
+        for line_no, line in enumerate(lines, start=1):
+            m = match(line)
+            if m is not None:
+                ts, key = m.groups()
+                ts = float(ts)
+            else:
                 record = _check_record(line_no, line)
-            except TraceFormatError:
-                _raise_first_error(lines)
-            if record is None:
-                continue
-            ts, key = record[0], _CHANNEL_KEY.format(*record[1:])
-        code = codes.get(key)
-        if code is None:
-            code = codes[key] = len(codes)
-        add_stamp(ts)
-        add_channel(code)
+                if record is None:
+                    continue
+                ts, key = record[0], _CHANNEL_KEY.format(*record[1:])
+            code = codes.get(key)
+            if code is None:
+                code = codes[key] = len(codes)
+            add_stamp(ts)
+            add_channel(code)
+    except ValueError:  # a bad float, or TraceFormatError from _check_record
+        _raise_first_error(lines)
 
     keys = [[token.split("=", 1)[1] for token in key.split(" ")] for key in codes]
-    try:
-        times = np.fromiter(map(float, stamps), dtype=float, count=len(stamps))
-    except ValueError:
-        _raise_first_error(lines)
+    times = np.array(stamps, dtype=float)
     if (
         len({host for host, _, _, _ in keys}) > 1
         or any(host == remote for host, remote, _, _ in keys)
