@@ -259,7 +259,10 @@ def _cmd_repair_mine(args: argparse.Namespace) -> int:
         return _fail(f"{path}: {exc}")
     truth_path = Path(args.truth) if args.truth else Path(str(path) + ".truth")
     if truth_path.is_file():
-        log.truth = repairs.parse_fault_truth(truth_path.read_text(encoding="utf-8"))
+        try:
+            log.truth = repairs.parse_fault_truth(truth_path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            return _fail(f"{truth_path}: {exc}")
 
     echo = {"lookahead": args.lookahead, "downtime_cost": args.downtime_cost}
     out_dir = Path(args.out)

@@ -14,6 +14,11 @@ Per tick and machine the simulator logs reports, assigned state and any
 action issued; the true fault status is kept in a separate ground-truth
 channel that mining code must not rely on.
 
+Everything is columnar: a RepairLog holds one array per field and a rows x
+watchdogs status matrix, the simulator advances the whole fleet each tick
+with array operations and consults the policy only for machines that need a
+decision, and serializing, parsing and mining work on the arrays.
+
 Log lines: ``tick=<int> machine=<id> state=<Healthy|Failure> action=<action|->
 reports=<wd:status;...>``; the ground-truth sidecar uses
 ``tick=<int> machine=<id> truth=<ok|transient|persistent>``.
@@ -21,8 +26,10 @@ reports=<wd:status;...>``; the ground-truth sidecar uses
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -32,10 +39,17 @@ __all__ = [
     "RepairAction",
     "MachineHealth",
     "WatchdogReport",
-    "MachineState",
+    "STATES",
+    "ACTIONS",
+    "STATUSES",
+    "TRUTHS",
+    "NO_ACTION",
+    "ABSENT",
+    "FleetState",
     "WatchdogSpec",
     "FaultModel",
     "LogEntry",
+    "FaultTruth",
     "RepairLog",
     "CostModel",
     "PolicyMetrics",
@@ -73,23 +87,30 @@ class MachineHealth(Enum):
     FAILURE = "Failure"
 
 
+# Integer codes of the columnar log: an array of codes indexes these tuples.
+STATES = tuple(MachineHealth)
+ACTIONS = tuple(RepairAction)
+STATUSES = tuple(WatchdogStatus)
+TRUTHS = ("ok", "transient", "persistent")
+NO_ACTION = -1  # action code of a row on which no action was issued
+ABSENT = -1  # status code of a watchdog that did not report on a row
+
+_FAILURE = STATES.index(MachineHealth.FAILURE)
+_OK, _WARNING, _ERROR = range(3)  # codes in STATUSES order
+_ESCALATED = [ACTIONS.index(RepairAction.REIMAGE), ACTIONS.index(RepairAction.REPLACE)]
+_ACTION_CODE = {a: k for k, a in enumerate(ACTIONS)}
+_STATE_BY_VALUE = {s.value: k for k, s in enumerate(STATES)}
+_ACTION_BY_VALUE = {a.value: k for k, a in enumerate(ACTIONS)}
+_STATUS_BY_VALUE = {s.value: k for k, s in enumerate(STATUSES)}
+_TRUTH_CODE = {t: k for k, t in enumerate(TRUTHS)}
+
+
 @dataclass(frozen=True)
 class WatchdogReport:
     time: int
     watchdog: str
     machine: str
     status: WatchdogStatus
-
-
-@dataclass
-class MachineState:
-    """Device-manager view of one machine.  pending_action is present exactly
-    while the machine sits in the Failure state."""
-
-    state: MachineHealth = MachineHealth.HEALTHY
-    pending_action: RepairAction | None = None
-    pending_since: int | None = None
-    history: list[tuple[int, RepairAction]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -156,6 +177,8 @@ class FaultModel:
                 raise ValueError("repair latencies must be >= 1 tick")
 
 
+
+
 @dataclass(frozen=True)
 class LogEntry:
     tick: int
@@ -165,11 +188,51 @@ class LogEntry:
     action: RepairAction | None  # action issued this tick, if any
 
 
+@dataclass(frozen=True, eq=False)
+class FaultTruth:
+    """Simulator-only ground truth: one row per (tick, machine) key, sorted by
+    tick and then machine name.  ``machine`` indexes ``machines`` and
+    ``code`` indexes TRUTHS."""
+
+    tick: np.ndarray
+    machine: np.ndarray
+    machines: tuple[str, ...]
+    code: np.ndarray
+
+
 @dataclass(eq=False)
 class RepairLog:
-    entries: list[LogEntry]
-    # Simulator-only ground truth, kept separable from the mined log.
-    truth: dict[tuple[int, str], str] | None = None
+    """A repair log as columns, one row per logged (tick, machine).
+
+    ``machine`` indexes ``machines``, ``state`` indexes STATES, and
+    ``action`` indexes ACTIONS or is NO_ACTION.  ``status[row, k]`` is the
+    STATUSES code of watchdog ``watchdogs[k]`` on that row, or ABSENT when it
+    did not report there.  ``truth`` is the ground-truth channel, kept
+    separable from the mined log.
+    """
+
+    tick: np.ndarray
+    machine: np.ndarray
+    machines: tuple[str, ...]
+    state: np.ndarray
+    action: np.ndarray
+    status: np.ndarray
+    watchdogs: tuple[str, ...]
+    truth: FaultTruth | None = None
+
+    @cached_property
+    def entries(self) -> tuple[LogEntry, ...]:
+        """The rows as objects, built on first use; for interop only."""
+        out = []
+        for t, m, s, a, row in zip(self.tick.tolist(), self.machine.tolist(),
+                                   self.state.tolist(), self.action.tolist(),
+                                   self.status.tolist()):
+            mid = self.machines[m]
+            reports = tuple(WatchdogReport(t, w, mid, STATUSES[c])
+                            for w, c in zip(self.watchdogs, row) if c != ABSENT)
+            out.append(LogEntry(t, mid, reports, STATES[s],
+                                None if a == NO_ACTION else ACTIONS[a]))
+        return tuple(out)
 
 
 Policy = Callable[[Sequence[tuple[int, RepairAction]], bool], RepairAction]
@@ -209,55 +272,80 @@ def always_replace(history: Sequence[tuple[int, RepairAction]], in_error: bool) 
     return RepairAction.REPLACE if in_error else RepairAction.DO_NOTHING
 
 
+@dataclass
+class FleetState:
+    """Device-manager view of a fleet, one slot per machine.  ``pending`` holds
+    an action code exactly while ``failure`` is set (NO_ACTION otherwise), and
+    ``since`` the tick that action was issued; ``latency`` is the repair
+    latency of each action code."""
+
+    failure: np.ndarray
+    pending: np.ndarray
+    since: np.ndarray
+    latency: np.ndarray
+    history: list[list[tuple[int, RepairAction]]]
+
+    @classmethod
+    def healthy(cls, fleet: int,
+                latency: Mapping[RepairAction, int] | None = None) -> FleetState:
+        return cls(np.zeros(fleet, dtype=bool), np.full(fleet, NO_ACTION, dtype=np.int8),
+                   np.zeros(fleet, dtype=np.int64),
+                   _by_action(latency or _default_latency(), np.int64),
+                   [[] for _ in range(fleet)])
+
+    def due(self, tick: int) -> np.ndarray:
+        """Machines in Failure whose pending action's latency has elapsed."""
+        # a Healthy slot's NO_ACTION code picks the last latency; the mask drops it
+        return self.failure & (tick >= self.since + self.latency[self.pending])
+
+
+def _by_action(values: Mapping[RepairAction, float], dtype) -> np.ndarray:
+    return np.array([values[a] for a in ACTIONS], dtype=dtype)
+
+
 def device_manager_step(
-    machines: dict[str, MachineState],
-    reports: Sequence[WatchdogReport],
+    machines: FleetState,
+    in_error: np.ndarray,
     policy: Policy,
     tick: int,
-    latency: Mapping[RepairAction, int] | None = None,
     window: int = 100,
-) -> dict[str, RepairAction]:
-    """Advance every machine one tick from a batch of watchdog reports.
+) -> np.ndarray:
+    """Advance every machine one tick, given whether any watchdog reports
+    Error on it.
 
     Healthy machines found in error move to Failure and get a policy action.
     Failed machines whose repair latency has elapsed return to Healthy when
     their reports are clean, and otherwise escalate to a fresh policy action.
-    Returns the actions issued this tick.
+    The policy is called only for those machines, in machine order, with the
+    machine's actions of the last ``window`` ticks.  Returns the action code
+    issued to each machine this tick (NO_ACTION for none).
     """
-    if latency is None:
-        latency = _default_latency()
-    by_machine: dict[str, list[WatchdogReport]] = {}
-    for r in reports:
-        if r.machine not in machines:
-            raise ValueError(f"unknown machine id '{r.machine}'")
-        by_machine.setdefault(r.machine, []).append(r)
+    in_error = np.asarray(in_error, dtype=bool)
+    if in_error.shape != machines.failure.shape:
+        raise ValueError(f"need one error flag per machine ({machines.failure.size}), "
+                         f"got shape {in_error.shape}")
+    issued = np.full(in_error.size, NO_ACTION, dtype=np.int8)
+    if not (in_error.any() or machines.failure.any()):
+        return issued
+    due = machines.due(tick)
+    recovered = due & ~in_error
+    machines.failure[recovered] = False
+    machines.pending[recovered] = NO_ACTION
 
-    issued: dict[str, RepairAction] = {}
-    for mid in sorted(machines):
-        ms = machines[mid]
-        in_error = error_predicate(by_machine.get(mid, ()))
-        recent = [(t, a) for t, a in ms.history if t >= tick - window]
-        if ms.state is MachineHealth.HEALTHY:
-            if in_error:
-                action = policy(recent, True)
-                ms.state = MachineHealth.FAILURE
-                ms.pending_action = action
-                ms.pending_since = tick
-                ms.history.append((tick, action))
-                issued[mid] = action
-        else:
-            due = tick >= ms.pending_since + latency[ms.pending_action]
-            if due and not in_error:
-                ms.state = MachineHealth.HEALTHY
-                ms.pending_action = None
-                ms.pending_since = None
-            elif due:
-                action = policy(recent, True)
-                ms.pending_action = action
-                ms.pending_since = tick
-                ms.history.append((tick, action))
-                issued[mid] = action
+    decide = np.flatnonzero(in_error & (due | ~machines.failure))
+    for m in decide.tolist():
+        history = machines.history[m]
+        action = policy([(t, a) for t, a in history if t >= tick - window], True)
+        history.append((tick, action))
+        issued[m] = _ACTION_CODE[action]
+    machines.failure[decide] = True
+    machines.pending[decide] = issued[decide]
+    machines.since[decide] = tick
     return issued
+
+
+# Report rolls drawn per block of ticks in simulate; bounds its scratch memory.
+_BLOCK_ROLLS = 1 << 16
 
 
 def _machine_ids(fleet: int) -> list[str]:
@@ -286,70 +374,62 @@ def simulate(
     rng_faults, rng_reports, rng_repairs = (
         np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
     )
-    ids = _machine_ids(fleet)
-    machines = {mid: MachineState() for mid in ids}
-    persistent = {mid: False for mid in ids}
-    transient = {mid: False for mid in ids}
-    entries: list[LogEntry] = []
-    truth: dict[tuple[int, str], str] = {}
+    model = fault_model
+    n_wd = len(model.watchdogs)
+    fp = np.array([w.false_positive_rate for w in model.watchdogs])
+    fn = np.array([w.false_negative_rate for w in model.watchdogs])
+    efficacy = _by_action(model.repair_efficacy, float)
+    machines = FleetState.healthy(fleet, model.repair_latency)
+    persistent = np.zeros(fleet, dtype=bool)
+    faulty = np.empty((horizon, fleet), dtype=bool)
+    truth = np.empty((horizon, fleet), dtype=np.int8)
+    state = np.empty((horizon, fleet), dtype=np.int8)
+    action = np.empty((horizon, fleet), dtype=np.int8)
+    status = np.empty((horizon, fleet, n_wd), dtype=np.int8)
 
-    for tick in range(horizon):
-        # Ground-truth update: expire transients, then sample new faults with
-        # a fixed number of draws per machine-tick (keeps arrivals identical
-        # across policies under one seed).
-        for mid in ids:
-            transient[mid] = False
-            u_trans, u_pers = rng_faults.random(2)
-            if u_trans < fault_model.transient_rate:
-                transient[mid] = True
-            if not persistent[mid] and u_pers < fault_model.persistent_rate:
-                persistent[mid] = True
+    # Fault and report rolls do not depend on the fleet's state, so they are
+    # drawn a block of ticks at a time: the same doubles, in the same order,
+    # as one (fleet, 2) and one (fleet, watchdogs, 2) draw per tick.  Every
+    # machine-tick takes the same draws, which keeps fault arrivals identical
+    # across policies under one seed.
+    block = max(1, _BLOCK_ROLLS // (fleet * n_wd))
+    for first in range(0, horizon, block):
+        span = range(first, min(first + block, horizon))
+        u = rng_faults.random((len(span), fleet, 2))
+        transient, arrival = u[..., 0] < model.transient_rate, u[..., 1] < model.persistent_rate
+        v = rng_reports.random((len(span), fleet, n_wd, 2))
+        error_if_faulty, error_if_ok = v[..., 0] >= fn, v[..., 0] < fp
+        any_if_faulty, any_if_ok = error_if_faulty.any(axis=2), error_if_ok.any(axis=2)
 
-        # Repairs whose latency elapses now get their efficacy roll.
-        for mid in ids:
-            ms = machines[mid]
-            if ms.state is MachineHealth.FAILURE and tick >= ms.pending_since + \
-                    fault_model.repair_latency[ms.pending_action]:
-                if persistent[mid]:
-                    if rng_repairs.random() < fault_model.repair_efficacy[ms.pending_action]:
-                        persistent[mid] = False
+        for i, tick in enumerate(span):
+            # Transients last one tick; persistent faults stay until repaired.
+            persistent |= arrival[i]
+            # Repairs whose latency elapses now get their efficacy roll: one
+            # draw per still-faulty machine, in machine order.
+            if machines.failure.any():
+                rolled = np.flatnonzero(machines.due(tick) & persistent)
+                if rolled.size:
+                    cured = rng_repairs.random(rolled.size) < efficacy[machines.pending[rolled]]
+                    persistent[rolled[cured]] = False
+            faulty[tick] = persistent | transient[i]
+            truth[tick] = np.where(persistent, 2, transient[i])  # TRUTHS codes
+            in_error = np.where(faulty[tick], any_if_faulty[i], any_if_ok[i])
+            action[tick] = device_manager_step(machines, in_error, policy, tick, policy_window)
+            state[tick] = machines.failure
 
-        all_reports: list[WatchdogReport] = []
-        for mid in ids:
-            faulty = persistent[mid] or transient[mid]
-            for wd in fault_model.watchdogs:
-                u_status, u_warn = rng_reports.random(2)
-                if faulty:
-                    is_error = u_status >= wd.false_negative_rate
-                else:
-                    is_error = u_status < wd.false_positive_rate
-                if is_error:
-                    status = WatchdogStatus.ERROR
-                elif u_warn < fault_model.warning_rate:
-                    status = WatchdogStatus.WARNING
-                else:
-                    status = WatchdogStatus.OK
-                all_reports.append(WatchdogReport(tick, wd.name, mid, status))
+        errors = np.where(faulty[span.start:span.stop, :, None], error_if_faulty, error_if_ok)
+        status[span.start:span.stop] = np.where(
+            errors, _ERROR, np.where(v[..., 1] < model.warning_rate, _WARNING, _OK))
 
-        issued = device_manager_step(
-            machines, all_reports, policy, tick,
-            latency=fault_model.repair_latency, window=policy_window,
-        )
-
-        by_machine: dict[str, list[WatchdogReport]] = {}
-        for r in all_reports:
-            by_machine.setdefault(r.machine, []).append(r)
-        for mid in ids:
-            entries.append(LogEntry(
-                tick=tick, machine=mid, reports=tuple(by_machine.get(mid, ())),
-                state=machines[mid].state, action=issued.get(mid),
-            ))
-            truth[(tick, mid)] = (
-                "persistent" if persistent[mid]
-                else "transient" if transient[mid]
-                else "ok"
-            )
-    return RepairLog(entries=entries, truth=truth)
+    ticks = np.repeat(np.arange(horizon, dtype=np.int64), fleet)
+    codes = np.tile(np.arange(fleet), horizon)
+    ids = tuple(_machine_ids(fleet))  # sorted, so the truth rows are in key order
+    return RepairLog(
+        tick=ticks, machine=codes, machines=ids, state=state.ravel(),
+        action=action.ravel(), status=status.reshape(-1, fp.size),
+        watchdogs=tuple(w.name for w in model.watchdogs),
+        truth=FaultTruth(ticks, codes, ids, truth.ravel()),
+    )
 
 
 @dataclass(frozen=True)
@@ -374,6 +454,37 @@ class WatchdogRateEstimate:
     true_fp_rate: float | None = None
 
 
+def _failure_runs(machine: np.ndarray, failure: np.ndarray):
+    """Failure episodes of rows sorted by (machine, tick): the maximal runs of
+    Failure rows within one machine.
+
+    Returns (first, starts, stops, completed): ``first`` flags each machine's
+    first row; run i covers rows ``starts[i]`` to ``stops[i] - 1``, and
+    ``completed[i]`` says row ``stops[i]`` exists and is the same machine's
+    return to Healthy.
+    """
+    n = machine.size
+    first = np.ones(n, dtype=bool)
+    first[1:] = machine[1:] != machine[:-1]
+    continues = np.zeros(n + 1, dtype=bool)  # row i extends a run from row i - 1
+    continues[1:n] = failure[1:] & failure[:-1] & ~first[1:]
+    starts = np.flatnonzero(failure & ~continues[:n])
+    stops = np.flatnonzero(failure & ~continues[1:]) + 1
+    completed = stops < n
+    completed[completed] = ~first[stops[completed]]
+    return first, starts, stops, completed
+
+
+def _truth_rows(log: RepairLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The truth rows of machines in the log: (tick, log machine code, ok)."""
+    truth = log.truth
+    code_of = {mid: k for k, mid in enumerate(log.machines)}
+    to_log = np.array([code_of.get(mid, -1) for mid in truth.machines], dtype=np.intp)
+    machine = to_log[truth.machine]
+    known = machine >= 0
+    return truth.tick[known], machine[known], truth.code[known] == _TRUTH_CODE["ok"]
+
+
 def estimate_watchdog_fpr(
     log: RepairLog, lookahead: int = 20
 ) -> dict[str, WatchdogRateEstimate]:
@@ -384,89 +495,66 @@ def estimate_watchdog_fpr(
     same, so configurations with frequent transients will overestimate.
     Watchdogs that never report Error are absent from the result.
     """
-    if not log.entries:
+    n = log.tick.size
+    if n == 0:
         raise ValueError("log is empty")
-    by_machine: dict[str, list[LogEntry]] = {}
-    for e in log.entries:
-        by_machine.setdefault(e.machine, []).append(e)
-    for seq in by_machine.values():
-        seq.sort(key=lambda e: e.tick)
+    order = np.lexsort((log.tick, log.machine))  # stable: file order breaks ties
+    machine, tick = log.machine[order], log.tick[order]
+    failure = log.state[order] == _FAILURE
+    status = log.status[order]
+    present, errors = status != ABSENT, status == _ERROR
+    first, starts, stops, completed = _failure_runs(machine, failure)
+    healthy_at_start = first.copy()
+    healthy_at_start[1:] |= ~failure[:-1]
 
-    watchdogs = sorted({r.watchdog for e in log.entries for r in e.reports})
-    n_reports = {w: 0 for w in watchdogs}
-    n_errors = {w: 0 for w in watchdogs}
-    n_suspected = {w: 0 for w in watchdogs}
-    fp_errors = {w: 0 for w in watchdogs}
-    healthy_truth_reports = {w: 0 for w in watchdogs}
+    # One dense key per (machine, tick), ordered like the rows; the tick
+    # ranks cover the truth's ticks too, so the truth joins on the same key.
+    truth_tick, truth_machine, truth_ok = (
+        _truth_rows(log) if log.truth is not None else (tick[:0], machine[:0], failure[:0]))
+    values, rank = np.unique(np.concatenate([tick, truth_tick]), return_inverse=True)
+    key = machine * values.size + rank[:n]
+    ok = np.zeros(n, dtype=bool)
+    if truth_tick.size:
+        truth_key = truth_machine * values.size + rank[n:]
+        by_key = np.argsort(truth_key, kind="stable")
+        # a repeated key counts its last row, as a later line overrides
+        at = np.searchsorted(truth_key[by_key], key, side="right") - 1
+        hit = at >= 0
+        hit[hit] = truth_key[by_key[at[hit]]] == key[hit]
+        ok[hit] = truth_ok[by_key[at[hit]]]
 
-    for seq in by_machine.values():
-        states = [e.state for e in seq]
-        error_ticks = {
-            e.tick for e in seq for r in e.reports if r.status is WatchdogStatus.ERROR
-        }
-        # Failure episodes: index ranges [start, end) plus the tick of return
-        # to Healthy (None when the log ends first).
-        episodes: list[tuple[int, int, int | None]] = []
-        i = 0
-        while i < len(seq):
-            if states[i] is MachineHealth.FAILURE:
-                j = i
-                while j < len(seq) and states[j] is MachineHealth.FAILURE:
-                    j += 1
-                episodes.append((i, j, seq[j].tick if j < len(seq) else None))
-                i = j
-            else:
-                i += 1
+    # An Error on a row that starts a run counts as suspected false when the
+    # run ends in Healthy within the lookahead, issued no ReImage or Replace,
+    # and the machine reports no further Error on later ticks up to and
+    # including the tick it is Healthy again.
+    escalated = np.concatenate([[0], np.cumsum(np.isin(log.action[order], _ESCALATED))])
+    suspect = completed & (escalated[stops] == escalated[starts])
+    starts, stops = starts[suspect], stops[suspect]
+    suspect = tick[stops] - tick[starts] <= lookahead
+    starts, stops = starts[suspect], stops[suspect]
+    error_rows = np.concatenate([[0], np.cumsum(errors.any(axis=1))])
+    later_errors = (error_rows[np.searchsorted(key, key[stops], side="right")]
+                    - error_rows[np.searchsorted(key, key[starts], side="right")])
+    suspected = errors[starts[later_errors == 0]].sum(axis=0).tolist()
 
-        def episode_of(idx: int) -> tuple[int, int, int | None] | None:
-            for ep in episodes:
-                if ep[0] <= idx < ep[1]:
-                    return ep
-            return None
-
-        for idx, entry in enumerate(seq):
-            healthy_at_start = idx == 0 or states[idx - 1] is MachineHealth.HEALTHY
-            for r in entry.reports:
-                if healthy_at_start:
-                    n_reports[r.watchdog] += 1
-                if log.truth is not None and log.truth.get((entry.tick, entry.machine)) == "ok":
-                    healthy_truth_reports[r.watchdog] += 1
-                    if r.status is WatchdogStatus.ERROR:
-                        fp_errors[r.watchdog] += 1
-                if r.status is not WatchdogStatus.ERROR:
-                    continue
-                n_errors[r.watchdog] += 1
-                if not healthy_at_start:
-                    continue
-                ep = episode_of(idx)
-                if ep is None:
-                    continue
-                start, end, healthy_tick = ep
-                if healthy_tick is None or healthy_tick - entry.tick > lookahead:
-                    continue
-                actions = {seq[k].action for k in range(start, end) if seq[k].action}
-                if not actions <= {RepairAction.DO_NOTHING, RepairAction.REBOOT}:
-                    continue
-                quiet = not any(
-                    t in error_ticks for t in range(entry.tick + 1, healthy_tick + 1)
-                )
-                if quiet:
-                    n_suspected[r.watchdog] += 1
-
+    n_reports = (present & healthy_at_start[:, None]).sum(axis=0).tolist()
+    n_errors = errors.sum(axis=0).tolist()
+    truth_reports = (present & ok[:, None]).sum(axis=0).tolist()
+    fp_errors = (errors & ok[:, None]).sum(axis=0).tolist()
     out: dict[str, WatchdogRateEstimate] = {}
-    for w in watchdogs:
-        if n_errors[w] == 0:
+    for k in sorted(range(len(log.watchdogs)), key=log.watchdogs.__getitem__):
+        if n_errors[k] == 0:
             continue
         true_rate = None
-        if log.truth is not None and healthy_truth_reports[w] > 0:
-            true_rate = fp_errors[w] / healthy_truth_reports[w]
-        out[w] = WatchdogRateEstimate(
-            watchdog=w,
-            n_reports=n_reports[w],
-            n_errors=n_errors[w],
-            n_suspected_false=n_suspected[w],
-            estimated_fp_rate=n_suspected[w] / n_reports[w] if n_reports[w] else 0.0,
-            suspected_per_error=n_suspected[w] / n_errors[w],
+        if log.truth is not None and truth_reports[k] > 0:
+            true_rate = fp_errors[k] / truth_reports[k]
+        out[log.watchdogs[k]] = WatchdogRateEstimate(
+            watchdog=log.watchdogs[k],
+            n_reports=n_reports[k],
+            n_errors=n_errors[k],
+            n_suspected_false=suspected[k],
+            estimated_fp_rate=suspected[k] / n_reports[k] if n_reports[k] else 0.0,
+            suspected_per_error=suspected[k] / n_errors[k],
             true_fp_rate=true_rate,
         )
     return out
@@ -492,38 +580,24 @@ class PolicyMetrics:
 
 def evaluate_policy(log: RepairLog, cost_model: CostModel | None = None) -> PolicyMetrics:
     """Availability, total cost and mean Failure-episode length for a log."""
-    if not log.entries:
+    total_ticks = log.tick.size
+    if total_ticks == 0:
         raise ValueError("log is empty")
     if cost_model is None:
         cost_model = CostModel()
-    total_ticks = len(log.entries)
-    failure_ticks = sum(1 for e in log.entries if e.state is MachineHealth.FAILURE)
-    action_cost = sum(
-        cost_model.action_costs[e.action] for e in log.entries if e.action is not None
-    )
+    failure_ticks = int(np.count_nonzero(log.state == _FAILURE))
+    issued = np.bincount(log.action[log.action != NO_ACTION], minlength=len(ACTIONS))
+    action_cost = sum(cost_model.action_costs[a] * k
+                      for a, k in zip(ACTIONS, issued.tolist()) if k)
     total_cost = action_cost + cost_model.downtime_cost_per_tick * failure_ticks
 
-    # Failure episodes partition the failure ticks exactly; only episodes
-    # that return to Healthy inside the log count toward time-to-healthy.
-    episode_lengths: list[int] = []
-    completed_lengths: list[int] = []
-    by_machine: dict[str, list[LogEntry]] = {}
-    for e in log.entries:
-        by_machine.setdefault(e.machine, []).append(e)
-    for seq in by_machine.values():
-        seq.sort(key=lambda e: e.tick)
-        run = 0
-        for e in seq:
-            if e.state is MachineHealth.FAILURE:
-                run += 1
-            elif run:
-                episode_lengths.append(run)
-                completed_lengths.append(run)
-                run = 0
-        if run:
-            episode_lengths.append(run)
-    assert sum(episode_lengths) == failure_ticks
-    mtth = float(np.mean(completed_lengths)) if completed_lengths else None
+    # Only episodes that return to Healthy inside the log count toward
+    # time-to-healthy.
+    order = np.lexsort((log.tick, log.machine))
+    _, starts, stops, completed = _failure_runs(log.machine[order],
+                                                log.state[order] == _FAILURE)
+    completed_lengths = (stops - starts)[completed]
+    mtth = float(np.mean(completed_lengths)) if completed_lengths.size else None
     return PolicyMetrics(
         availability=1.0 - failure_ticks / total_ticks,
         total_cost=float(total_cost),
@@ -532,28 +606,48 @@ def evaluate_policy(log: RepairLog, cost_model: CostModel | None = None) -> Poli
 
 
 def serialize_repair_log(log: RepairLog) -> str:
-    """Primary log serialization; never includes the ground-truth channel."""
-    lines = []
-    for e in log.entries:
-        reports = ";".join(
-            f"{r.watchdog}:{r.status.value}" for r in sorted(e.reports, key=lambda r: r.watchdog)
-        ) or "-"
-        action = e.action.value if e.action is not None else "-"
-        lines.append(
-            f"tick={e.tick} machine={e.machine} state={e.state.value} "
-            f"action={action} reports={reports}"
-        )
-    return "".join(line + "\n" for line in lines)
+    """Primary log serialization; never includes the ground-truth channel.
+    Each line lists its watchdogs' reports in name order."""
+    by_name = sorted(range(len(log.watchdogs)), key=log.watchdogs.__getitem__)
+    # One integer per distinct (state, action, statuses) row, digit by digit;
+    # ranks replace the digits before they could overflow.
+    key = log.state.astype(np.int64) * (len(ACTIONS) + 1) + (log.action + 1)
+    for k in by_name:
+        if key.size and key.max() >= 1 << 56:
+            key = np.unique(key, return_inverse=True)[1].ravel()
+        key = key * (len(STATUSES) + 1) + (log.status[:, k] + 1)
+    _, first, tail_of = np.unique(key, return_index=True, return_inverse=True)
+    tails = []
+    for row in first.tolist():
+        action = log.action[row]
+        reports = ";".join(f"{log.watchdogs[k]}:{STATUSES[log.status[row, k]].value}"
+                           for k in by_name if log.status[row, k] != ABSENT)
+        tails.append(f"state={STATES[log.state[row]].value} "
+                     f"action={'-' if action == NO_ACTION else ACTIONS[action].value} "
+                     f"reports={reports or '-'}")
+    machines = log.machines
+    return "".join([f"tick={t} machine={machines[m]} {tails[k]}\n" for t, m, k in
+                    zip(log.tick.tolist(), log.machine.tolist(), tail_of.ravel().tolist())])
 
 
 def serialize_fault_truth(log: RepairLog) -> str:
-    if log.truth is None:
+    truth = log.truth
+    if truth is None:
         raise ValueError("log carries no ground-truth channel")
-    lines = [
-        f"tick={tick} machine={mid} truth={status}"
-        for (tick, mid), status in sorted(log.truth.items())
-    ]
-    return "".join(line + "\n" for line in lines)
+    machines = truth.machines
+    return "".join([f"tick={t} machine={machines[m]} truth={TRUTHS[c]}\n" for t, m, c in
+                    zip(truth.tick.tolist(), truth.machine.tolist(), truth.code.tolist())])
+
+
+# The canonical line forms, as the serializers write them.  Any other line
+# goes through the per-line checks, which accept every form the format
+# allows and raise the line's first error.
+_TICK = r"tick=(-?[0-9]{1,18}) machine=(\S+) "
+_LOG_RE = re.compile(
+    _TICK + rf"(state=(?:{'|'.join(_STATE_BY_VALUE)}) "
+    rf"action=(?:{'|'.join(_ACTION_BY_VALUE)}|-) reports=\S+)"
+)
+_TRUTH_RE = re.compile(_TICK + rf"truth=({'|'.join(TRUTHS)})")
 
 
 def _field(line_no: int, token: str, key: str) -> str:
@@ -563,52 +657,150 @@ def _field(line_no: int, token: str, key: str) -> str:
     return token[len(prefix):]
 
 
+def _check_key(line_no: int, line: str, n_fields: int) -> tuple[list[str], int, str] | None:
+    """Split a line and check its field count, tick and machine: (tokens,
+    tick, machine), or None for a blank line."""
+    tokens = line.split()
+    if not tokens:
+        return None
+    if len(tokens) != n_fields:
+        raise ValueError(f"line {line_no}: expected {n_fields} fields, got {len(tokens)}")
+    raw = _field(line_no, tokens[0], "tick")
+    try:
+        tick = int(raw)
+    except ValueError:
+        tick = None
+    if tick is None or not -2**63 <= tick < 2**63:
+        raise ValueError(f"line {line_no}: bad tick '{raw}'")
+    return tokens, tick, _field(line_no, tokens[1], "machine")
+
+
+def _check_log_line(line_no: int, line: str) -> tuple[int, str, str] | None:
+    """Apply the per-line rules of the log format, in the order its errors are
+    reported: (tick, machine, canonical state/action/reports text), or None
+    for a blank line.  The reports are checked by _decode_tail."""
+    key = _check_key(line_no, line, 5)
+    if key is None:
+        return None
+    tokens, tick, machine = key
+    state = _field(line_no, tokens[2], "state")
+    if state not in _STATE_BY_VALUE:
+        raise ValueError(f"line {line_no}: bad state '{state}'")
+    action = _field(line_no, tokens[3], "action")
+    if action != "-" and action not in _ACTION_BY_VALUE:
+        raise ValueError(f"line {line_no}: bad action '{action}'")
+    reports = _field(line_no, tokens[4], "reports")
+    return tick, machine, f"state={state} action={action} reports={reports}"
+
+
+def _decode_tail(line_no: int, tail: str) -> tuple[int, int, list[tuple[str, int]]]:
+    """(state code, action code, [(watchdog, status code)]) of the text
+    after a line's machine field, whose state and action are valid."""
+    state, action, reports = (token.split("=", 1)[1] for token in tail.split(" "))
+    pairs: dict[str, int] = {}
+    for item in reports.split(";") if reports != "-" else ():
+        watchdog, _, status = item.partition(":")
+        if status not in _STATUS_BY_VALUE:
+            raise ValueError(f"line {line_no}: bad status '{status}'")
+        if watchdog in pairs:
+            raise ValueError(f"line {line_no}: duplicate watchdog '{watchdog}'")
+        pairs[watchdog] = _STATUS_BY_VALUE[status]
+    return _STATE_BY_VALUE[state], _ACTION_BY_VALUE.get(action, NO_ACTION), list(pairs.items())
+
+
 def parse_repair_log(text: str) -> RepairLog:
-    entries = []
-    status_by_value = {s.value: s for s in WatchdogStatus}
-    action_by_value = {a.value: a for a in RepairAction}
+    """Parse a repair log into columns.
+
+    Blank lines are skipped and fields may be separated by any whitespace.
+    A line's reports may come in any order, but may name each watchdog once;
+    watchdogs that do not report on a line are ABSENT there.  The first
+    malformed line raises ValueError('line N: ...').
+    """
+    match = _LOG_RE.fullmatch
+    machine_codes: dict[str, int] = {}
+    # Lines share few distinct state/action/reports texts; each is checked
+    # and decoded once.
+    tail_codes: dict[str, int] = {}
+    tails: list[tuple[int, int, list[tuple[str, int]]]] = []
+    ticks: list[int] = []
+    machine_of: list[int] = []
+    tail_of: list[int] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        tokens = line.split()
-        if len(tokens) != 5:
-            raise ValueError(f"line {line_no}: expected 5 fields, got {len(tokens)}")
-        tick = int(_field(line_no, tokens[0], "tick"))
-        machine = _field(line_no, tokens[1], "machine")
-        state_raw = _field(line_no, tokens[2], "state")
-        if state_raw not in ("Healthy", "Failure"):
-            raise ValueError(f"line {line_no}: bad state '{state_raw}'")
-        state = MachineHealth(state_raw)
-        action_raw = _field(line_no, tokens[3], "action")
-        if action_raw != "-" and action_raw not in action_by_value:
-            raise ValueError(f"line {line_no}: bad action '{action_raw}'")
-        action = None if action_raw == "-" else action_by_value[action_raw]
-        reports_raw = _field(line_no, tokens[4], "reports")
-        reports: tuple[WatchdogReport, ...] = ()
-        if reports_raw != "-":
-            parts = []
-            for item in reports_raw.split(";"):
-                wd, _, status = item.partition(":")
-                if status not in status_by_value:
-                    raise ValueError(f"line {line_no}: bad status '{status}'")
-                parts.append(WatchdogReport(tick, wd, machine, status_by_value[status]))
-            reports = tuple(parts)
-        entries.append(LogEntry(tick, machine, reports, state, action))
-    return RepairLog(entries=entries, truth=None)
+        m = match(line)
+        if m is not None:
+            tick, machine, tail = m.groups()
+            tick = int(tick)
+        else:
+            record = _check_log_line(line_no, line)
+            if record is None:
+                continue
+            tick, machine, tail = record
+        k = tail_codes.get(tail)
+        if k is None:
+            k = tail_codes[tail] = len(tails)
+            tails.append(_decode_tail(line_no, tail))
+        code = machine_codes.get(machine)
+        if code is None:
+            code = machine_codes[machine] = len(machine_codes)
+        ticks.append(tick)
+        machine_of.append(code)
+        tail_of.append(k)
+
+    watchdogs = sorted({w for _, _, pairs in tails for w, _ in pairs})
+    column = {w: k for k, w in enumerate(watchdogs)}
+    table = np.full((len(tails), len(watchdogs)), ABSENT, dtype=np.int8)
+    for row, (_, _, pairs) in zip(table, tails):
+        for w, c in pairs:
+            row[column[w]] = c
+    rows = np.array(tail_of, dtype=np.intp)
+    return RepairLog(
+        tick=np.array(ticks, dtype=np.int64),
+        machine=np.array(machine_of, dtype=np.intp),
+        machines=tuple(machine_codes),
+        state=np.array([s for s, _, _ in tails], dtype=np.int8)[rows],
+        action=np.array([a for _, a, _ in tails], dtype=np.int8)[rows],
+        status=table[rows],
+        watchdogs=tuple(watchdogs),
+    )
 
 
-def parse_fault_truth(text: str) -> dict[tuple[int, str], str]:
-    truth = {}
+def parse_fault_truth(text: str) -> FaultTruth:
+    """Parse a ground-truth sidecar.  A later line for the same (tick, machine)
+    overrides an earlier one; the first malformed line raises
+    ValueError('line N: ...')."""
+    match = _TRUTH_RE.fullmatch
+    machine_codes: dict[str, int] = {}
+    ticks: list[int] = []
+    machine_of: list[int] = []
+    codes: list[int] = []
     for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        tokens = line.split()
-        if len(tokens) != 3:
-            raise ValueError(f"line {line_no}: expected 3 fields, got {len(tokens)}")
-        tick = int(_field(line_no, tokens[0], "tick"))
-        machine = _field(line_no, tokens[1], "machine")
-        status = _field(line_no, tokens[2], "truth")
-        if status not in ("ok", "transient", "persistent"):
-            raise ValueError(f"line {line_no}: bad truth '{status}'")
-        truth[(tick, machine)] = status
-    return truth
+        m = match(line)
+        if m is not None:
+            tick, machine, status = m.groups()
+            tick = int(tick)
+        else:
+            key = _check_key(line_no, line, 3)
+            if key is None:
+                continue
+            tokens, tick, machine = key
+            status = _field(line_no, tokens[2], "truth")
+            if status not in _TRUTH_CODE:
+                raise ValueError(f"line {line_no}: bad truth '{status}'")
+        code = machine_codes.get(machine)
+        if code is None:
+            code = machine_codes[machine] = len(machine_codes)
+        ticks.append(tick)
+        machine_of.append(code)
+        codes.append(_TRUTH_CODE[status])
+
+    names = tuple(machine_codes)
+    rank = np.empty(len(names), dtype=np.intp)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    tick = np.array(ticks, dtype=np.int64)
+    machine = np.array(machine_of, dtype=np.intp)
+    order = np.lexsort((rank[machine], tick))
+    tick, machine = tick[order], machine[order]
+    last = np.ones(tick.size, dtype=bool)
+    last[:-1] = (tick[1:] != tick[:-1]) | (machine[1:] != machine[:-1])
+    return FaultTruth(tick[last], machine[last], names,
+                      np.array(codes, dtype=np.int8)[order][last])

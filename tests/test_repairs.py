@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from statops.repairs import (
+    ACTIONS,
+    NO_ACTION,
+    TRUTHS,
     CostModel,
     FaultModel,
+    FleetState,
     MachineHealth,
-    MachineState,
     RepairAction,
-    RepairLog,
     WatchdogReport,
     WatchdogSpec,
     WatchdogStatus,
@@ -30,6 +32,15 @@ from statops.repairs import (
 
 def _report(status, wd="wd", machine="m", tick=0):
     return WatchdogReport(tick, wd, machine, status)
+
+
+def _actions(codes):
+    return [None if c == NO_ACTION else ACTIONS[c] for c in codes]
+
+
+def _truth_dict(truth):
+    return {(t, truth.machines[m]): TRUTHS[c] for t, m, c in
+            zip(truth.tick.tolist(), truth.machine.tolist(), truth.code.tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -74,68 +85,54 @@ def test_escalation_ladder():
 
 
 def test_step_healthy_plus_error_fails_with_action():
-    machines = {"m": MachineState()}
-    issued = device_manager_step(
-        machines, [_report(WatchdogStatus.ERROR, tick=0)], escalation_policy, tick=0
-    )
-    m = machines["m"]
-    assert m.state is MachineHealth.FAILURE
-    assert m.pending_action is RepairAction.REBOOT
-    assert issued == {"m": RepairAction.REBOOT}
-    assert m.history == [(0, RepairAction.REBOOT)]
+    machines = FleetState.healthy(1)
+    issued = device_manager_step(machines, [True], escalation_policy, tick=0)
+    assert machines.failure.tolist() == [True]
+    assert _actions(machines.pending) == [RepairAction.REBOOT]
+    assert _actions(issued) == [RepairAction.REBOOT]
+    assert machines.history == [[(0, RepairAction.REBOOT)]]
 
 
 def test_step_failure_recovers_after_latency():
-    machines = {"m": MachineState()}
-    device_manager_step(machines, [_report(WatchdogStatus.ERROR, tick=0)],
-                        escalation_policy, tick=0)
+    machines = FleetState.healthy(1)
+    device_manager_step(machines, [True], escalation_policy, tick=0)
     # latency for Reboot is 1: still Failure during the same tick window
-    device_manager_step(machines, [_report(WatchdogStatus.OK, tick=1)],
-                        escalation_policy, tick=1)
-    assert machines["m"].state is MachineHealth.HEALTHY
-    assert machines["m"].pending_action is None
+    device_manager_step(machines, [False], escalation_policy, tick=1)
+    assert machines.failure.tolist() == [False]
+    assert _actions(machines.pending) == [None]
 
 
 def test_step_failure_escalates_when_error_persists():
-    machines = {"m": MachineState()}
-    device_manager_step(machines, [_report(WatchdogStatus.ERROR, tick=0)],
-                        escalation_policy, tick=0)
-    issued = device_manager_step(machines, [_report(WatchdogStatus.ERROR, tick=1)],
-                                 escalation_policy, tick=1)
-    assert issued == {"m": RepairAction.REIMAGE}
-    assert machines["m"].state is MachineHealth.FAILURE
+    machines = FleetState.healthy(1)
+    device_manager_step(machines, [True], escalation_policy, tick=0)
+    issued = device_manager_step(machines, [True], escalation_policy, tick=1)
+    assert _actions(issued) == [RepairAction.REIMAGE]
+    assert machines.failure.tolist() == [True]
 
 
 def test_step_healthy_all_ok_unchanged():
-    machines = {"m": MachineState()}
-    issued = device_manager_step(machines, [_report(WatchdogStatus.OK)],
-                                 escalation_policy, tick=0)
-    assert issued == {}
-    assert machines["m"].state is MachineHealth.HEALTHY
-    assert machines["m"].history == []
+    machines = FleetState.healthy(1)
+    issued = device_manager_step(machines, [False], escalation_policy, tick=0)
+    assert _actions(issued) == [None]
+    assert machines.failure.tolist() == [False]
+    assert machines.history == [[]]
 
 
-def test_step_rejects_unknown_machine():
-    with pytest.raises(ValueError, match="ghost"):
-        device_manager_step({"m": MachineState()},
-                            [_report(WatchdogStatus.OK, machine="ghost")],
+def test_step_rejects_wrong_fleet_size():
+    with pytest.raises(ValueError, match="one error flag per machine"):
+        device_manager_step(FleetState.healthy(1), [False, False],
                             escalation_policy, tick=0)
 
 
 def test_pending_action_iff_failure_invariant():
     model = FaultModel(transient_rate=0.02, persistent_rate=0.003,
                        watchdogs=(WatchdogSpec("wd", 0.01, 0.05),))
-    machines = {f"m{i}": MachineState() for i in range(4)}
+    machines = FleetState.healthy(4, model.repair_latency)
     rng = np.random.default_rng(0)
     for tick in range(200):
-        reports = []
-        for mid in machines:
-            status = WatchdogStatus.ERROR if rng.random() < 0.1 else WatchdogStatus.OK
-            reports.append(WatchdogReport(tick, "wd", mid, status))
-        device_manager_step(machines, reports, escalation_policy, tick,
-                            latency=model.repair_latency)
-        for m in machines.values():
-            assert (m.pending_action is not None) == (m.state is MachineHealth.FAILURE)
+        in_error = rng.random(4) < 0.1
+        device_manager_step(machines, in_error, escalation_policy, tick)
+        assert ((machines.pending != NO_ACTION) == machines.failure).all()
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +145,7 @@ def test_simulate_zero_faults_all_healthy():
     log = simulate(5, model, escalation_policy, horizon=50, seed=1)
     assert all(e.state is MachineHealth.HEALTHY for e in log.entries)
     assert all(e.action is None for e in log.entries)
-    assert all(v == "ok" for v in log.truth.values())
+    assert all(v == "ok" for v in _truth_dict(log.truth).values())
 
 
 def test_simulate_deterministic_per_seed():
@@ -169,7 +166,7 @@ def test_simulate_log_complete_one_entry_per_tick_machine():
     keys = [(e.tick, e.machine) for e in log.entries]
     assert len(keys) == 240
     assert len(set(keys)) == 240
-    assert set(log.truth) == set(keys)
+    assert set(_truth_dict(log.truth)) == set(keys)
 
 
 def test_simulate_persistent_fault_walks_up_the_ladder():
@@ -220,7 +217,7 @@ def test_estimate_fpr_absent_without_errors():
 
 def test_estimate_fpr_rejects_empty_log():
     with pytest.raises(ValueError):
-        estimate_watchdog_fpr(RepairLog(entries=[]))
+        estimate_watchdog_fpr(parse_repair_log(""))
 
 
 def test_evaluate_policy_all_healthy():
@@ -270,7 +267,7 @@ def test_log_serialization_round_trip():
     assert back.entries == log.entries
     assert back.truth is None
     truth_text = serialize_fault_truth(log)
-    assert parse_fault_truth(truth_text) == log.truth
+    assert _truth_dict(parse_fault_truth(truth_text)) == _truth_dict(log.truth)
     # primary log never leaks ground truth
     assert "truth" not in text
 
