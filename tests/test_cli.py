@@ -6,6 +6,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 from statops import diagnosis
 from statops.cli import main
 
@@ -265,6 +267,34 @@ def test_repair_mine_missing_file_exit_2(tmp_path, capsys):
 def test_repair_sim_bad_watchdog_spec_exit_2(tmp_path, capsys):
     assert main(["repair-sim", "--watchdog", "broken", "--out",
                  str(tmp_path / "x.log")]) == 2
+
+
+_GOOD_LOG_LINE = "tick=0 machine=m00 state=Healthy action=- reports=wd:OK\n"
+
+
+@pytest.mark.parametrize("bad_line,message", [
+    ("tick=x machine=m00 state=Healthy action=- reports=wd:OK", "line 2: bad tick 'x'"),
+    ("tick=1 machine=m00 state=Healthy action=- reports=wd:OK;wd:Error",
+     "line 2: duplicate watchdog 'wd'"),
+], ids=["bad-tick", "duplicate-watchdog"])
+def test_repair_mine_bad_log_line_names_file_and_line_exit_2(tmp_path, capsys, bad_line, message):
+    log = tmp_path / "repair.log"
+    log.write_text(_GOOD_LOG_LINE + bad_line + "\n", encoding="utf-8")
+    out = tmp_path / "mine"
+    assert main(["repair-mine", str(log), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {log}: {message}\n"
+    assert not out.exists()
+
+
+def test_repair_mine_bad_truth_sidecar_names_file_and_line_exit_2(tmp_path, capsys):
+    log = tmp_path / "repair.log"
+    log.write_text(_GOOD_LOG_LINE, encoding="utf-8")
+    truth = tmp_path / "repair.log.truth"
+    truth.write_text("tick=0 machine=m00 truth=weird\n", encoding="utf-8")
+    out = tmp_path / "mine"
+    assert main(["repair-mine", str(log), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {truth}: line 1: bad truth 'weird'\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
