@@ -381,8 +381,7 @@ def simulate(
     efficacy = _by_action(model.repair_efficacy, float)
     machines = FleetState.healthy(fleet, model.repair_latency)
     persistent = np.zeros(fleet, dtype=bool)
-    faulty = np.empty((horizon, fleet), dtype=bool)
-    truth = np.empty((horizon, fleet), dtype=np.int8)
+    truth = np.empty((horizon, fleet), dtype=np.int8)  # TRUTHS codes
     state = np.empty((horizon, fleet), dtype=np.int8)
     action = np.empty((horizon, fleet), dtype=np.int8)
     status = np.empty((horizon, fleet, n_wd), dtype=np.int8)
@@ -411,13 +410,12 @@ def simulate(
                 if rolled.size:
                     cured = rng_repairs.random(rolled.size) < efficacy[machines.pending[rolled]]
                     persistent[rolled[cured]] = False
-            faulty[tick] = persistent | transient[i]
-            truth[tick] = np.where(persistent, 2, transient[i])  # TRUTHS codes
-            in_error = np.where(faulty[tick], any_if_faulty[i], any_if_ok[i])
+            truth[tick] = np.where(persistent, 2, transient[i])
+            in_error = np.where(truth[tick] > 0, any_if_faulty[i], any_if_ok[i])
             action[tick] = device_manager_step(machines, in_error, policy, tick, policy_window)
             state[tick] = machines.failure
 
-        errors = np.where(faulty[span.start:span.stop, :, None], error_if_faulty, error_if_ok)
+        errors = np.where(truth[span.start:span.stop, :, None] > 0, error_if_faulty, error_if_ok)
         status[span.start:span.stop] = np.where(
             errors, _ERROR, np.where(v[..., 1] < model.warning_rate, _WARNING, _OK))
 
@@ -426,7 +424,7 @@ def simulate(
     ids = tuple(_machine_ids(fleet))  # sorted, so the truth rows are in key order
     return RepairLog(
         tick=ticks, machine=codes, machines=ids, state=state.ravel(),
-        action=action.ravel(), status=status.reshape(-1, fp.size),
+        action=action.ravel(), status=status.reshape(-1, n_wd),
         watchdogs=tuple(w.name for w in model.watchdogs),
         truth=FaultTruth(ticks, codes, ids, truth.ravel()),
     )
@@ -476,8 +474,11 @@ def _failure_runs(machine: np.ndarray, failure: np.ndarray):
 
 
 def _truth_rows(log: RepairLog) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The truth rows of machines in the log: (tick, log machine code, ok)."""
+    """The ground truth of the log's machines: (tick, log machine code, reads
+    ok), empty when the log carries no truth channel."""
     truth = log.truth
+    if truth is None:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.intp), np.zeros(0, dtype=bool)
     code_of = {mid: k for k, mid in enumerate(log.machines)}
     to_log = np.array([code_of.get(mid, -1) for mid in truth.machines], dtype=np.intp)
     machine = to_log[truth.machine]
@@ -509,29 +510,26 @@ def estimate_watchdog_fpr(
 
     # One dense key per (machine, tick), ordered like the rows; the tick
     # ranks cover the truth's ticks too, so the truth joins on the same key.
-    truth_tick, truth_machine, truth_ok = (
-        _truth_rows(log) if log.truth is not None else (tick[:0], machine[:0], failure[:0]))
+    truth_tick, truth_machine, truth_ok = _truth_rows(log)
     values, rank = np.unique(np.concatenate([tick, truth_tick]), return_inverse=True)
     key = machine * values.size + rank[:n]
-    ok = np.zeros(n, dtype=bool)
-    if truth_tick.size:
-        truth_key = truth_machine * values.size + rank[n:]
-        by_key = np.argsort(truth_key, kind="stable")
-        # a repeated key counts its last row, as a later line overrides
-        at = np.searchsorted(truth_key[by_key], key, side="right") - 1
-        hit = at >= 0
-        hit[hit] = truth_key[by_key[at[hit]]] == key[hit]
-        ok[hit] = truth_ok[by_key[at[hit]]]
+    truth_key = truth_machine * values.size + rank[n:]
+    by_key = np.argsort(truth_key)
+    sorted_key = truth_key[by_key]
+    ok = np.zeros(n, dtype=bool)  # rows whose truth reads ok
+    if sorted_key.size:
+        at = np.searchsorted(sorted_key, key).clip(max=sorted_key.size - 1)
+        ok = (sorted_key[at] == key) & truth_ok[by_key[at]]
 
     # An Error on a row that starts a run counts as suspected false when the
     # run ends in Healthy within the lookahead, issued no ReImage or Replace,
     # and the machine reports no further Error on later ticks up to and
     # including the tick it is Healthy again.
     escalated = np.concatenate([[0], np.cumsum(np.isin(log.action[order], _ESCALATED))])
-    suspect = completed & (escalated[stops] == escalated[starts])
-    starts, stops = starts[suspect], stops[suspect]
-    suspect = tick[stops] - tick[starts] <= lookahead
-    starts, stops = starts[suspect], stops[suspect]
+    calm = completed & (escalated[stops] == escalated[starts])
+    starts, stops = starts[calm], stops[calm]
+    quick = tick[stops] - tick[starts] <= lookahead
+    starts, stops = starts[quick], stops[quick]
     error_rows = np.concatenate([[0], np.cumsum(errors.any(axis=1))])
     later_errors = (error_rows[np.searchsorted(key, key[stops], side="right")]
                     - error_rows[np.searchsorted(key, key[starts], side="right")])
