@@ -637,15 +637,16 @@ def serialize_fault_truth(log: RepairLog) -> str:
                     zip(truth.tick.tolist(), truth.machine.tolist(), truth.code.tolist())])
 
 
-# The canonical line forms, as the serializers write them.  Any other line
-# goes through the per-line checks, which accept every form the format
-# allows and raise the line's first error.
+# The canonical line forms, as the serializers write them: the tick, the
+# machine, and the rest of the line.  Any other line goes through the
+# per-line checks, which accept every form the format allows and raise the
+# line's first error.
 _TICK = r"tick=(-?[0-9]{1,18}) machine=(\S+) "
 _LOG_RE = re.compile(
     _TICK + rf"(state=(?:{'|'.join(_STATE_BY_VALUE)}) "
     rf"action=(?:{'|'.join(_ACTION_BY_VALUE)}|-) reports=\S+)"
 )
-_TRUTH_RE = re.compile(_TICK + rf"truth=({'|'.join(TRUTHS)})")
+_TRUTH_RE = re.compile(_TICK + rf"(truth=(?:{'|'.join(TRUTHS)}))")
 
 
 def _field(line_no: int, token: str, key: str) -> str:
@@ -675,8 +676,8 @@ def _check_key(line_no: int, line: str, n_fields: int) -> tuple[list[str], int, 
 
 def _check_log_line(line_no: int, line: str) -> tuple[int, str, str] | None:
     """Apply the per-line rules of the log format, in the order its errors are
-    reported: (tick, machine, canonical state/action/reports text), or None
-    for a blank line.  The reports are checked by _decode_tail."""
+    reported: (tick, machine, the rest in canonical form), or None for a
+    blank line.  The reports are checked by _decode_log_rest."""
     key = _check_key(line_no, line, 5)
     if key is None:
         return None
@@ -691,10 +692,10 @@ def _check_log_line(line_no: int, line: str) -> tuple[int, str, str] | None:
     return tick, machine, f"state={state} action={action} reports={reports}"
 
 
-def _decode_tail(line_no: int, tail: str) -> tuple[int, int, list[tuple[str, int]]]:
-    """(state code, action code, [(watchdog, status code)]) of the text
-    after a line's machine field, whose state and action are valid."""
-    state, action, reports = (token.split("=", 1)[1] for token in tail.split(" "))
+def _decode_log_rest(line_no: int, rest: str) -> tuple[int, int, list[tuple[str, int]]]:
+    """(state code, action code, [(watchdog, status code)]) of a log line's
+    canonical rest, whose state and action are valid."""
+    state, action, reports = (token.split("=", 1)[1] for token in rest.split(" "))
     pairs: dict[str, int] = {}
     for item in reports.split(";") if reports != "-" else ():
         watchdog, _, status = item.partition(":")
@@ -706,6 +707,53 @@ def _decode_tail(line_no: int, tail: str) -> tuple[int, int, list[tuple[str, int
     return _STATE_BY_VALUE[state], _ACTION_BY_VALUE.get(action, NO_ACTION), list(pairs.items())
 
 
+def _check_truth_line(line_no: int, line: str) -> tuple[int, str, str] | None:
+    """The truth sidecar's per-line rules, as _check_log_line."""
+    key = _check_key(line_no, line, 3)
+    if key is None:
+        return None
+    tokens, tick, machine = key
+    status = _field(line_no, tokens[2], "truth")
+    if status not in _TRUTH_CODE:
+        raise ValueError(f"line {line_no}: bad truth '{status}'")
+    return tick, machine, f"truth={status}"
+
+
+def _parse_lines(text: str, canonical: re.Pattern, check: Callable, decode: Callable):
+    """Columns of a ``tick=<int> machine=<id> <rest>`` file: (tick, machine
+    code, machine names, rest code, decoded rests).  Lines share few distinct
+    rests, so each is decoded once, by ``decode(line_no, rest)``."""
+    match = canonical.fullmatch
+    machine_codes: dict[str, int] = {}
+    rest_codes: dict[str, int] = {}
+    decoded: list = []
+    ticks: list[int] = []
+    machine_of: list[int] = []
+    rest_of: list[int] = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        m = match(line)
+        if m is not None:
+            tick, machine, rest = m.groups()
+            tick = int(tick)
+        else:
+            record = check(line_no, line)
+            if record is None:
+                continue
+            tick, machine, rest = record
+        k = rest_codes.get(rest)
+        if k is None:
+            k = rest_codes[rest] = len(decoded)
+            decoded.append(decode(line_no, rest))
+        code = machine_codes.get(machine)
+        if code is None:
+            code = machine_codes[machine] = len(machine_codes)
+        ticks.append(tick)
+        machine_of.append(code)
+        rest_of.append(k)
+    return (np.array(ticks, dtype=np.int64), np.array(machine_of, dtype=np.intp),
+            tuple(machine_codes), np.array(rest_of, dtype=np.intp), decoded)
+
+
 def parse_repair_log(text: str) -> RepairLog:
     """Parse a repair log into columns.
 
@@ -714,51 +762,19 @@ def parse_repair_log(text: str) -> RepairLog:
     watchdogs that do not report on a line are ABSENT there.  The first
     malformed line raises ValueError('line N: ...').
     """
-    match = _LOG_RE.fullmatch
-    machine_codes: dict[str, int] = {}
-    # Lines share few distinct state/action/reports texts; each is checked
-    # and decoded once.
-    tail_codes: dict[str, int] = {}
-    tails: list[tuple[int, int, list[tuple[str, int]]]] = []
-    ticks: list[int] = []
-    machine_of: list[int] = []
-    tail_of: list[int] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        m = match(line)
-        if m is not None:
-            tick, machine, tail = m.groups()
-            tick = int(tick)
-        else:
-            record = _check_log_line(line_no, line)
-            if record is None:
-                continue
-            tick, machine, tail = record
-        k = tail_codes.get(tail)
-        if k is None:
-            k = tail_codes[tail] = len(tails)
-            tails.append(_decode_tail(line_no, tail))
-        code = machine_codes.get(machine)
-        if code is None:
-            code = machine_codes[machine] = len(machine_codes)
-        ticks.append(tick)
-        machine_of.append(code)
-        tail_of.append(k)
-
-    watchdogs = sorted({w for _, _, pairs in tails for w, _ in pairs})
+    tick, machine, machines, rest_of, rests = _parse_lines(
+        text, _LOG_RE, _check_log_line, _decode_log_rest)
+    watchdogs = sorted({w for _, _, pairs in rests for w, _ in pairs})
     column = {w: k for k, w in enumerate(watchdogs)}
-    table = np.full((len(tails), len(watchdogs)), ABSENT, dtype=np.int8)
-    for row, (_, _, pairs) in zip(table, tails):
+    table = np.full((len(rests), len(watchdogs)), ABSENT, dtype=np.int8)
+    for row, (_, _, pairs) in zip(table, rests):
         for w, c in pairs:
             row[column[w]] = c
-    rows = np.array(tail_of, dtype=np.intp)
     return RepairLog(
-        tick=np.array(ticks, dtype=np.int64),
-        machine=np.array(machine_of, dtype=np.intp),
-        machines=tuple(machine_codes),
-        state=np.array([s for s, _, _ in tails], dtype=np.int8)[rows],
-        action=np.array([a for _, a, _ in tails], dtype=np.int8)[rows],
-        status=table[rows],
-        watchdogs=tuple(watchdogs),
+        tick=tick, machine=machine, machines=machines,
+        state=np.array([s for s, _, _ in rests], dtype=np.int8)[rest_of],
+        action=np.array([a for _, a, _ in rests], dtype=np.int8)[rest_of],
+        status=table[rest_of], watchdogs=tuple(watchdogs),
     )
 
 
@@ -766,39 +782,13 @@ def parse_fault_truth(text: str) -> FaultTruth:
     """Parse a ground-truth sidecar.  A later line for the same (tick, machine)
     overrides an earlier one; the first malformed line raises
     ValueError('line N: ...')."""
-    match = _TRUTH_RE.fullmatch
-    machine_codes: dict[str, int] = {}
-    ticks: list[int] = []
-    machine_of: list[int] = []
-    codes: list[int] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        m = match(line)
-        if m is not None:
-            tick, machine, status = m.groups()
-            tick = int(tick)
-        else:
-            key = _check_key(line_no, line, 3)
-            if key is None:
-                continue
-            tokens, tick, machine = key
-            status = _field(line_no, tokens[2], "truth")
-            if status not in _TRUTH_CODE:
-                raise ValueError(f"line {line_no}: bad truth '{status}'")
-        code = machine_codes.get(machine)
-        if code is None:
-            code = machine_codes[machine] = len(machine_codes)
-        ticks.append(tick)
-        machine_of.append(code)
-        codes.append(_TRUTH_CODE[status])
-
-    names = tuple(machine_codes)
+    tick, machine, names, rest_of, rests = _parse_lines(
+        text, _TRUTH_RE, _check_truth_line, lambda _, rest: _TRUTH_CODE[rest[len("truth="):]])
     rank = np.empty(len(names), dtype=np.intp)
     rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
-    tick = np.array(ticks, dtype=np.int64)
-    machine = np.array(machine_of, dtype=np.intp)
     order = np.lexsort((rank[machine], tick))
     tick, machine = tick[order], machine[order]
     last = np.ones(tick.size, dtype=bool)
     last[:-1] = (tick[1:] != tick[:-1]) | (machine[1:] != machine[:-1])
     return FaultTruth(tick[last], machine[last], names,
-                      np.array(codes, dtype=np.int8)[order][last])
+                      np.array(rests, dtype=np.int8)[rest_of[order]][last])
