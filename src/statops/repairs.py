@@ -177,8 +177,6 @@ class FaultModel:
                 raise ValueError("repair latencies must be >= 1 tick")
 
 
-
-
 @dataclass(frozen=True)
 class LogEntry:
     tick: int
@@ -290,7 +288,7 @@ class FleetState:
                 latency: Mapping[RepairAction, int] | None = None) -> FleetState:
         return cls(np.zeros(fleet, dtype=bool), np.full(fleet, NO_ACTION, dtype=np.int8),
                    np.zeros(fleet, dtype=np.int64),
-                   _by_action(latency or _default_latency(), np.int64),
+                   _by_action(_default_latency() if latency is None else latency, np.int64),
                    [[] for _ in range(fleet)])
 
     def due(self, tick: int) -> np.ndarray:
