@@ -81,7 +81,8 @@ LOG_ERRORS = [
     ("bad-status-before-duplicate", OK + "\n"
      "tick=1 machine=m state=Healthy action=- reports=wd:OK;wd:Bad\n",
      "line 2: bad status 'Bad'"),
-    ("blank-lines-count", "\n \t\n" + OK + "\n\ntick=x machine=m state=Healthy action=- reports=-\n",
+    ("blank-lines-count",
+     "\n \t\n" + OK + "\n\ntick=x machine=m state=Healthy action=- reports=-\n",
      "line 5: bad tick 'x'"),
     ("crlf-line-numbers", OK + "\r\n" + OK2 + "\r\ntick=2 machine=m\r\n",
      "line 3: expected 5 fields, got 2"),
@@ -112,7 +113,8 @@ def test_parse_repair_log_error_message_and_line(text, message):
 TRUTH_ERRORS = [
     ("too-few-fields", "tick=0 machine=m\n", "line 1: expected 3 fields, got 2"),
     ("bad-tick", "tick=x machine=m truth=ok\n", "line 1: bad tick 'x'"),
-    ("wrong-key", "tick=0 machine=m status=ok\n", "line 1: expected field 'truth', got 'status=ok'"),
+    ("wrong-key", "tick=0 machine=m status=ok\n",
+     "line 1: expected field 'truth', got 'status=ok'"),
     ("bad-truth", "tick=0 machine=m truth=ok\ntick=0 machine=m truth=weird\n",
      "line 2: bad truth 'weird'"),
 ]
