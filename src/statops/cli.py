@@ -136,21 +136,19 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     if unknown:
         return _fail(f"unknown actions: {sorted(unknown)}")
 
+    # every precondition is checked before the first report is written
     labels = diagnosis.label_slo(dataset, diagnosis.SloConfig(args.slo_threshold))
+    violation_idx = np.flatnonzero(labels)
+    if "cluster" in actions and not 1 <= args.clusters <= violation_idx.size:
+        return _fail(f"need at least {args.clusters} violation signatures to cluster")
+    catalog = _load_catalog(args, dataset.n_metrics) if "retrieve" in actions else None
+    model = diagnosis.fit_classifier(dataset, labels) if actions else None
+
     echo = {
         "slo_threshold": args.slo_threshold, "seed": args.seed, "alpha": args.alpha,
         "clusters": args.clusters, "actions": ",".join(actions),
     }
     out_dir = Path(args.out)
-
-    needs_model = {"train", "signatures", "cluster", "retrieve"} & set(actions)
-    model = None
-    if needs_model:
-        try:
-            model = diagnosis.fit_classifier(dataset, labels)
-        except ValueError as exc:
-            return _fail(str(exc))
-
     if "train" in actions:
         pred = diagnosis.predict(model, dataset.metrics)
         payload = {
@@ -162,55 +160,61 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         }
         _write(out_dir / "model.json", _json_report(payload, echo))
 
-    violation_idx = np.nonzero(labels)[0]
-    signatures = [
-        diagnosis.signature(model, dataset.metrics[i], epoch=float(dataset.timestamps[i]))
-        for i in violation_idx
-    ] if {"signatures", "cluster"} & set(actions) else []
-
+    if {"signatures", "cluster"} & set(actions):
+        signatures = diagnosis.signatures(model, dataset.metrics[violation_idx],
+                                          dataset.timestamps[violation_idx])
     if "signatures" in actions:
-        catalog = diagnosis.SignatureCatalog()
-        for sig in signatures:
-            catalog.add(sig, annotation="")
-        _write(out_dir / "signatures.jsonl", catalog.to_jsonl())
+        _write(out_dir / "signatures.jsonl", signatures.to_jsonl())
 
     if "cluster" in actions:
-        if len(signatures) < args.clusters:
-            return _fail(f"need at least {args.clusters} violation signatures to cluster")
-        assign = diagnosis.cluster_signatures(signatures, args.clusters, seed=args.seed)
-        cluster_of = {int(violation_idx[i]): int(assign[i]) for i in range(len(signatures))}
-        lines = ["ts,art_ms,slo_state,cluster_id"]
-        for i in range(dataset.n_epochs):
-            state = "violation" if labels[i] else "compliant"
-            lines.append(",".join([
-                repr(float(dataset.timestamps[i])), repr(float(dataset.art[i])),
-                state, str(cluster_of.get(i, -1)),
-            ]))
+        cluster_id = np.full(dataset.n_epochs, -1)
+        cluster_id[violation_idx] = diagnosis.cluster_signatures(
+            signatures.attributions, args.clusters, seed=args.seed)
+        rows = zip(dataset.timestamps.tolist(), dataset.art.tolist(), labels.tolist(),
+                   cluster_id.tolist())
+        lines = ["ts,art_ms,slo_state,cluster_id"] + [
+            f"{ts!r},{art!r},{'violation' if violated else 'compliant'},{c}"
+            for ts, art, violated, c in rows
+        ]
         _write(out_dir / "timeline.csv", _config_comment(echo) + "".join(l + "\n" for l in lines))
 
     if "retrieve" in actions:
-        if not args.catalog:
-            return _fail("retrieve requires --catalog")
-        catalog_path = Path(args.catalog)
-        if not catalog_path.is_file():
-            return _fail(f"catalog not found: {catalog_path}")
-        catalog = diagnosis.catalog_from_jsonl(catalog_path.read_text(encoding="utf-8"))
-        if not catalog.entries:
-            return _fail("catalog is empty")
-        if args.query_epoch is None:
-            return _fail("retrieve requires --query-epoch")
         i = int(np.argmin(np.abs(dataset.timestamps - args.query_epoch)))
-        query = diagnosis.signature(model, dataset.metrics[i], epoch=float(dataset.timestamps[i]))
-        ranked = diagnosis.retrieve(query, catalog, args.top_k)
+        query = diagnosis.signatures(model, dataset.metrics[i:i + 1], dataset.timestamps[i:i + 1])
+        order, distances = diagnosis.retrieve(query.attributions[0], catalog, args.top_k)
         payload = {
-            "query_epoch": float(dataset.timestamps[i]),
+            "query_epoch": float(query.epochs[0]),
             "results": [
-                {"ts": e.signature.epoch, "annotation": e.annotation, "distance": d}
-                for e, d in ranked
+                {"ts": ts, "annotation": catalog.annotations[j], "distance": d}
+                for j, ts, d in zip(order.tolist(), catalog.epochs[order].tolist(),
+                                    distances.tolist())
             ],
         }
         _write(out_dir / "retrieval.json", _json_report(payload, echo))
     return _EXIT_OK
+
+
+def _load_catalog(args: argparse.Namespace, n_metrics: int) -> diagnosis.SignatureCatalog:
+    """The --catalog of a retrieve action; a ValueError says what is wrong."""
+    if not args.catalog:
+        raise ValueError("retrieve requires --catalog")
+    if args.query_epoch is None:
+        raise ValueError("retrieve requires --query-epoch")
+    if args.top_k < 1:
+        raise ValueError("--top-k must be >= 1")
+    path = Path(args.catalog)
+    if not path.is_file():
+        raise ValueError(f"catalog not found: {path}")
+    try:
+        catalog = diagnosis.catalog_from_jsonl(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    if not len(catalog):
+        raise ValueError(f"{path}: catalog is empty")
+    if catalog.attributions.shape[1] != n_metrics:
+        raise ValueError(f"{path}: catalog entries have {catalog.attributions.shape[1]} "
+                         f"attributions, the metrics log has {n_metrics} metrics")
+    return catalog
 
 
 _POLICIES = {

@@ -4,19 +4,22 @@ An epoch is a violation when its average response time exceeds the agreed
 threshold.  A Gaussian naive Bayes classifier maps the per-epoch metric
 vector to the SLO state; its per-metric log-likelihood contributions form a
 *signature* of each violation, with positive contributions marking the
-abnormal metrics.  Signatures are clustered and indexed so recurring
-problems can be recognized and past annotations retrieved.
+abnormal metrics.  A batch of signatures is a ``SignatureCatalog``: an
+(n, k) attribution matrix, an epoch vector and an annotation tuple.
+Catalogs are clustered and searched so recurring problems can be
+recognized and past annotations retrieved.
 
 Metric logs are CSV: header ``ts,art_ms,<metric_1>,...,<metric_k>`` followed
 by numeric rows.  Catalogs persist as JSON lines
-``{ts, attributions, abnormal, annotation}``.
+``{ts, attributions, abnormal, annotation}``; ``abnormal`` is written for
+readers and ignored on read.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -26,8 +29,6 @@ __all__ = [
     "SloConfig",
     "DiagnosisModel",
     "Classification",
-    "Signature",
-    "CatalogEntry",
     "SignatureCatalog",
     "ComparisonOutcome",
     "Ensemble",
@@ -35,9 +36,10 @@ __all__ = [
     "VARIANCE_FLOOR",
     "label_slo",
     "fit_classifier",
+    "log_odds",
     "classify",
     "predict",
-    "signature",
+    "signatures",
     "mcnemar_p_value",
     "accuracy_significant",
     "select_features",
@@ -182,54 +184,37 @@ class Classification:
     posterior: tuple[float, float]  # (P(compliant|x), P(violation|x))
 
 
+def log_odds(model: DiagnosisModel, rows: np.ndarray) -> np.ndarray:
+    """Log posterior ratio violation:compliant per row of a (n, k) metric
+    matrix: the log prior ratio plus the row's attribution sum."""
+    attr = _attribution_matrix(model, np.asarray(rows, dtype=float))
+    return math.log(model.prior[1]) - math.log(model.prior[0]) + attr.sum(axis=1)
+
+
 def classify(model: DiagnosisModel, x: Sequence[float] | np.ndarray) -> Classification:
     """Score one metric vector.  log_odds is the log posterior ratio
     violation:compliant; the class is violation iff log_odds > 0."""
-    v = _check_vector(model, x)
-    attr = _attribution_matrix(model, v[None, :])[0]
-    log_odds = math.log(model.prior[1]) - math.log(model.prior[0]) + float(attr.sum())
-    p_violation = 1.0 / (1.0 + math.exp(-log_odds)) if abs(log_odds) < 700 else float(log_odds > 0)
-    return Classification(
-        violation=log_odds > 0,
-        log_odds=log_odds,
-        posterior=(1.0 - p_violation, p_violation),
-    )
+    lo = float(log_odds(model, _check_vector(model, x)[None, :])[0])
+    p_violation = 1.0 / (1.0 + math.exp(-lo)) if abs(lo) < 700 else float(lo > 0)
+    return Classification(violation=lo > 0, log_odds=lo,
+                          posterior=(1.0 - p_violation, p_violation))
 
 
 def predict(model: DiagnosisModel, rows: np.ndarray) -> np.ndarray:
     """Vectorized violation predictions for a (n, k) metric matrix."""
-    attr = _attribution_matrix(model, np.asarray(rows, dtype=float))
-    log_prior = math.log(model.prior[1]) - math.log(model.prior[0])
-    return attr.sum(axis=1) + log_prior > 0
+    return log_odds(model, rows) > 0
 
 
-def _posterior_violation(model: DiagnosisModel, rows: np.ndarray) -> np.ndarray:
-    attr = _attribution_matrix(model, np.asarray(rows, dtype=float))
-    log_odds = attr.sum(axis=1) + math.log(model.prior[1]) - math.log(model.prior[0])
-    return 1.0 / (1.0 + np.exp(-np.clip(log_odds, -700, 700)))
+def signatures(model: DiagnosisModel, rows: np.ndarray, epochs: np.ndarray) -> SignatureCatalog:
+    """Unannotated signatures of a batch of epochs, one catalog row each.
 
-
-@dataclass(eq=False)
-class Signature:
-    """Per-metric attribution of one epoch's classification.
-
-    attributions[i] > 0 means metric i pushed the epoch toward the violation
-    class; those metrics are flagged abnormal.  Metrics outside the model's
-    feature set carry attribution 0.
-    """
-
-    attributions: np.ndarray
-    abnormal: np.ndarray
-    epoch: float
-
-
-def signature(model: DiagnosisModel, x: Sequence[float] | np.ndarray, epoch: float = 0.0) -> Signature:
-    """Signature of one epoch.  The attributions satisfy
-    sum_i a_i + log(prior ratio) == classify(...).log_odds exactly."""
-    v = _check_vector(model, x)
-    attr = _attribution_matrix(model, v[None, :])[0]
-    attr.flags.writeable = False
-    return Signature(attributions=attr, abnormal=attr > 0, epoch=float(epoch))
+    Row i holds the per-metric attributions of rows[i], so that
+    log prior ratio + attributions[i].sum() == log_odds(model, rows)[i]
+    exactly."""
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != len(model.metric_names):
+        raise ValueError(f"metric rows must have {len(model.metric_names)} columns")
+    return SignatureCatalog(_attribution_matrix(model, rows), epochs, ("",) * rows.shape[0])
 
 
 def mcnemar_p_value(n01: int, n10: int) -> float:
@@ -353,17 +338,18 @@ def select_features(
 
 
 def cluster_signatures(
-    signatures: Sequence[Signature], k: int, seed: int = 0, max_iter: int = 100
+    attributions: np.ndarray, k: int, seed: int = 0, max_iter: int = 100
 ) -> np.ndarray:
-    """k-means over attribution vectors (L2, seeded k-means++ start).
+    """k-means over the rows of an (n, k) attribution matrix (L2, seeded
+    k-means++ start).
 
-    Returns the cluster index per signature; deterministic per seed.
+    Returns the cluster index per row; deterministic per seed.
     """
+    x = np.asarray(attributions, dtype=float)
     if k < 1:
         raise ValueError("k must be >= 1")
-    if len(signatures) < k:
-        raise ValueError(f"need at least {k} signatures, got {len(signatures)}")
-    x = np.stack([s.attributions for s in signatures])
+    if len(x) < k:
+        raise ValueError(f"need at least {k} signatures, got {len(x)}")
     rng = np.random.default_rng(seed)
 
     centers = np.empty((k, x.shape[1]))
@@ -392,61 +378,96 @@ def cluster_signatures(
     return assign
 
 
-@dataclass(frozen=True, eq=False)
-class CatalogEntry:
-    signature: Signature
-    annotation: str
-
-
 @dataclass(eq=False)
 class SignatureCatalog:
-    """Annotated signatures of past violations, searchable by similarity."""
+    """Signatures of violations, one row each, searchable by similarity.
 
-    entries: list[CatalogEntry] = field(default_factory=list)
+    attributions[i, j] > 0 means metric j pushed epoch i toward the violation
+    class; ``abnormal`` flags those metrics.  Metrics outside the model's
+    feature set carry attribution 0.
+    """
 
-    def add(self, sig: Signature, annotation: str) -> None:
-        self.entries.append(CatalogEntry(sig, annotation))
+    attributions: np.ndarray  # (n, k)
+    epochs: np.ndarray  # (n,)
+    annotations: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        self.attributions = np.asarray(self.attributions, dtype=float)
+        self.epochs = np.asarray(self.epochs, dtype=float)
+        self.annotations = tuple(self.annotations)
+        if self.attributions.ndim != 2 or not (
+                len(self.attributions) == self.epochs.size == len(self.annotations)):
+            raise ValueError("attributions, epochs and annotations must agree on row count")
+
+    def __len__(self) -> int:
+        return int(self.epochs.size)
+
+    @property
+    def abnormal(self) -> np.ndarray:
+        return self.attributions > 0
 
     def to_jsonl(self) -> str:
-        lines = []
-        for e in self.entries:
-            lines.append(json.dumps({
-                "ts": e.signature.epoch,
-                "attributions": [float(a) for a in e.signature.attributions],
-                "abnormal": [bool(b) for b in e.signature.abnormal],
-                "annotation": e.annotation,
-            }, sort_keys=True))
-        return "".join(line + "\n" for line in lines)
+        rows = zip(self.epochs.tolist(), self.attributions.tolist(),
+                   self.abnormal.tolist(), self.annotations)
+        return "".join(
+            json.dumps({"ts": ts, "attributions": attr, "abnormal": abnormal,
+                        "annotation": annotation}, sort_keys=True) + "\n"
+            for ts, attr, abnormal, annotation in rows
+        )
 
 
 def catalog_from_jsonl(text: str) -> SignatureCatalog:
-    catalog = SignatureCatalog()
-    for line in text.splitlines():
+    """Parse a JSON-lines catalog.  ``abnormal`` is ignored: it is derived
+    from the attributions.  Errors read ``line N: ...``, N counting blank
+    lines too."""
+    line_nos, entries = [], []
+    for n, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
-        obj = json.loads(line)
-        attr = np.asarray(obj["attributions"], dtype=float)
-        sig = Signature(attributions=attr, abnormal=np.asarray(obj["abnormal"], dtype=bool),
-                        epoch=float(obj["ts"]))
-        catalog.add(sig, str(obj["annotation"]))
-    return catalog
+        try:
+            obj = json.loads(line)
+            attr = obj["attributions"]
+            if not isinstance(attr, list):
+                raise TypeError
+            entries.append((float(obj["ts"]), [float(a) for a in attr], str(obj["annotation"])))
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"line {n}: bad JSON: {exc.msg}") from None
+        except KeyError as exc:
+            raise ValueError(f"line {n}: missing key {exc}") from None
+        except (TypeError, ValueError):
+            raise ValueError(f"line {n}: want an object with a numeric ts and a list of "
+                             "numeric attributions") from None
+        if len(attr) != len(entries[0][1]):
+            raise ValueError(f"line {n}: {len(attr)} attributions, the first entry has "
+                             f"{len(entries[0][1])}")
+        line_nos.append(n)
+    epochs, rows, annotations = zip(*entries) if entries else ((), (), ())
+    attributions = np.array(rows, dtype=float).reshape(len(rows), len(rows[0]) if rows else 0)
+    finite = np.isfinite(attributions).all(axis=1) & np.isfinite(epochs)
+    if not finite.all():
+        raise ValueError(f"line {line_nos[int(np.argmin(finite))]}: non-finite ts or attribution")
+    return SignatureCatalog(attributions, epochs, annotations)
 
 
 def retrieve(
-    query: Signature, catalog: SignatureCatalog, top_k: int
-) -> list[tuple[CatalogEntry, float]]:
-    """Catalog entries ranked by ascending L2 distance to the query's
-    attributions; ties keep insertion order."""
+    query: np.ndarray, catalog: SignatureCatalog, top_k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(row indices, distances) of the top_k catalog rows by ascending L2
+    distance to the query attributions; ties keep catalog order.  The
+    stacked row product takes the dot ``np.linalg.norm`` takes for one row,
+    so each distance has its bits (``norm(d, axis=1)`` and ``einsum`` sum in
+    another order)."""
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
-    if not catalog.entries:
+    if not len(catalog):
         raise ValueError("catalog is empty")
-    dists = np.array([
-        float(np.linalg.norm(e.signature.attributions - query.attributions))
-        for e in catalog.entries
-    ])
+    q = np.asarray(query, dtype=float)
+    if q.shape != catalog.attributions.shape[1:]:
+        raise ValueError(f"query must have {catalog.attributions.shape[1]} attributions")
+    d = catalog.attributions - q
+    dists = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
     order = np.argsort(dists, kind="stable")[:top_k]
-    return [(catalog.entries[i], float(dists[i])) for i in order]
+    return order, dists[order]
 
 
 @dataclass(frozen=True)
@@ -502,7 +523,7 @@ def ensemble_classify(
     best_member = None
     best_brier = math.inf
     for member in ensemble.members:
-        p = _posterior_violation(member.model, rows)
+        p = 1.0 / (1.0 + np.exp(-np.clip(log_odds(member.model, rows), -700, 700)))
         brier = float(np.mean((p - y.astype(float)) ** 2))
         if brier < best_brier:
             best_brier = brier
@@ -542,30 +563,50 @@ def bootstrap_feature_confidence(
 
 
 def load_metrics_csv(text: str) -> MetricDataset:
-    """Parse the metric log format (header ts,art_ms,<names...> then rows)."""
-    lines = [line for line in text.splitlines() if line.strip() and not line.startswith("#")]
-    if not lines:
+    """Parse the metric log format (header ts,art_ms,<names...> then rows).
+
+    Blank lines and lines starting with '#' are skipped.  A ragged row, a
+    cell that is not a number and a nan or inf cell fail with
+    ``line N: ...``, N counting every line of the text."""
+    numbered = [(n, line) for n, line in enumerate(text.splitlines(), start=1)
+                if line.strip() and not line.startswith("#")]
+    if not numbered:
         raise ValueError("empty metrics file")
-    header = [h.strip() for h in lines[0].split(",")]
+    header = [h.strip() for h in numbered[0][1].split(",")]
     if len(header) < 3 or header[0] != "ts" or header[1] != "art_ms":
         raise ValueError("metrics header must be ts,art_ms,<metric names>")
-    names = tuple(header[2:])
-    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    if rows.size == 0:
+    line_nos, body = [n for n, _ in numbered[1:]], [line for _, line in numbered[1:]]
+    if not body:
         raise ValueError("metrics file has no data rows")
-    if rows.shape[1] != len(header):
-        raise ValueError("metrics row width does not match header")
-    return MetricDataset(rows[:, 0], rows[:, 2:], rows[:, 1], names)
+    width = len(header)
+    for n, line in zip(line_nos, body):
+        if line.count(",") != width - 1:
+            raise ValueError(f"line {n}: {line.count(',') + 1} fields, the header has {width}")
+    cells = ",".join(body).split(",")
+    try:
+        values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+        ok = np.isfinite(values).all()
+    except ValueError:
+        ok = False
+    if not ok:
+        i = next(i for i, cell in enumerate(cells) if not _finite_number(cell))
+        raise ValueError(f"line {line_nos[i // width]}: {cells[i].strip()!r} in column "
+                         f"'{header[i % width]}' is not a finite number")
+    rows = values.reshape(len(body), width)
+    return MetricDataset(rows[:, 0], rows[:, 2:], rows[:, 1], tuple(header[2:]))
+
+
+def _finite_number(cell: str) -> bool:
+    try:
+        return math.isfinite(float(cell))
+    except ValueError:
+        return False
 
 
 def write_metrics_csv(dataset: MetricDataset) -> str:
+    rows = np.column_stack([dataset.timestamps, dataset.art, dataset.metrics]).tolist()
     header = "ts,art_ms," + ",".join(dataset.metric_names)
-    lines = [header]
-    for i in range(dataset.n_epochs):
-        cells = [repr(float(dataset.timestamps[i])), repr(float(dataset.art[i]))]
-        cells += [repr(float(v)) for v in dataset.metrics[i]]
-        lines.append(",".join(cells))
-    return "".join(line + "\n" for line in lines)
+    return "".join(line + "\n" for line in [header] + [",".join(map(repr, r)) for r in rows])
 
 
 def synth_metrics(

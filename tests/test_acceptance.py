@@ -187,25 +187,23 @@ def test_criterion_06_diagnosis_on_planted_causes():
     # attribution identity on every epoch
     log_prior = math.log(model.prior[1]) - math.log(model.prior[0])
     violation_idx = np.nonzero(labels)[0]
-    signatures = []
+    every_epoch = diagnosis.signatures(model, dataset.metrics, dataset.timestamps)
     for i in range(dataset.n_epochs):
-        sig = diagnosis.signature(model, dataset.metrics[i],
-                                  epoch=float(dataset.timestamps[i]))
         c = diagnosis.classify(model, dataset.metrics[i])
-        assert abs(sig.attributions.sum() + log_prior - c.log_odds) <= 1e-9
-        if labels[i]:
-            signatures.append(sig)
+        assert abs(every_epoch.attributions[i].sum() + log_prior - c.log_odds) <= 1e-9
+    signatures = diagnosis.signatures(model, dataset.metrics[violation_idx],
+                                      dataset.timestamps[violation_idx])
 
     # planted abnormal-metric recovery, per violation cause (majority vote
     # across that cause's epochs)
     jaccards = []
     for j, planted_set in enumerate(planted):
-        rows = [s.abnormal for s, i in zip(signatures, violation_idx) if cause[i] == j]
+        rows = signatures.abnormal[cause[violation_idx] == j]
         voted = set(np.nonzero(np.mean(rows, axis=0) > 0.5)[0])
         jaccards.append(len(voted & planted_set) / len(voted | planted_set))
     assert min(jaccards) >= 0.8
 
-    assignment = diagnosis.cluster_signatures(signatures, 3, seed=0)
+    assignment = diagnosis.cluster_signatures(signatures.attributions, 3, seed=0)
     purity = 0
     causes = cause[violation_idx]
     for c in range(3):
@@ -215,16 +213,15 @@ def test_criterion_06_diagnosis_on_planted_causes():
     purity /= len(signatures)
     assert purity >= 0.9
 
-    catalog = diagnosis.SignatureCatalog()
-    for sig, i in zip(signatures, violation_idx):
-        catalog.add(sig, annotation=f"cause-{cause[i]}")
+    catalog = diagnosis.SignatureCatalog(signatures.attributions, signatures.epochs,
+                                         tuple(f"cause-{cause[i]}" for i in violation_idx))
     rng = np.random.default_rng(1)
     hits = total = 0
     for qi in rng.choice(len(signatures), 20, replace=False):
         want = f"cause-{causes[qi]}"
-        for entry, _ in diagnosis.retrieve(signatures[qi], catalog, top_k=4)[1:]:
+        for j in diagnosis.retrieve(signatures.attributions[qi], catalog, top_k=4)[0][1:]:
             total += 1
-            hits += entry.annotation == want
+            hits += catalog.annotations[j] == want
     precision = hits / total
     assert precision >= 0.9
     elapsed = time.monotonic() - start

@@ -221,14 +221,15 @@ def test_diagnose_retrieve_computes_only_the_query_signature(tmp_path, monkeypat
     assert main(["diagnose", str(metrics), "--slo-threshold", "200",
                  "--actions", "signatures", "--out", str(out)]) == 0
     calls = []
-    real_signature = diagnosis.signature
-    monkeypatch.setattr(diagnosis, "signature",
-                        lambda *a, **k: calls.append(1) or real_signature(*a, **k))
+    real_signatures = diagnosis.signatures
+    monkeypatch.setattr(diagnosis, "signatures",
+                        lambda model, rows, epochs: calls.append(len(rows))
+                        or real_signatures(model, rows, epochs))
     query_ts = json.loads((out / "signatures.jsonl").read_text().splitlines()[0])["ts"]
     assert main(["diagnose", str(metrics), "--slo-threshold", "200", "--actions", "retrieve",
                  "--catalog", str(out / "signatures.jsonl"), "--query-epoch", str(query_ts),
                  "--out", str(out)]) == 0
-    assert len(calls) == 1
+    assert calls == [1]
 
 
 def test_diagnose_retrieve_empty_catalog_exit_2(tmp_path, capsys):
@@ -239,6 +240,62 @@ def test_diagnose_retrieve_empty_catalog_exit_2(tmp_path, capsys):
                  "--actions", "retrieve", "--catalog", str(empty),
                  "--query-epoch", "10", "--out", str(tmp_path / "d")]) == 2
     assert "empty" in capsys.readouterr().err
+
+
+def _bad_diagnose_input(case, tmp_path):
+    """(argv, expected stderr) of one diagnose run that must fail before
+    writing anything."""
+    metrics = _metrics_file(tmp_path, seed=6, n_epochs=300)
+    assert main(["diagnose", str(metrics), "--slo-threshold", "200", "--actions", "signatures",
+                 "--out", str(tmp_path / "made")]) == 0
+    catalog = tmp_path / "made" / "signatures.jsonl"
+    entries = catalog.read_text().splitlines()
+    lines = metrics.read_text().splitlines()
+    argv = ["diagnose", str(metrics), "--slo-threshold", "200", "--out", str(tmp_path / "out")]
+    retrieve = ["--actions", "train,retrieve", "--catalog", str(catalog), "--query-epoch", "10"]
+    if case == "ragged-row":
+        lines[4] = lines[4].rsplit(",", 1)[0]
+        metrics.write_text("\n".join(lines) + "\n")
+        return argv, f"error: {metrics}: line 5: 10 fields, the header has 11\n"
+    if case == "nan-cell":
+        cells = lines[6].split(",")
+        lines[6] = ",".join(cells[:3] + ["nan"] + cells[4:])
+        metrics.write_text("\n".join(lines) + "\n")
+        return argv, (f"error: {metrics}: line 7: 'nan' in column 'metric_01' is not a "
+                      "finite number\n")
+    if case == "too-few-violations":
+        return ([*argv, "--clusters", "100000"],
+                "error: need at least 100000 violation signatures to cluster\n")
+    if case == "no-catalog":
+        return [*argv, *retrieve[:2], *retrieve[4:]], "error: retrieve requires --catalog\n"
+    if case == "no-query-epoch":
+        return [*argv, *retrieve[:4]], "error: retrieve requires --query-epoch\n"
+    if case == "missing-catalog":
+        catalog.unlink()
+        return [*argv, *retrieve], f"error: catalog not found: {catalog}\n"
+    if case == "bad-catalog-json":
+        entries[1] = "{oops"
+        catalog.write_text("\n".join(entries) + "\n")
+        return [*argv, *retrieve], (f"error: {catalog}: line 2: bad JSON: Expecting property "
+                                    "name enclosed in double quotes\n")
+    if case == "catalog-width":
+        narrow = [json.dumps({**json.loads(e), "attributions": [0.0, 1.0, 2.0]}) for e in entries]
+        catalog.write_text("\n".join(narrow) + "\n")
+        return [*argv, *retrieve], (f"error: {catalog}: catalog entries have 3 attributions, "
+                                    "the metrics log has 9 metrics\n")
+    raise AssertionError(case)
+
+
+@pytest.mark.parametrize("case", [
+    "ragged-row", "nan-cell", "too-few-violations", "no-catalog", "no-query-epoch",
+    "missing-catalog", "bad-catalog-json", "catalog-width",
+])
+def test_diagnose_bad_input_exit_2_writes_nothing(case, tmp_path, capsys):
+    argv, message = _bad_diagnose_input(case, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()
 
 
 # ---------------------------------------------------------------------------

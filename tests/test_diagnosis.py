@@ -23,7 +23,7 @@ from statops.diagnosis import (
     predict,
     retrieve,
     select_features,
-    signature,
+    signatures,
     synth_metrics,
     write_metrics_csv,
 )
@@ -163,9 +163,9 @@ def test_signature_constant_feature_attribution_zero():
     rng = np.random.default_rng(9)
     x = np.column_stack([np.full(40, 7.0), rng.standard_normal(40) + 2.0 * y])
     model = fit_classifier(_dataset(x, y), y)
-    s = signature(model, [7.0, 1.0])
-    assert s.attributions[0] == pytest.approx(0.0, abs=1e-12)
-    assert not s.abnormal[0]
+    s = signatures(model, [[7.0, 1.0]], [0.0])
+    assert s.attributions[0, 0] == pytest.approx(0.0, abs=1e-12)
+    assert not s.abnormal[0, 0]
 
 
 def test_signature_sum_identity():
@@ -176,8 +176,8 @@ def test_signature_sum_identity():
     for _ in range(100):
         v = rng.standard_normal(ds.n_metrics) * 3
         c = classify(model, v)
-        s = signature(model, v)
-        assert s.attributions.sum() + log_prior == pytest.approx(c.log_odds, abs=1e-9)
+        s = signatures(model, v[None, :], [0.0])
+        assert s.attributions[0].sum() + log_prior == pytest.approx(c.log_odds, abs=1e-9)
         np.testing.assert_array_equal(s.abnormal, s.attributions > 0)
 
 
@@ -189,11 +189,11 @@ def test_signature_driver_metric_abnormal_on_violations():
     labels = label_slo(ds, SloConfig(200.0))
     model = fit_classifier(ds, labels)
     viol = np.nonzero(labels)[0]
+    s = signatures(model, ds.metrics[viol], ds.timestamps[viol])
     hits = []
-    for i in viol:
-        s = signature(model, ds.metrics[i])
+    for row, i in enumerate(viol):
         driver = next(iter(planted[cause[i]]))
-        hits.append(bool(s.abnormal[driver]))
+        hits.append(bool(s.abnormal[row, driver]))
     assert np.mean(hits) >= 0.9
 
 
@@ -290,24 +290,29 @@ def _planted_signatures(seed, n_epochs=2000):
     labels = label_slo(ds, SloConfig(200.0))
     model = fit_classifier(ds, labels)
     viol = np.nonzero(labels)[0]
-    sigs = [signature(model, ds.metrics[i], float(ds.timestamps[i])) for i in viol]
+    sigs = signatures(model, ds.metrics[viol], ds.timestamps[viol])
     return sigs, cause[viol], planted
+
+
+def _annotated(sigs, causes, rows=slice(None)):
+    return SignatureCatalog(sigs.attributions[rows], sigs.epochs[rows],
+                            tuple(f"cause-{c}" for c in causes[rows]))
 
 
 def test_cluster_k1_and_errors():
     sigs, _, _ = _planted_signatures(20, n_epochs=200)
-    assert set(cluster_signatures(sigs, 1, seed=0)) == {0}
+    assert set(cluster_signatures(sigs.attributions, 1, seed=0)) == {0}
     with pytest.raises(ValueError):
-        cluster_signatures(sigs[:2], 3, seed=0)
+        cluster_signatures(sigs.attributions[:2], 3, seed=0)
     with pytest.raises(ValueError):
-        cluster_signatures(sigs, 0, seed=0)
+        cluster_signatures(sigs.attributions, 0, seed=0)
 
 
 def test_cluster_purity_on_planted_causes():
     purities = []
     for seed in range(20):
         sigs, causes, _ = _planted_signatures(seed, n_epochs=600)
-        assign = cluster_signatures(sigs, 3, seed=seed)
+        assign = cluster_signatures(sigs.attributions, 3, seed=seed)
         total = 0
         for c in range(3):
             members = causes[assign == c]
@@ -319,54 +324,47 @@ def test_cluster_purity_on_planted_causes():
 
 def test_duplicate_signatures_share_cluster():
     sigs, _, _ = _planted_signatures(21, n_epochs=300)
-    dup = [sigs[0], sigs[0], sigs[1], sigs[2], sigs[3]]
+    dup = sigs.attributions[[0, 0, 1, 2, 3]]
     assign = cluster_signatures(dup, 2, seed=3)
     assert assign[0] == assign[1]
 
 
 def test_retrieve_exact_match_first_and_overlong_k():
     sigs, causes, _ = _planted_signatures(22, n_epochs=300)
-    catalog = SignatureCatalog()
-    for s, c in zip(sigs[:10], causes[:10]):
-        catalog.add(s, annotation=f"cause-{c}")
-    ranked = retrieve(sigs[3], catalog, top_k=3)
-    assert ranked[0][0].signature is catalog.entries[3].signature
-    assert ranked[0][1] == 0.0
-    assert len(retrieve(sigs[3], catalog, top_k=99)) == 10
+    catalog = _annotated(sigs, causes, slice(10))
+    order, distances = retrieve(sigs.attributions[3], catalog, top_k=3)
+    assert order[0] == 3
+    assert distances[0] == 0.0
+    assert len(retrieve(sigs.attributions[3], catalog, top_k=99)[0]) == 10
 
 
 def test_retrieve_precision_on_planted_cause():
     sigs, causes, _ = _planted_signatures(23, n_epochs=800)
-    catalog = SignatureCatalog()
-    for s, c in zip(sigs, causes):
-        catalog.add(s, annotation=f"cause-{c}")
+    catalog = _annotated(sigs, causes)
     rng = np.random.default_rng(24)
     hits = total = 0
     for qi in rng.choice(len(sigs), 20, replace=False):
         want = f"cause-{causes[qi]}"
-        for entry, _ in retrieve(sigs[qi], catalog, top_k=4)[1:]:
+        for j in retrieve(sigs.attributions[qi], catalog, top_k=4)[0][1:]:
             total += 1
-            hits += entry.annotation == want
+            hits += catalog.annotations[j] == want
     assert hits / total >= 0.9
 
 
 def test_retrieve_rejects_empty_catalog():
     sigs, _, _ = _planted_signatures(25, n_epochs=200)
     with pytest.raises(ValueError, match="empty"):
-        retrieve(sigs[0], SignatureCatalog(), top_k=1)
+        retrieve(sigs.attributions[0], SignatureCatalog(np.empty((0, 9)), [], ()), top_k=1)
 
 
 def test_catalog_jsonl_round_trip():
     sigs, causes, _ = _planted_signatures(26, n_epochs=200)
-    catalog = SignatureCatalog()
-    for s, c in zip(sigs[:5], causes[:5]):
-        catalog.add(s, annotation=f"cause-{c}")
+    catalog = _annotated(sigs, causes, slice(5))
     back = catalog_from_jsonl(catalog.to_jsonl())
-    assert len(back.entries) == 5
-    for a, b in zip(catalog.entries, back.entries):
-        assert a.annotation == b.annotation
-        np.testing.assert_allclose(a.signature.attributions, b.signature.attributions)
-        np.testing.assert_array_equal(a.signature.abnormal, b.signature.abnormal)
+    assert len(back) == 5
+    assert back.annotations == catalog.annotations
+    np.testing.assert_allclose(back.attributions, catalog.attributions)
+    np.testing.assert_array_equal(back.abnormal, catalog.abnormal)
 
 
 # ---------------------------------------------------------------------------
