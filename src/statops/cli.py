@@ -145,8 +145,8 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     model = diagnosis.fit_classifier(dataset, labels) if actions else None
 
     echo = {
-        "slo_threshold": args.slo_threshold, "seed": args.seed, "alpha": args.alpha,
-        "clusters": args.clusters, "actions": ",".join(actions),
+        "slo_threshold": args.slo_threshold, "seed": args.seed, "clusters": args.clusters,
+        "actions": ",".join(actions),
     }
     out_dir = Path(args.out)
     if "train" in actions:
@@ -365,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slo-threshold", type=float, required=True)
     p.add_argument("--actions", default="train,signatures,cluster")
     p.add_argument("--clusters", type=int, default=3)
-    p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--catalog", help="signature catalog (JSONL) for retrieve")
     p.add_argument("--query-epoch", type=float, help="epoch timestamp to query for retrieve")
