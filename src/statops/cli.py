@@ -262,6 +262,8 @@ def _cmd_repair_mine(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail(f"{path}: {exc}")
     truth_path = Path(args.truth) if args.truth else Path(str(path) + ".truth")
+    if args.truth and not truth_path.is_file():
+        return _fail(f"truth file not found: {truth_path}")
     if truth_path.is_file():
         try:
             log.truth = repairs.parse_fault_truth(truth_path.read_text(encoding="utf-8"))

@@ -120,6 +120,10 @@ class WatchdogSpec:
     false_negative_rate: float = 0.0
 
     def __post_init__(self) -> None:
+        # the name must fit the log's reports=<wd:status;...> syntax
+        if not re.fullmatch(r"[^\s;:]+", self.name):
+            raise ValueError(f"watchdog name must be non-empty without whitespace, ';' or ':', "
+                             f"got {self.name!r}")
         for rate in (self.false_positive_rate, self.false_negative_rate):
             if not 0.0 <= rate < 1.0:
                 raise ValueError(f"watchdog rates must lie in [0, 1), got {rate}")

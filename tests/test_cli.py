@@ -326,6 +326,30 @@ def test_repair_sim_bad_watchdog_spec_exit_2(tmp_path, capsys):
                  str(tmp_path / "x.log")]) == 2
 
 
+@pytest.mark.parametrize("spec,name", [("a;b:0:0", "a;b"), ("a b:0:0", "a b"), (":0:0", "")],
+                         ids=["semicolon", "space", "empty"])
+def test_repair_sim_watchdog_name_outside_log_syntax_exit_2(tmp_path, capsys, spec, name):
+    log = tmp_path / "x.log"
+    assert main(["repair-sim", "--watchdog", spec, "--out", str(log)]) == 2
+    assert capsys.readouterr().err == (
+        "error: watchdog name must be non-empty without whitespace, ';' or ':', "
+        f"got {name!r}\n")
+    assert not log.exists()
+
+
+def test_repair_mine_missing_truth_file_exit_2(tmp_path, capsys):
+    log = tmp_path / "repair.log"
+    assert main(["repair-sim", "--machines", "2", "--ticks", "5", "--out", str(log)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "mine"
+    assert main(["repair-mine", str(log), "--truth", str(tmp_path / "nope.truth"),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: truth file not found: {tmp_path / 'nope.truth'}\n"
+    assert not out.exists()
+    (tmp_path / "repair.log.truth").unlink()  # the default sidecar stays optional
+    assert main(["repair-mine", str(log), "--out", str(out)]) == 0
+
+
 _GOOD_LOG_LINE = "tick=0 machine=m00 state=Healthy action=- reports=wd:OK\n"
 
 

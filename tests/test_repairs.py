@@ -48,6 +48,16 @@ def _truth_dict(truth):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("name", ["", "a;b", "a:b", "a b", "a\tb", "wd\n"])
+def test_watchdog_name_outside_log_syntax_rejected(name):
+    with pytest.raises(ValueError, match="watchdog name"):
+        WatchdogSpec(name)
+
+
+def test_watchdog_name_may_hold_other_punctuation():
+    assert WatchdogSpec("wd=a.b-0_Z").name == "wd=a.b-0_Z"
+
+
 def test_error_predicate_quoted_rule():
     ok, warn, err = WatchdogStatus.OK, WatchdogStatus.WARNING, WatchdogStatus.ERROR
     assert error_predicate([_report(ok), _report(warn, wd="w2")]) is False
