@@ -37,6 +37,17 @@ def _write(path: Path, data: str | bytes) -> None:
         path.write_text(data, encoding="utf-8")
 
 
+def _load(path: Path, parse, what: str):
+    """parse() of the file's text; a missing file or a parse error raises a
+    ValueError that names the file."""
+    if not path.is_file():
+        raise ValueError(f"{what} not found: {path}")
+    try:
+        return parse(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _json_report(payload: dict, config: dict) -> str:
     return json.dumps({"config": config, **payload}, sort_keys=True, indent=2) + "\n"
 
@@ -47,13 +58,7 @@ def _config_comment(config: dict) -> str:
 
 
 def _cmd_gen_trace(args: argparse.Namespace) -> int:
-    spec_path = Path(args.spec)
-    if not spec_path.is_file():
-        return _fail(f"spec file not found: {spec_path}")
-    try:
-        spec = traces.parse_synth_spec(spec_path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        return _fail(f"bad spec: {exc}")
+    spec = _load(Path(args.spec), traces.parse_synth_spec, "spec file")
     if args.seed is not None:  # flag overrides the spec file
         spec = dataclasses.replace(spec, seed=args.seed)
     trace, truth = traces.synth_trace(spec)
@@ -85,13 +90,7 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     )
     per_host = []
     for path in args.traces:
-        p = Path(path)
-        if not p.is_file():
-            return _fail(f"trace file not found: {p}")
-        try:
-            trace = traces.parse_trace(p.read_text(encoding="utf-8"))
-        except traces.TraceFormatError as exc:
-            return _fail(f"{p}: {exc}")
+        trace = _load(Path(path), traces.parse_trace, "trace file")
         per_host.append((trace.host, discovery.local_dependencies(trace, config)))
 
     echo = {
@@ -124,13 +123,7 @@ def _cmd_discover(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    path = Path(args.metrics)
-    if not path.is_file():
-        return _fail(f"metrics file not found: {path}")
-    try:
-        dataset = diagnosis.load_metrics_csv(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        return _fail(f"{path}: {exc}")
+    dataset = _load(Path(args.metrics), diagnosis.load_metrics_csv, "metrics file")
     actions = [a.strip() for a in args.actions.split(",") if a.strip()]
     unknown = set(actions) - {"train", "signatures", "cluster", "retrieve"}
     if unknown:
@@ -203,12 +196,7 @@ def _load_catalog(args: argparse.Namespace, n_metrics: int) -> diagnosis.Signatu
     if args.top_k < 1:
         raise ValueError("--top-k must be >= 1")
     path = Path(args.catalog)
-    if not path.is_file():
-        raise ValueError(f"catalog not found: {path}")
-    try:
-        catalog = diagnosis.catalog_from_jsonl(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    catalog = _load(path, diagnosis.catalog_from_jsonl, "catalog")
     if not len(catalog):
         raise ValueError(f"{path}: catalog is empty")
     if catalog.attributions.shape[1] != n_metrics:
@@ -235,16 +223,13 @@ def _parse_watchdogs(specs: list[str]) -> tuple[repairs.WatchdogSpec, ...]:
 
 
 def _cmd_repair_sim(args: argparse.Namespace) -> int:
-    try:
-        watchdogs = _parse_watchdogs(args.watchdog) if args.watchdog else (repairs.WatchdogSpec("wd0"),)
-        model = repairs.FaultModel(
-            transient_rate=args.transient_rate,
-            persistent_rate=args.persistent_rate,
-            watchdogs=watchdogs,
-            warning_rate=args.warning_rate,
-        )
-    except ValueError as exc:
-        return _fail(str(exc))
+    watchdogs = _parse_watchdogs(args.watchdog) if args.watchdog else (repairs.WatchdogSpec("wd0"),)
+    model = repairs.FaultModel(
+        transient_rate=args.transient_rate,
+        persistent_rate=args.persistent_rate,
+        watchdogs=watchdogs,
+        warning_rate=args.warning_rate,
+    )
     log = repairs.simulate(args.machines, model, _POLICIES[args.policy], args.ticks, args.seed)
     out = Path(args.out)
     _write(out, repairs.serialize_repair_log(log))
@@ -254,21 +239,11 @@ def _cmd_repair_sim(args: argparse.Namespace) -> int:
 
 
 def _cmd_repair_mine(args: argparse.Namespace) -> int:
-    path = Path(args.log)
-    if not path.is_file():
-        return _fail(f"log file not found: {path}")
-    try:
-        log = repairs.parse_repair_log(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        return _fail(f"{path}: {exc}")
-    truth_path = Path(args.truth) if args.truth else Path(str(path) + ".truth")
-    if args.truth and not truth_path.is_file():
-        return _fail(f"truth file not found: {truth_path}")
-    if truth_path.is_file():
-        try:
-            log.truth = repairs.parse_fault_truth(truth_path.read_text(encoding="utf-8"))
-        except ValueError as exc:
-            return _fail(f"{truth_path}: {exc}")
+    log = _load(Path(args.log), repairs.parse_repair_log, "log file")
+    # the default <log>.truth is optional, an explicit --truth is not
+    truth_path = Path(args.truth or args.log + ".truth")
+    if args.truth or truth_path.is_file():
+        log.truth = _load(truth_path, repairs.parse_fault_truth, "truth file")
 
     echo = {"lookahead": args.lookahead, "downtime_cost": args.downtime_cost}
     out_dir = Path(args.out)
@@ -302,11 +277,8 @@ def _read_floats(line: str) -> list[float]:
 def _cmd_stats(args: argparse.Namespace) -> int:
     text = sys.stdin.read()
     if args.which == "bh":
-        try:
-            p_values = _read_floats(text)
-            selection = stats.bh_select(p_values, args.alpha)
-        except ValueError as exc:
-            return _fail(str(exc))
+        p_values = _read_floats(text)
+        selection = stats.bh_select(p_values, args.alpha)
         naive = sum(1 for p in p_values if p <= args.alpha)
         expected_fp = stats.expected_false_positives(selection.m, args.alpha)
         payload = {
@@ -324,12 +296,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         lines = [l for l in text.splitlines() if l.strip()]
         if len(lines) != 2:
             return _fail("stats ks expects two lines on stdin: sample a, sample b")
-        try:
-            a, b = _read_floats(lines[0]), _read_floats(lines[1])
-            d = stats.ks_statistic(stats.empirical_cdf(a), stats.empirical_cdf(b))
-            p = stats.ks_p_value(d, len(a), len(b))
-        except ValueError as exc:
-            return _fail(str(exc))
+        a, b = _read_floats(lines[0]), _read_floats(lines[1])
+        d = stats.ks_statistic(stats.empirical_cdf(a), stats.empirical_cdf(b))
+        p = stats.ks_p_value(d, len(a), len(b))
         payload = {"statistic": d, "p_value": p, "n_a": len(a), "n_b": len(b)}
     else:
         return _fail(f"unknown stats subcommand '{args.which}'")
@@ -406,6 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a ValueError or OSError from any command is an input error: exit 2
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

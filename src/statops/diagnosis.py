@@ -86,6 +86,10 @@ class MetricDataset:
     def n_metrics(self) -> int:
         return int(self.metrics.shape[1])
 
+    def rows(self, idx: np.ndarray | slice) -> MetricDataset:
+        return MetricDataset(self.timestamps[idx], self.metrics[idx], self.art[idx],
+                             self.metric_names)
+
 
 @dataclass(frozen=True)
 class SloConfig:
@@ -167,16 +171,6 @@ def _attribution_matrix(model: DiagnosisModel, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_vector(model: DiagnosisModel, x: Sequence[float] | np.ndarray) -> np.ndarray:
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1 or v.size != len(model.metric_names):
-        raise ValueError(f"metric vector must have {len(model.metric_names)} entries")
-    for i in model.feature_set:
-        if not np.isfinite(v[i]):
-            raise ValueError(f"missing value for metric '{model.metric_names[i]}'")
-    return v
-
-
 @dataclass(frozen=True)
 class Classification:
     violation: bool
@@ -194,7 +188,13 @@ def log_odds(model: DiagnosisModel, rows: np.ndarray) -> np.ndarray:
 def classify(model: DiagnosisModel, x: Sequence[float] | np.ndarray) -> Classification:
     """Score one metric vector.  log_odds is the log posterior ratio
     violation:compliant; the class is violation iff log_odds > 0."""
-    lo = float(log_odds(model, _check_vector(model, x)[None, :])[0])
+    v = np.asarray(x, dtype=float)
+    if v.ndim != 1 or v.size != len(model.metric_names):
+        raise ValueError(f"metric vector must have {len(model.metric_names)} entries")
+    for i in model.feature_set:
+        if not np.isfinite(v[i]):
+            raise ValueError(f"missing value for metric '{model.metric_names[i]}'")
+    lo = float(log_odds(model, v[None, :])[0])
     p_violation = 1.0 / (1.0 + math.exp(-lo)) if abs(lo) < 700 else float(lo > 0)
     return Classification(violation=lo > 0, log_odds=lo,
                           posterior=(1.0 - p_violation, p_violation))
@@ -259,10 +259,6 @@ def accuracy_significant(
     return ComparisonOutcome(better=better, significant=p <= alpha, p_value=p, n01=n01, n10=n10)
 
 
-def _contiguous_folds(n: int, n_folds: int) -> list[np.ndarray]:
-    return [f for f in np.array_split(np.arange(n), n_folds) if f.size]
-
-
 def _cv_predictions(
     dataset: MetricDataset, labels: np.ndarray, features: Sequence[int], folds: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -275,9 +271,7 @@ def _cv_predictions(
         y_train = y[train]
         if y_train.all() or not y_train.any():
             continue
-        sub = MetricDataset(dataset.timestamps[train], dataset.metrics[train],
-                            dataset.art[train], dataset.metric_names)
-        model = fit_classifier(sub, y_train, features)
+        model = fit_classifier(dataset.rows(train), y_train, features)
         idx_parts.append(fold)
         pred_parts.append(predict(model, dataset.metrics[fold]))
     if not idx_parts:
@@ -304,36 +298,25 @@ def select_features(
     y = np.asarray(labels, dtype=bool)
     if y.all() or not y.any():
         raise ValueError("need both classes")
-    folds = _contiguous_folds(dataset.n_epochs, n_folds)
+    folds = [f for f in np.array_split(np.arange(dataset.n_epochs), n_folds) if f.size]
 
     selected: list[int] = []
-    current_pred: np.ndarray | None = None
-    current_idx: np.ndarray | None = None
+    current: tuple[np.ndarray, np.ndarray] | None = None  # (evaluated indices, predictions)
     while len(selected) < max_features:
-        best: tuple[float, int, np.ndarray, np.ndarray] | None = None
-        for f in range(dataset.n_metrics):
-            if f in selected:
-                continue
-            idx, pred = _cv_predictions(dataset, y, selected + [f], folds)
-            acc = float(np.mean(pred == y[idx]))
-            if best is None or acc > best[0]:
-                best = (acc, f, idx, pred)
-        if best is None:
+        candidates = [(f, *_cv_predictions(dataset, y, selected + [f], folds))
+                      for f in range(dataset.n_metrics) if f not in selected]
+        if not candidates:
             break
-        acc, f, idx, pred = best
-        if current_pred is None:
-            selected.append(f)
-            current_pred, current_idx = pred, idx
-            continue
-        ok_cur = current_pred == y[current_idx]
-        ok_new = pred == y[idx]
-        n01 = int(np.count_nonzero(ok_cur & ~ok_new))
-        n10 = int(np.count_nonzero(~ok_cur & ok_new))
-        if n10 > n01 and mcnemar_p_value(n01, n10) <= alpha:
-            selected.append(f)
-            current_pred, current_idx = pred, idx
-        else:
-            break
+        # max keeps the first of equal accuracies: the lowest metric index
+        f, idx, pred = max(candidates, key=lambda c: float(np.mean(c[2] == y[c[1]])))
+        if current is not None:
+            ok_cur, ok_new = current[1] == y[current[0]], pred == y[idx]
+            n01 = int(np.count_nonzero(ok_cur & ~ok_new))
+            n10 = int(np.count_nonzero(~ok_cur & ok_new))
+            if not (n10 > n01 and mcnemar_p_value(n01, n10) <= alpha):
+                break
+        selected.append(f)
+        current = (idx, pred)
     return tuple(sorted(selected))
 
 
@@ -341,10 +324,7 @@ def cluster_signatures(
     attributions: np.ndarray, k: int, seed: int = 0, max_iter: int = 100
 ) -> np.ndarray:
     """k-means over the rows of an (n, k) attribution matrix (L2, seeded
-    k-means++ start).
-
-    Returns the cluster index per row; deterministic per seed.
-    """
+    k-means++ start); returns the cluster index per row, deterministic per seed."""
     x = np.asarray(attributions, dtype=float)
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -500,9 +480,8 @@ def ensemble_fit(
         y_win = y[start:end]
         if y_win.all() or not y_win.any():
             continue
-        sub = MetricDataset(dataset.timestamps[start:end], dataset.metrics[start:end],
-                            dataset.art[start:end], dataset.metric_names)
-        members.append(EnsembleMember(start, end, fit_classifier(sub, y_win, feature_set)))
+        model = fit_classifier(dataset.rows(slice(start, end)), y_win, feature_set)
+        members.append(EnsembleMember(start, end, model))
     if not members:
         raise ValueError("no valid windows")
     return Ensemble(members=tuple(members), window_length=window_length)
@@ -520,15 +499,12 @@ def ensemble_classify(
     y = np.asarray(recent_labels, dtype=bool)
     if rows.shape[0] == 0 or rows.shape[0] != y.size:
         raise ValueError("recent labeled epochs must be non-empty and aligned")
-    best_member = None
-    best_brier = math.inf
-    for member in ensemble.members:
+
+    def brier(member: EnsembleMember) -> float:
         p = 1.0 / (1.0 + np.exp(-np.clip(log_odds(member.model, rows), -700, 700)))
-        brier = float(np.mean((p - y.astype(float)) ** 2))
-        if brier < best_brier:
-            best_brier = brier
-            best_member = member
-    return classify(best_member.model, x)
+        return float(np.mean((p - y) ** 2))
+
+    return classify(min(ensemble.members, key=brier).model, x)
 
 
 def bootstrap_feature_confidence(
@@ -555,10 +531,8 @@ def bootstrap_feature_confidence(
                 break
         else:
             raise ValueError("could not draw a two-class bootstrap resample")
-        sub = MetricDataset(dataset.timestamps[idx], dataset.metrics[idx],
-                            dataset.art[idx], dataset.metric_names)
-        for f in select_features(sub, y_boot, alpha=alpha, max_features=max_features):
-            counts[f] += 1
+        counts[list(select_features(dataset.rows(idx), y_boot, alpha=alpha,
+                                    max_features=max_features))] += 1
     return counts / b
 
 
