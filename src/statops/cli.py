@@ -133,7 +133,8 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     labels = diagnosis.label_slo(dataset, diagnosis.SloConfig(args.slo_threshold))
     violation_idx = np.flatnonzero(labels)
     if "cluster" in actions and not 1 <= args.clusters <= violation_idx.size:
-        return _fail(f"need at least {args.clusters} violation signatures to cluster")
+        return _fail(f"--clusters must lie in [1, {violation_idx.size}], the number of "
+                     f"violations, got {args.clusters}")
     catalog = _load_catalog(args, dataset.n_metrics) if "retrieve" in actions else None
     model = diagnosis.fit_classifier(dataset, labels) if actions else None
 

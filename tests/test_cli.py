@@ -263,9 +263,10 @@ def _bad_diagnose_input(case, tmp_path):
         metrics.write_text("\n".join(lines) + "\n")
         return argv, (f"error: {metrics}: line 7: 'nan' in column 'metric_01' is not a "
                       "finite number\n")
-    if case == "too-few-violations":
-        return ([*argv, "--clusters", "100000"],
-                "error: need at least 100000 violation signatures to cluster\n")
+    if case in ("too-many-clusters", "zero-clusters"):
+        k = "100000" if case == "too-many-clusters" else "0"
+        return ([*argv, "--clusters", k], f"error: --clusters must lie in [1, {len(entries)}], "
+                f"the number of violations, got {k}\n")
     if case == "no-catalog":
         return [*argv, *retrieve[:2], *retrieve[4:]], "error: retrieve requires --catalog\n"
     if case == "no-query-epoch":
@@ -287,8 +288,8 @@ def _bad_diagnose_input(case, tmp_path):
 
 
 @pytest.mark.parametrize("case", [
-    "ragged-row", "nan-cell", "too-few-violations", "no-catalog", "no-query-epoch",
-    "missing-catalog", "bad-catalog-json", "catalog-width",
+    "ragged-row", "nan-cell", "too-many-clusters", "zero-clusters", "no-catalog",
+    "no-query-epoch", "missing-catalog", "bad-catalog-json", "catalog-width",
 ])
 def test_diagnose_bad_input_exit_2_writes_nothing(case, tmp_path, capsys):
     argv, message = _bad_diagnose_input(case, tmp_path)
