@@ -4,10 +4,8 @@ An epoch is a violation when its average response time exceeds the agreed
 threshold.  A Gaussian naive Bayes classifier maps the per-epoch metric
 vector to the SLO state; its per-metric log-likelihood contributions form a
 *signature* of each violation, with positive contributions marking the
-abnormal metrics.  A batch of signatures is a ``SignatureCatalog``: an
-(n, k) attribution matrix, an epoch vector and an annotation tuple.
-Catalogs are clustered and searched so recurring problems can be
-recognized and past annotations retrieved.
+abnormal metrics.  Signatures are clustered and indexed so recurring
+problems can be recognized and past annotations retrieved.
 
 Metric logs are CSV: header ``ts,art_ms,<metric_1>,...,<metric_k>`` followed
 by numeric rows.  Catalogs persist as JSON lines
@@ -17,6 +15,7 @@ readers and ignored on read.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -206,11 +205,9 @@ def predict(model: DiagnosisModel, rows: np.ndarray) -> np.ndarray:
 
 
 def signatures(model: DiagnosisModel, rows: np.ndarray, epochs: np.ndarray) -> SignatureCatalog:
-    """Unannotated signatures of a batch of epochs, one catalog row each.
-
-    Row i holds the per-metric attributions of rows[i], so that
-    log prior ratio + attributions[i].sum() == log_odds(model, rows)[i]
-    exactly."""
+    """Unannotated signatures of a batch of epochs, one catalog row each; row
+    i satisfies log prior ratio + attributions[i].sum() == log_odds(model,
+    rows)[i] exactly."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != len(model.metric_names):
         raise ValueError(f"metric rows must have {len(model.metric_names)} columns")
@@ -556,25 +553,26 @@ def load_metrics_csv(text: str) -> MetricDataset:
     for n, line in zip(line_nos, body):
         if line.count(",") != width - 1:
             raise ValueError(f"line {n}: {line.count(',') + 1} fields, the header has {width}")
-    cells = ",".join(body).split(",")
+    # one line's cells at a time: a list of every cell's string would set
+    # the command's peak memory
+    cells = itertools.chain.from_iterable(line.split(",") for line in body)
     try:
-        values = np.fromiter(map(float, cells), dtype=float, count=len(cells))
+        values = np.fromiter(map(float, cells), dtype=float, count=len(body) * width)
         ok = np.isfinite(values).all()
     except ValueError:
         ok = False
     if not ok:
-        i = next(i for i, cell in enumerate(cells) if not _finite_number(cell))
-        raise ValueError(f"line {line_nos[i // width]}: {cells[i].strip()!r} in column "
-                         f"'{header[i % width]}' is not a finite number")
+        for n, line in zip(line_nos, body):
+            for name, cell in zip(header, line.split(",")):
+                try:
+                    finite = math.isfinite(float(cell))
+                except ValueError:
+                    finite = False
+                if not finite:
+                    raise ValueError(f"line {n}: {cell.strip()!r} in column '{name}' is not "
+                                     "a finite number")
     rows = values.reshape(len(body), width)
     return MetricDataset(rows[:, 0], rows[:, 2:], rows[:, 1], tuple(header[2:]))
-
-
-def _finite_number(cell: str) -> bool:
-    try:
-        return math.isfinite(float(cell))
-    except ValueError:
-        return False
 
 
 def write_metrics_csv(dataset: MetricDataset) -> str:
