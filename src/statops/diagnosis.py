@@ -576,9 +576,13 @@ def load_metrics_csv(text: str) -> MetricDataset:
 
 
 def write_metrics_csv(dataset: MetricDataset) -> str:
-    rows = np.column_stack([dataset.timestamps, dataset.art, dataset.metrics]).tolist()
     header = "ts,art_ms," + ",".join(dataset.metric_names)
-    return "".join(line + "\n" for line in [header] + [",".join(map(repr, r)) for r in rows])
+    lines = [header]
+    for i in range(dataset.n_epochs):
+        cells = [repr(float(dataset.timestamps[i])), repr(float(dataset.art[i]))]
+        cells += [repr(float(v)) for v in dataset.metrics[i]]
+        lines.append(",".join(cells))
+    return "".join(line + "\n" for line in lines)
 
 
 def synth_metrics(
