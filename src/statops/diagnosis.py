@@ -86,6 +86,7 @@ class MetricDataset:
         return int(self.metrics.shape[1])
 
     def rows(self, idx: np.ndarray | slice) -> MetricDataset:
+        """The epochs selected by ``idx`` as a dataset of their own."""
         return MetricDataset(self.timestamps[idx], self.metrics[idx], self.art[idx],
                              self.metric_names)
 
