@@ -19,9 +19,12 @@ watchdogs status matrix, the simulator advances the whole fleet each tick
 with array operations and consults the policy only for machines that need a
 decision, and serializing, parsing and mining work on the arrays.
 
-Log lines: ``tick=<int> machine=<id> state=<Healthy|Failure> action=<action|->
-reports=<wd:status;...>``; the ground-truth sidecar uses
-``tick=<int> machine=<id> truth=<ok|transient|persistent>``.
+Logs and their ground-truth sidecars hold one record per line in the shared
+``key=value`` syntax of ``statops.records``.  Log lines are
+``tick=<int> machine=<id> state=<Healthy|Failure> action=<action|->
+reports=<wd:status;...>``; the sidecar uses
+``tick=<int> machine=<id> truth=<ok|transient|persistent>``.  Both are read
+by one columnar line loop (``records.read_columns``).
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+
+from .records import RecordError, read_columns
 
 __all__ = [
     "WatchdogStatus",
@@ -639,133 +644,73 @@ def serialize_fault_truth(log: RepairLog) -> str:
                     zip(truth.tick.tolist(), truth.machine.tolist(), truth.code.tolist())])
 
 
-# The canonical line forms, as the serializers write them: the tick, the
-# machine, and the rest of the line.  Any other line goes through the
-# per-line checks, which accept every form the format allows and raise the
-# line's first error.
-_TICK = r"tick=(-?[0-9]{1,18}) machine=(\S+) "
+# The canonical line forms, as the serializers write them: the tick, then the
+# rest of the line as one key.  Any other line goes through the tokenizer,
+# which accepts every form the format allows and raises the line's error.
 _LOG_RE = re.compile(
-    _TICK + rf"(state=(?:{'|'.join(_STATE_BY_VALUE)}) "
+    rf"tick=(-?[0-9]{{1,18}}) (machine=\S+ state=(?:{'|'.join(_STATE_BY_VALUE)}) "
     rf"action=(?:{'|'.join(_ACTION_BY_VALUE)}|-) reports=\S+)"
 )
-_TRUTH_RE = re.compile(_TICK + rf"(truth=(?:{'|'.join(TRUTHS)}))")
+_TRUTH_RE = re.compile(rf"tick=(-?[0-9]{{1,18}}) (machine=\S+ truth=(?:{'|'.join(TRUTHS)}))")
 
 
-def _field(line_no: int, token: str, key: str) -> str:
-    prefix = key + "="
-    if not token.startswith(prefix):
-        raise ValueError(f"line {line_no}: expected field '{key}', got '{token}'")
-    return token[len(prefix):]
+def _tick(raw: str) -> int:
+    tick = int(raw)
+    if not -2**63 <= tick < 2**63:
+        raise ValueError(raw)
+    return tick
 
 
-def _check_key(line_no: int, line: str, n_fields: int) -> tuple[list[str], int, str] | None:
-    """Split a line and check its field count, tick and machine: (tokens,
-    tick, machine), or None for a blank line."""
-    tokens = line.split()
-    if not tokens:
-        return None
-    if len(tokens) != n_fields:
-        raise ValueError(f"line {line_no}: expected {n_fields} fields, got {len(tokens)}")
-    raw = _field(line_no, tokens[0], "tick")
-    try:
-        tick = int(raw)
-    except ValueError:
-        tick = None
-    if tick is None or not -2**63 <= tick < 2**63:
-        raise ValueError(f"line {line_no}: bad tick '{raw}'")
-    return tokens, tick, _field(line_no, tokens[1], "machine")
-
-
-def _check_log_line(line_no: int, line: str) -> tuple[int, str, str] | None:
-    """Apply the per-line rules of the log format, in the order its errors are
-    reported: (tick, machine, the rest in canonical form), or None for a
-    blank line.  The reports are checked by _decode_log_rest."""
-    key = _check_key(line_no, line, 5)
-    if key is None:
-        return None
-    tokens, tick, machine = key
-    state = _field(line_no, tokens[2], "state")
-    if state not in _STATE_BY_VALUE:
-        raise ValueError(f"line {line_no}: bad state '{state}'")
-    action = _field(line_no, tokens[3], "action")
-    if action != "-" and action not in _ACTION_BY_VALUE:
-        raise ValueError(f"line {line_no}: bad action '{action}'")
-    reports = _field(line_no, tokens[4], "reports")
-    return tick, machine, f"state={state} action={action} reports={reports}"
+_LOG_FIELDS = (("tick", _tick), ("machine", str), ("state", _STATE_BY_VALUE.__getitem__),
+               ("action", {**_ACTION_BY_VALUE, "-": NO_ACTION}.__getitem__), ("reports", str))
+_TRUTH_FIELDS = (("tick", _tick), ("machine", str), ("truth", _TRUTH_CODE.__getitem__))
 
 
 def _decode_log_rest(line_no: int, rest: str) -> tuple[int, int, list[tuple[str, int]]]:
     """(state code, action code, [(watchdog, status code)]) of a log line's
-    canonical rest, whose state and action are valid."""
+    rest after the machine, whose state and action are valid."""
     state, action, reports = (token.split("=", 1)[1] for token in rest.split(" "))
     pairs: dict[str, int] = {}
     for item in reports.split(";") if reports != "-" else ():
         watchdog, _, status = item.partition(":")
         if status not in _STATUS_BY_VALUE:
-            raise ValueError(f"line {line_no}: bad status '{status}'")
+            raise RecordError(line_no, f"bad status '{status}'")
         if watchdog in pairs:
-            raise ValueError(f"line {line_no}: duplicate watchdog '{watchdog}'")
+            raise RecordError(line_no, f"duplicate watchdog '{watchdog}'")
         pairs[watchdog] = _STATUS_BY_VALUE[status]
     return _STATE_BY_VALUE[state], _ACTION_BY_VALUE.get(action, NO_ACTION), list(pairs.items())
 
 
-def _check_truth_line(line_no: int, line: str) -> tuple[int, str, str] | None:
-    """The truth sidecar's per-line rules, as _check_log_line."""
-    key = _check_key(line_no, line, 3)
-    if key is None:
-        return None
-    tokens, tick, machine = key
-    status = _field(line_no, tokens[2], "truth")
-    if status not in _TRUTH_CODE:
-        raise ValueError(f"line {line_no}: bad truth '{status}'")
-    return tick, machine, f"truth={status}"
-
-
-def _parse_lines(text: str, canonical: re.Pattern, check: Callable, decode: Callable):
+def _read_rows(text: str, canonical: re.Pattern, fields, decode: Callable):
     """Columns of a ``tick=<int> machine=<id> <rest>`` file: (tick, machine
     code, machine names, rest code, decoded rests).  Lines share few distinct
     rests, so each is decoded once, by ``decode(line_no, rest)``."""
-    match = canonical.fullmatch
-    machine_codes: dict[str, int] = {}
-    rest_codes: dict[str, int] = {}
+    machines: dict[str, int] = {}
+    rests: dict[str, int] = {}
     decoded: list = []
-    ticks: list[int] = []
-    machine_of: list[int] = []
-    rest_of: list[int] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        m = match(line)
-        if m is not None:
-            tick, machine, rest = m.groups()
-            tick = int(tick)
-        else:
-            record = check(line_no, line)
-            if record is None:
-                continue
-            tick, machine, rest = record
-        k = rest_codes.get(rest)
-        if k is None:
-            k = rest_codes[rest] = len(decoded)
+
+    def split(line_no: int, key: str) -> tuple[int, int]:
+        machine, rest = key.split(" ", 1)
+        if rest not in rests:
+            rests[rest] = len(decoded)
             decoded.append(decode(line_no, rest))
-        code = machine_codes.get(machine)
-        if code is None:
-            code = machine_codes[machine] = len(machine_codes)
-        ticks.append(tick)
-        machine_of.append(code)
-        rest_of.append(k)
-    return (np.array(ticks, dtype=np.int64), np.array(machine_of, dtype=np.intp),
-            tuple(machine_codes), np.array(rest_of, dtype=np.intp), decoded)
+        return machines.setdefault(machine[len("machine="):], len(machines)), rests[rest]
+
+    tick, codes, keys = read_columns(text, canonical, fields, split, int, -2**63, 2**63)
+    rows = np.array(keys, dtype=np.intp).reshape(-1, 2)[codes]
+    return np.array(tick, dtype=np.int64), rows[:, 0], tuple(machines), rows[:, 1], decoded
 
 
 def parse_repair_log(text: str) -> RepairLog:
     """Parse a repair log into columns.
 
-    Blank lines are skipped and fields may be separated by any whitespace.
-    A line's reports may come in any order, but may name each watchdog once;
-    watchdogs that do not report on a line are ABSENT there.  The first
-    malformed line raises ValueError('line N: ...').
+    Accepts the record syntax of ``statops.records``.  A line's reports may
+    come in any order, but may name each watchdog once; watchdogs that do not
+    report on a line are ABSENT there.  The first malformed line raises
+    RecordError('line N: ...').
     """
-    tick, machine, machines, rest_of, rests = _parse_lines(
-        text, _LOG_RE, _check_log_line, _decode_log_rest)
+    tick, machine, machines, rest_of, rests = _read_rows(
+        text, _LOG_RE, _LOG_FIELDS, _decode_log_rest)
     watchdogs = sorted({w for _, _, pairs in rests for w, _ in pairs})
     column = {w: k for k, w in enumerate(watchdogs)}
     table = np.full((len(rests), len(watchdogs)), ABSENT, dtype=np.int8)
@@ -783,9 +728,9 @@ def parse_repair_log(text: str) -> RepairLog:
 def parse_fault_truth(text: str) -> FaultTruth:
     """Parse a ground-truth sidecar.  A later line for the same (tick, machine)
     overrides an earlier one; the first malformed line raises
-    ValueError('line N: ...')."""
-    tick, machine, names, rest_of, rests = _parse_lines(
-        text, _TRUTH_RE, _check_truth_line, lambda _, rest: _TRUTH_CODE[rest[len("truth="):]])
+    RecordError('line N: ...')."""
+    tick, machine, names, rest_of, rests = _read_rows(
+        text, _TRUTH_RE, _TRUTH_FIELDS, lambda _, rest: _TRUTH_CODE[rest[len("truth="):]])
     rank = np.empty(len(names), dtype=np.intp)
     rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
     order = np.lexsort((rank[machine], tick))

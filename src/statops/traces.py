@@ -6,24 +6,25 @@ channel is judged from the delays between each output event and the latest
 preceding input event, compared against the same pairing applied to a virtual
 output channel with uniformly random departure times.
 
-Trace files are newline-delimited, UTF-8, one record per line:
+Trace files hold one record per line in the shared ``key=value`` syntax of
+``statops.records`` (UTF-8, any whitespace, CRLF and blank lines accepted):
 
     ts=<float seconds> host=<id> remote=<id> service=<label> dir=<in|out>
 
-Fields come in fixed order; ids and labels match ``[A-Za-z0-9._-]+``.
-``serialize_trace`` writes single spaces, and the parser also accepts any run
-of whitespace between and around fields, blank lines and CRLF line ends.
-Synthetic-trace specs reuse the same token syntax (see ``parse_synth_spec``).
+Ids and labels match ``[A-Za-z0-9._-]+``; ``serialize_trace`` writes single
+spaces.  Synthetic-trace specs and ground-truth sidecars use the same syntax
+(see ``parse_synth_spec`` and ``parse_ground_truth``).
 """
 
 from __future__ import annotations
 
-import io
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, NoReturn
+from typing import Callable
 
 import numpy as np
+
+from .records import BadValue, RecordError, read_columns, split_lines, tokenize
 
 __all__ = [
     "TraceFormatError",
@@ -52,15 +53,9 @@ _DIRECTIONS = ("in", "out")
 _CANONICAL_RE = re.compile(
     rf"ts=(\S+) (host={_ID} remote={_ID} service={_ID} dir=(?:in|out))"
 )
-_CHANNEL_KEY = "host={} remote={} service={} dir={}"
 
-
-class TraceFormatError(ValueError):
-    """Malformed trace or spec file; carries the 1-based line number."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+# Malformed trace, spec or ground-truth file; carries the 1-based line number.
+TraceFormatError = RecordError
 
 
 @dataclass(frozen=True, order=True)
@@ -118,133 +113,59 @@ class HostTrace:
         return self.host == other.host and self.channels == other.channels
 
 
-def _iter_lines(source) -> Iterable[str]:
-    if isinstance(source, bytes):
-        source = source.decode("utf-8")
-    if isinstance(source, str):
-        return source.splitlines()
-    if isinstance(source, io.IOBase) or hasattr(source, "read"):
-        data = source.read()
-        return _iter_lines(data)
-    return list(source)
-
-
-def _parse_field(line_no: int, token: str, key: str) -> str:
-    prefix = key + "="
-    if not token.startswith(prefix):
-        raise TraceFormatError(line_no, f"expected field '{key}', got '{token}'")
-    return token[len(prefix):]
-
-
-def _parse_id(line_no: int, token: str, key: str) -> str:
-    value = _parse_field(line_no, token, key)
-    if not _ID_RE.match(value):
-        raise TraceFormatError(line_no, f"bad {key} '{value}'")
-    return value
-
-
-def _parse_float(line_no: int, token: str, key: str) -> float:
-    raw = _parse_field(line_no, token, key)
-    try:
-        value = float(raw)
-    except ValueError:
-        raise TraceFormatError(line_no, f"bad {key} '{raw}'") from None
-    if not np.isfinite(value):
-        raise TraceFormatError(line_no, f"bad {key} '{raw}'")
-    return value
-
-
-def _check_record(line_no: int, line: str) -> tuple[float, str, str, str, str] | None:
-    """Apply every per-line rule of the trace format, in the order its errors
-    are reported: (ts, host, remote, service, dir), or None for a blank line."""
-    tokens = line.split()
-    if not tokens:
-        return None
-    if len(tokens) != 5:
-        raise TraceFormatError(line_no, f"expected 5 fields, got {len(tokens)}")
-    ts = _parse_float(line_no, tokens[0], "ts")
+def _timestamp(raw: str) -> float:
+    ts = float(raw)
+    if not np.isfinite(ts):
+        raise ValueError(raw)
     if ts < 0:
-        raise TraceFormatError(line_no, f"bad ts '{ts}': negative")
-    host = _parse_id(line_no, tokens[1], "host")
-    remote = _parse_id(line_no, tokens[2], "remote")
-    service = _parse_id(line_no, tokens[3], "service")
-    direction = _parse_field(line_no, tokens[4], "dir")
-    if direction not in _DIRECTIONS:
-        raise TraceFormatError(line_no, f"bad dir '{direction}' (want in|out)")
-    if host == remote:
-        raise TraceFormatError(line_no, f"host equals remote '{host}'")
-    return ts, host, remote, service, direction
+        raise BadValue(f"'{ts}': negative")
+    return ts
 
 
-def _raise_first_error(lines: list[str]) -> NoReturn:
-    """Re-check ``lines`` one at a time and raise the first line's error."""
-    host = None
-    for line_no, line in enumerate(lines, start=1):
-        record = _check_record(line_no, line)
-        if record is None:
-            continue
-        if host is None:
-            host = record[1]
-        elif record[1] != host:
-            raise TraceFormatError(line_no, f"host '{record[1]}' differs from '{host}'")
-    raise AssertionError("the columnar pass rejected a valid trace")
+def _identifier(raw: str) -> str:
+    if not _ID_RE.match(raw):
+        raise ValueError(raw)
+    return raw
+
+
+def _direction(raw: str) -> str:
+    if raw not in _DIRECTIONS:
+        raise BadValue(f"'{raw}' (want in|out)")
+    return raw
+
+
+_TRACE_FIELDS = (("ts", _timestamp), ("host", _identifier), ("remote", _identifier),
+                 ("service", _identifier), ("dir", _direction))
 
 
 def parse_trace(source) -> HostTrace:
     """Parse a trace stream into a HostTrace.
 
-    Accepts bytes, str, a file-like object, or an iterable of lines.  Blank
-    lines are skipped, and fields may be separated and surrounded by any
-    whitespace.  All records must share one host id; per-channel duplicate
-    timestamps are coalesced.  The first malformed line raises
-    TraceFormatError with its 1-based line number.
+    Accepts bytes, str, a file-like object, or an iterable of lines, in the
+    record syntax of ``statops.records``.  All records must share one host
+    id; per-channel duplicate timestamps are coalesced.  The first malformed
+    line raises TraceFormatError with its 1-based line number.
     """
-    lines = _iter_lines(source)
-    # One pass maps each line's channel key to an integer code.  Lines in any
-    # form but the canonical one go through _check_record; the host, sign and
-    # finiteness rules run once over all lines afterwards.  On any failure the
-    # lines are re-checked one by one, so the first bad line's error wins.
-    match = _CANONICAL_RE.fullmatch
-    codes: dict[str, int] = {}
-    stamps: list[float] = []
-    channel_of: list[int] = []
-    add_stamp, add_channel = stamps.append, channel_of.append
-    try:
-        for line_no, line in enumerate(lines, start=1):
-            m = match(line)
-            if m is not None:
-                ts, key = m.groups()
-                ts = float(ts)
-            else:
-                record = _check_record(line_no, line)
-                if record is None:
-                    continue
-                ts, key = record[0], _CHANNEL_KEY.format(*record[1:])
-            code = codes.get(key)
-            if code is None:
-                code = codes[key] = len(codes)
-            add_stamp(ts)
-            add_channel(code)
-    except ValueError:  # a bad float, or TraceFormatError from _check_record
-        _raise_first_error(lines)
+    hosts: list[str] = []
 
-    keys = [[token.split("=", 1)[1] for token in key.split(" ")] for key in codes]
+    # The host rules hold per channel key, so they are checked at each key's
+    # first line, which is the first line that can break them.
+    def channel(line_no: int, key: str) -> ChannelId:
+        host, remote, service, direction = (token.split("=", 1)[1] for token in key.split(" "))
+        if host == remote:
+            raise TraceFormatError(line_no, f"host equals remote '{host}'")
+        if hosts and host != hosts[0]:
+            raise TraceFormatError(line_no, f"host '{host}' differs from '{hosts[0]}'")
+        hosts.append(host)
+        return ChannelId(direction, service, remote)
+
+    stamps, codes, ids = read_columns(source, _CANONICAL_RE, _TRACE_FIELDS, channel,
+                                      float, 0.0, np.inf)
     times = np.array(stamps, dtype=float)
-    if (
-        len({host for host, _, _, _ in keys}) > 1
-        or any(host == remote for host, remote, _, _ in keys)
-        or not np.all(np.isfinite(times) & (times >= 0))
-    ):
-        _raise_first_error(lines)
-
-    channel_codes = np.asarray(channel_of, dtype=np.intp)
-    by_channel = np.split(times[np.argsort(channel_codes, kind="stable")],
-                          np.cumsum(np.bincount(channel_codes, minlength=len(keys)))[:-1])
-    channels = {}
-    for (_, remote, service, direction), ts in zip(keys, by_channel):
-        cid = ChannelId(direction, service, remote)
-        channels[cid] = ChannelSeries(cid, ts)
-    return HostTrace(host=keys[0][0] if keys else "", channels=channels)
+    by_channel = np.split(times[np.argsort(codes, kind="stable")],
+                          np.cumsum(np.bincount(codes, minlength=len(ids)))[:-1])
+    channels = {cid: ChannelSeries(cid, ts) for cid, ts in zip(ids, by_channel)}
+    return HostTrace(host=hosts[0] if hosts else "", channels=channels)
 
 
 def serialize_trace(trace: HostTrace) -> str:
@@ -397,69 +318,90 @@ def synth_trace(spec: SynthSpec) -> tuple[HostTrace, frozenset[tuple[ChannelId, 
     return HostTrace(host=spec.host, channels=channels), truth
 
 
+def _number(rule: str, ok: Callable[[float], bool]) -> Callable[[str], float]:
+    """Converter to a finite float that ``ok`` accepts; the error says what
+    the value ``must be``."""
+    def convert(raw: str) -> float:
+        number = float(raw)
+        if not np.isfinite(number):
+            raise ValueError(raw)
+        if not ok(number):
+            raise BadValue(f"'{raw}': must be {rule}")
+        return number
+    return convert
+
+
+def _seed(raw: str) -> int:
+    if not (raw.isascii() and raw.isdigit()):
+        raise ValueError(raw)
+    return int(raw)
+
+
+_POSITIVE = _number("> 0", lambda x: x > 0)
+_DEP_IDS = (("in_service", _identifier), ("in_remote", _identifier),
+            ("out_service", _identifier), ("out_remote", _identifier))
+# One field list per kind of spec line; each starts with the kind.
+_SPEC_FIELDS = {
+    "trace": (("kind", str), ("host", _identifier),
+              ("duration", _number(">= 0", lambda x: x >= 0)), ("seed", _seed)),
+    "channel": (("kind", str), ("dir", _direction), ("service", _identifier),
+                ("remote", _identifier), ("rate", _POSITIVE)),
+    "dep": (("kind", str), *_DEP_IDS, ("mean_delay", _POSITIVE),
+            ("prob", _number("in (0, 1]", lambda x: 0 < x <= 1))),
+}
+_TRUTH_FIELDS = (("kind", {"dep": "dep"}.__getitem__), *_DEP_IDS)  # kind=dep records only
+
+
 def parse_synth_spec(source) -> SynthSpec:
     """Parse a generator spec file.
 
-    Same token syntax as traces, one record per line, ``#`` comments allowed:
+    The record syntax of traces, one record per line, ``#`` comments allowed:
 
         kind=trace host=desktop duration=600 seed=7
         kind=channel dir=in service=http remote=web01 rate=2.0
         kind=dep in_service=http in_remote=web01 out_service=sql out_remote=db01 mean_delay=0.05 prob=0.9
 
-    Exactly one ``kind=trace`` line is required.  Dependency inputs are "in"
-    channels and outputs are "out" channels.
+    Exactly one ``kind=trace`` line is required; ``seed`` is a non-negative
+    integer.  Dependency inputs are "in" channels and outputs are "out"
+    channels, each declared by a channel line, and no channel's remote may be
+    the host.  Every error names its line.
     """
-    host = None
-    duration = None
-    seed = 0
-    channels: list[ChannelSpec] = []
-    deps: list[DependencySpec] = []
-    for line_no, line in enumerate(_iter_lines(source), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
+    trace = None
+    channels: list[tuple[int, ChannelSpec]] = []
+    deps: list[tuple[int, DependencySpec]] = []
+    for line_no, line in enumerate(split_lines(source), start=1):
+        tokens = line.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = stripped.split()
-        kind = _parse_field(line_no, tokens[0], "kind")
-        rest = tokens[1:]
-        if kind == "trace":
-            if len(rest) != 3:
-                raise TraceFormatError(line_no, "trace line needs host, duration, seed")
-            if host is not None:
-                raise TraceFormatError(line_no, "duplicate trace line")
-            host = _parse_id(line_no, rest[0], "host")
-            duration = _parse_float(line_no, rest[1], "duration")
-            seed = int(_parse_float(line_no, rest[2], "seed"))
-        elif kind == "channel":
-            if len(rest) != 4:
-                raise TraceFormatError(line_no, "channel line needs dir, service, remote, rate")
-            direction = _parse_field(line_no, rest[0], "dir")
-            if direction not in _DIRECTIONS:
-                raise TraceFormatError(line_no, f"bad dir '{direction}' (want in|out)")
-            service = _parse_id(line_no, rest[1], "service")
-            remote = _parse_id(line_no, rest[2], "remote")
-            rate = _parse_float(line_no, rest[3], "rate")
-            channels.append(ChannelSpec(ChannelId(direction, service, remote), rate))
-        elif kind == "dep":
-            if len(rest) != 6:
-                raise TraceFormatError(
-                    line_no,
-                    "dep line needs in_service, in_remote, out_service, out_remote, mean_delay, prob",
-                )
-            in_id = ChannelId("in", _parse_id(line_no, rest[0], "in_service"),
-                              _parse_id(line_no, rest[1], "in_remote"))
-            out_id = ChannelId("out", _parse_id(line_no, rest[2], "out_service"),
-                               _parse_id(line_no, rest[3], "out_remote"))
-            mean_delay = _parse_float(line_no, rest[4], "mean_delay")
-            prob = _parse_float(line_no, rest[5], "prob")
-            deps.append(DependencySpec(in_id, out_id, mean_delay, prob))
-        else:
+        kind, = tokenize(line_no, tokens[0], (("kind", str),))  # it picks the field list
+        if kind not in _SPEC_FIELDS:
             raise TraceFormatError(line_no, f"unknown kind '{kind}'")
-    if host is None or duration is None:
+        _, *values = tokenize(line_no, line, _SPEC_FIELDS[kind])
+        if kind == "trace":
+            if trace is not None:
+                raise TraceFormatError(line_no, "duplicate trace line")
+            trace = values
+        elif kind == "channel":
+            direction, service, remote, rate = values
+            channels.append((line_no, ChannelSpec(ChannelId(direction, service, remote), rate)))
+        else:
+            in_service, in_remote, out_service, out_remote, mean_delay, prob = values
+            deps.append((line_no, DependencySpec(ChannelId("in", in_service, in_remote),
+                                                 ChannelId("out", out_service, out_remote),
+                                                 mean_delay, prob)))
+    if trace is None:
         raise TraceFormatError(1, "missing kind=trace line")
-    spec = SynthSpec(host=host, duration=duration, channels=tuple(channels),
-                     dependencies=tuple(deps), seed=seed)
-    _validate_synth_spec(spec)
-    return spec
+    host, duration, seed = trace
+    # The rules that span lines, reported at the first line that breaks one.
+    declared = {c.id for _, c in channels}
+    problems = [(n, f"host equals remote '{host}'") for n, c in channels if c.id.remote == host]
+    problems += [(n, f"undeclared channel dir={cid.direction} service={cid.service} "
+                     f"remote={cid.remote}")
+                 for n, d in deps for cid in (d.input, d.output) if cid not in declared]
+    if problems:
+        raise TraceFormatError(*min(problems, key=lambda problem: problem[0]))
+    return SynthSpec(host=host, duration=duration, channels=tuple(c for _, c in channels),
+                     dependencies=tuple(d for _, d in deps), seed=seed)
 
 
 def serialize_ground_truth(truth: frozenset[tuple[ChannelId, ChannelId]]) -> str:
@@ -474,16 +416,12 @@ def serialize_ground_truth(truth: frozenset[tuple[ChannelId, ChannelId]]) -> str
 
 
 def parse_ground_truth(source) -> frozenset[tuple[ChannelId, ChannelId]]:
+    """Parse a sidecar of planted dependencies, as serialize_ground_truth writes it."""
     pairs = set()
-    for line_no, line in enumerate(_iter_lines(source), start=1):
-        if not line.strip():
-            continue
-        tokens = line.split()
-        if len(tokens) != 5 or _parse_field(line_no, tokens[0], "kind") != "dep":
-            raise TraceFormatError(line_no, "expected a kind=dep record")
-        in_id = ChannelId("in", _parse_id(line_no, tokens[1], "in_service"),
-                          _parse_id(line_no, tokens[2], "in_remote"))
-        out_id = ChannelId("out", _parse_id(line_no, tokens[3], "out_service"),
-                           _parse_id(line_no, tokens[4], "out_remote"))
-        pairs.add((in_id, out_id))
+    for line_no, line in enumerate(split_lines(source), start=1):
+        values = tokenize(line_no, line, _TRUTH_FIELDS)
+        if values is not None:
+            _, in_service, in_remote, out_service, out_remote = values
+            pairs.add((ChannelId("in", in_service, in_remote),
+                       ChannelId("out", out_service, out_remote)))
     return frozenset(pairs)

@@ -83,6 +83,29 @@ def test_gen_trace_bad_spec_exits_2(tmp_path, capsys):
     assert main(["gen-trace", str(spec), "--out", str(tmp_path / "x")]) == 2
 
 
+@pytest.mark.parametrize("bad_line,message", [
+    # the generated trace would fail to parse: discover rejects host == remote
+    ("kind=channel dir=out service=dns remote=desktop rate=0.5",
+     "line 7: host equals remote 'desktop'"),
+    ("kind=trace host=desktop duration=300 seed=-3", "line 1: bad seed '-3'"),
+    ("kind=trace host=desktop duration=300 seed=7.9", "line 1: bad seed '7.9'"),
+    ("kind=dep in_service=http in_remote=web01 out_service=sql out_remote=db01 "
+     "mean_delay=0.05 prob=0", "line 7: bad prob '0': must be in (0, 1]"),
+], ids=["remote-is-host", "negative-seed", "fractional-seed", "zero-prob"])
+def test_gen_trace_bad_spec_line_names_file_and_line_exit_2(tmp_path, capsys, bad_line,
+                                                           message):
+    lines = TRACE_SPEC.splitlines()
+    if bad_line.startswith("kind=trace"):
+        lines[0] = bad_line
+    else:
+        lines.append(bad_line)
+    spec = _write_spec(tmp_path, "".join(line + "\n" for line in lines))
+    out = tmp_path / "host.trace"
+    assert main(["gen-trace", str(spec), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {spec}: {message}\n"
+    assert not out.exists() and not (tmp_path / "host.trace.truth").exists()
+
+
 # ---------------------------------------------------------------------------
 # discover
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from statops.records import RecordError
 from statops.repairs import (
     ABSENT,
     ACTIONS,
@@ -104,9 +105,10 @@ LOG_ERRORS = [
 @pytest.mark.parametrize("text,message", [e[1:] for e in LOG_ERRORS],
                          ids=[e[0] for e in LOG_ERRORS])
 def test_parse_repair_log_error_message_and_line(text, message):
-    with pytest.raises(ValueError) as caught:
+    with pytest.raises(RecordError) as caught:
         parse_repair_log(text)
     assert str(caught.value) == message
+    assert message.startswith(f"line {caught.value.line_no}: ")
 
 
 # (id, truth text, exact message)
@@ -123,9 +125,10 @@ TRUTH_ERRORS = [
 @pytest.mark.parametrize("text,message", [e[1:] for e in TRUTH_ERRORS],
                          ids=[e[0] for e in TRUTH_ERRORS])
 def test_parse_fault_truth_error_message_and_line(text, message):
-    with pytest.raises(ValueError) as caught:
+    with pytest.raises(RecordError) as caught:
         parse_fault_truth(text)
     assert str(caught.value) == message
+    assert message.startswith(f"line {caught.value.line_no}: ")
 
 
 CANONICAL = OK + "\n" + OK2 + "\n"

@@ -22,7 +22,7 @@ CHANNELS = ("kind=channel dir=in service=s remote=r rate=1\n"
             "kind=channel dir=out service=q remote=d rate=1\n")
 DEP = "kind=dep in_service=s in_remote=r out_service=q out_remote=d mean_delay=0.1 prob=0.5\n"
 
-# (id, spec text, line number or None, exact message)
+# (id, spec text, line number, exact message)
 SPEC_ERRORS = [
     ("no-kind", "host=h duration=10 seed=0\n", 1, "line 1: expected field 'kind', got 'host=h'"),
     ("unknown-kind", TRACE + "kind=bogus a=1\n", 2, "line 2: unknown kind 'bogus'"),
@@ -36,9 +36,9 @@ SPEC_ERRORS = [
      "line 2: unknown kind 'bogus'"),
     # kind=trace
     ("trace-too-few-fields", "kind=trace host=h duration=10\n", 1,
-     "line 1: trace line needs host, duration, seed"),
+     "line 1: expected 4 fields, got 3"),
     ("trace-too-many-fields", "kind=trace host=h duration=10 seed=0 x=1\n", 1,
-     "line 1: trace line needs host, duration, seed"),
+     "line 1: expected 4 fields, got 5"),
     ("duplicate-trace-line", TRACE + TRACE, 2, "line 2: duplicate trace line"),
     ("trace-wrong-key", "kind=trace host=h dur=10 seed=0\n", 1,
      "line 1: expected field 'duration', got 'dur=10'"),
@@ -46,12 +46,19 @@ SPEC_ERRORS = [
     ("bad-duration", "kind=trace host=h duration=abc seed=0\n", 1, "line 1: bad duration 'abc'"),
     ("nan-duration", "kind=trace host=h duration=nan seed=0\n", 1, "line 1: bad duration 'nan'"),
     ("inf-duration", "kind=trace host=h duration=inf seed=0\n", 1, "line 1: bad duration 'inf'"),
-    ("negative-duration", "kind=trace host=h duration=-1 seed=0\n", None,
-     "duration must be >= 0"),
+    ("negative-duration", "kind=trace host=h duration=-1 seed=0\n", 1,
+     "line 1: bad duration '-1': must be >= 0"),
     ("bad-seed", "kind=trace host=h duration=10 seed=x\n", 1, "line 1: bad seed 'x'"),
+    ("fractional-seed", "kind=trace host=h duration=10 seed=7.9\n", 1,
+     "line 1: bad seed '7.9'"),
+    ("exponent-seed", "kind=trace host=h duration=10 seed=1e30\n", 1,
+     "line 1: bad seed '1e30'"),
+    ("negative-seed", "kind=trace host=h duration=10 seed=-3\n", 1, "line 1: bad seed '-3'"),
+    ("signed-seed", "kind=trace host=h duration=10 seed=+3\n", 1, "line 1: bad seed '+3'"),
+    ("empty-seed", "kind=trace host=h duration=10 seed=\n", 1, "line 1: bad seed ''"),
     # kind=channel
     ("channel-too-few-fields", TRACE + "kind=channel dir=in service=s remote=r\n", 2,
-     "line 2: channel line needs dir, service, remote, rate"),
+     "line 2: expected 5 fields, got 4"),
     ("channel-wrong-key", TRACE + "kind=channel direction=in service=s remote=r rate=1\n", 2,
      "line 2: expected field 'dir', got 'direction=in'"),
     ("bad-dir", TRACE + "kind=channel dir=up service=s remote=r rate=1\n", 2,
@@ -62,53 +69,59 @@ SPEC_ERRORS = [
      "line 2: bad remote 'r/x'"),
     ("bad-rate", TRACE + "kind=channel dir=in service=s remote=r rate=x\n", 2,
      "line 2: bad rate 'x'"),
-    ("zero-rate", TRACE + "kind=channel dir=in service=s remote=r rate=0\n", None,
-     "rate must be > 0 for channel ChannelId(direction='in', service='s', remote='r')"),
+    ("zero-rate", TRACE + "kind=channel dir=in service=s remote=r rate=0\n", 2,
+     "line 2: bad rate '0': must be > 0"),
+    ("remote-is-host", TRACE + "kind=channel dir=in service=s remote=h rate=1\n", 2,
+     "line 2: host equals remote 'h'"),
+    ("remote-is-later-host", "kind=channel dir=out service=s remote=h rate=1\n" + TRACE, 1,
+     "line 1: host equals remote 'h'"),
     # kind=dep
     ("dep-too-few-fields", TRACE + CHANNELS + "kind=dep in_service=s\n", 4,
-     "line 4: dep line needs in_service, in_remote, out_service, out_remote, mean_delay, prob"),
+     "line 4: expected 7 fields, got 2"),
     ("dep-wrong-key", TRACE + CHANNELS + DEP.replace("out_service", "out_svc"), 4,
      "line 4: expected field 'out_service', got 'out_svc=q'"),
     ("bad-in-remote", TRACE + CHANNELS + DEP.replace("in_remote=r", "in_remote=r!"), 4,
      "line 4: bad in_remote 'r!'"),
     ("bad-mean-delay", TRACE + CHANNELS + DEP.replace("mean_delay=0.1", "mean_delay=x"), 4,
      "line 4: bad mean_delay 'x'"),
-    ("zero-mean-delay", TRACE + CHANNELS + DEP.replace("mean_delay=0.1", "mean_delay=0"), None,
-     "mean_delay must be > 0 for ChannelId(direction='in', service='s', remote='r')"
-     "->ChannelId(direction='out', service='q', remote='d')"),
-    ("prob-above-one", TRACE + CHANNELS + DEP.replace("prob=0.5", "prob=1.5"), None,
-     "response_prob must be in (0, 1] for ChannelId(direction='in', service='s', remote='r')"
-     "->ChannelId(direction='out', service='q', remote='d')"),
-    ("undeclared-channel", TRACE + CHANNELS.split("\n")[0] + "\n" + DEP, None,
-     "dependency ChannelId(direction='in', service='s', remote='r')"
-     "->ChannelId(direction='out', service='q', remote='d') references undeclared channel"),
+    ("zero-mean-delay", TRACE + CHANNELS + DEP.replace("mean_delay=0.1", "mean_delay=0"), 4,
+     "line 4: bad mean_delay '0': must be > 0"),
+    ("prob-above-one", TRACE + CHANNELS + DEP.replace("prob=0.5", "prob=1.5"), 4,
+     "line 4: bad prob '1.5': must be in (0, 1]"),
+    ("zero-prob", TRACE + CHANNELS + DEP.replace("prob=0.5", "prob=0"), 4,
+     "line 4: bad prob '0': must be in (0, 1]"),
+    ("undeclared-channel", TRACE + CHANNELS.split("\n")[0] + "\n" + DEP, 3,
+     "line 3: undeclared channel dir=out service=q remote=d"),
+    ("undeclared-input-first", TRACE + DEP, 2,
+     "line 2: undeclared channel dir=in service=s remote=r"),
+    ("first-line-of-later-rule-wins", TRACE + DEP + "kind=channel dir=in service=s remote=h "
+     "rate=1\n", 2, "line 2: undeclared channel dir=in service=s remote=r"),
 ]
 
 
 @pytest.mark.parametrize("text,line_no,message", [e[1:] for e in SPEC_ERRORS],
                          ids=[e[0] for e in SPEC_ERRORS])
 def test_parse_synth_spec_error_message_and_line(text, line_no, message):
-    with pytest.raises(ValueError) as caught:
+    with pytest.raises(TraceFormatError) as caught:
         parse_synth_spec(text)
     assert str(caught.value) == message
-    assert getattr(caught.value, "line_no", None) == line_no
+    assert caught.value.line_no == line_no
 
 
 TRUTH = "kind=dep in_service=s in_remote=r out_service=q out_remote=d\n"
 
 # (id, sidecar text, line number, exact message)
 TRUTH_ERRORS = [
-    ("too-few-fields", "kind=dep in_service=s\n", 1, "line 1: expected a kind=dep record"),
-    ("other-kind", TRUTH.replace("kind=dep", "kind=channel"), 1,
-     "line 1: expected a kind=dep record"),
+    ("too-few-fields", "kind=dep in_service=s\n", 1, "line 1: expected 5 fields, got 2"),
+    ("other-kind", TRUTH.replace("kind=dep", "kind=channel"), 1, "line 1: bad kind 'channel'"),
     ("no-kind", TRUTH.replace("kind=dep", "k=dep"), 1, "line 1: expected field 'kind', got 'k=dep'"),
     ("wrong-key", TRUTH.replace("out_service", "out_svc"), 1,
      "line 1: expected field 'out_service', got 'out_svc=q'"),
     ("bad-in-remote", TRUTH.replace("in_remote=r", "in_remote=r!"), 1,
      "line 1: bad in_remote 'r!'"),
-    ("comment", "# planted\n" + TRUTH, 1, "line 1: expected a kind=dep record"),
+    ("comment", "# planted\n" + TRUTH, 1, "line 1: expected 5 fields, got 2"),
     ("blank-lines-and-crlf-count", "\n \n" + TRUTH.replace("\n", "\r\n") + "x\n", 4,
-     "line 4: expected a kind=dep record"),
+     "line 4: expected 5 fields, got 1"),
 ]
 
 
@@ -140,7 +153,7 @@ def synth_specs(draw):
             st.floats(min_value=0.0, max_value=1.0, exclude_min=True)), max_size=4)))
     return SynthSpec(host=host, duration=draw(st.floats(min_value=0.0, allow_infinity=False)),
                      channels=channels, dependencies=deps,
-                     seed=draw(st.integers(min_value=0, max_value=2**53)))
+                     seed=draw(st.integers(min_value=0)))
 
 
 def _format_spec(spec: SynthSpec, trace_at: int) -> str:
