@@ -647,11 +647,12 @@ def serialize_fault_truth(log: RepairLog) -> str:
 # The canonical line forms, as the serializers write them: the tick, then the
 # rest of the line as one key.  Any other line goes through the tokenizer,
 # which accepts every form the format allows and raises the line's error.
+_TICK = r"tick=(-?[0-9]{1,18}) "
 _LOG_RE = re.compile(
-    rf"tick=(-?[0-9]{{1,18}}) (machine=\S+ state=(?:{'|'.join(_STATE_BY_VALUE)}) "
+    _TICK + rf"(machine=\S+ state=(?:{'|'.join(_STATE_BY_VALUE)}) "
     rf"action=(?:{'|'.join(_ACTION_BY_VALUE)}|-) reports=\S+)"
 )
-_TRUTH_RE = re.compile(rf"tick=(-?[0-9]{{1,18}}) (machine=\S+ truth=(?:{'|'.join(TRUTHS)}))")
+_TRUTH_RE = re.compile(_TICK + rf"(machine=\S+ truth=(?:{'|'.join(TRUTHS)}))")
 
 
 def _tick(raw: str) -> int:
@@ -697,8 +698,9 @@ def _read_rows(text: str, canonical: re.Pattern, fields, decode: Callable):
         return machines.setdefault(machine[len("machine="):], len(machines)), rests[rest]
 
     tick, codes, keys = read_columns(text, canonical, fields, split, int, -2**63, 2**63)
-    rows = np.array(keys, dtype=np.intp).reshape(-1, 2)[codes]
-    return np.array(tick, dtype=np.int64), rows[:, 0], tuple(machines), rows[:, 1], decoded
+    key_codes = np.array(keys, dtype=np.intp).reshape(-1, 2)
+    return (np.array(tick, dtype=np.int64), key_codes[codes, 0], tuple(machines),
+            key_codes[codes, 1], decoded)
 
 
 def parse_repair_log(text: str) -> RepairLog:
