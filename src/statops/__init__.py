@@ -5,7 +5,7 @@ Three pipelines over one testing core:
 - ``traces`` + ``discovery``: service/host dependency graphs mined from
   packet-header traces via FDR-controlled channel correlation tests
 - ``diagnosis``: SLO violation classification, per-metric signatures,
-  clustering, retrieval and windowed ensembles
+  clustering and retrieval
 - ``repairs``: watchdog / device-manager repair-loop simulation and log mining
 """
 

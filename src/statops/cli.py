@@ -48,6 +48,17 @@ def _load(path: Path, parse, what: str):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _seed(raw: str) -> int:
+    """argparse type of every --seed flag; argparse names the flag in the error."""
+    try:
+        seed = int(raw)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got '{raw}'")
+    return seed
+
+
 def _json_report(payload: dict, config: dict) -> str:
     return json.dumps({"config": config, **payload}, sort_keys=True, indent=2) + "\n"
 
@@ -97,6 +108,7 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         "alpha": args.alpha, "horizon": args.horizon, "method": args.method,
         "min_samples": args.min_samples, "seed": args.seed,
     }
+    graph = discovery.build_graph(per_host)  # rejects repeated hosts before any write
     out_dir = Path(args.out)
     header = "host,input_service,input_remote,output_service,output_remote," \
              "n_delays,statistic,p_value,log_odds,q_value,dependent,insufficient_data"
@@ -105,7 +117,6 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         lines.extend(_pair_rows(host, results))
     _write(out_dir / "pairs.csv", _config_comment(echo) + "".join(l + "\n" for l in lines))
 
-    graph = discovery.build_graph(per_host)
     if args.format == "dot":
         comment = "// " + " ".join(f"{k}={echo[k]}" for k in sorted(echo)) + "\n"
         _write(out_dir / "graph.dot", comment.encode() + discovery.export_graph(graph, "dot"))
@@ -317,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-trace", help="generate a synthetic trace plus ground-truth sidecar")
     p.add_argument("spec", help="generator spec file")
-    p.add_argument("--seed", type=int, help="override the spec file's seed")
+    p.add_argument("--seed", type=_seed, help="override the spec file's seed")
     p.add_argument("--out", required=True, help="output trace path (sidecar at <out>.truth)")
     p.set_defaults(func=_cmd_gen_trace)
 
@@ -327,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=1.0)
     p.add_argument("--min-samples", type=int, default=10)
     p.add_argument("--method", choices=["ks", "log-odds", "both"], default="ks")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_discover)
@@ -337,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slo-threshold", type=float, required=True)
     p.add_argument("--actions", default="train,signatures,cluster")
     p.add_argument("--clusters", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--catalog", help="signature catalog (JSONL) for retrieve")
     p.add_argument("--query-epoch", type=float, help="epoch timestamp to query for retrieve")
     p.add_argument("--top-k", type=int, default=3)
@@ -347,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("repair-sim", help="simulate the fault/repair loop")
     p.add_argument("--machines", type=int, default=20)
     p.add_argument("--ticks", type=int, default=500)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--policy", choices=sorted(_POLICIES), default="escalation")
     p.add_argument("--transient-rate", type=float, default=0.0)
     p.add_argument("--persistent-rate", type=float, default=0.0)

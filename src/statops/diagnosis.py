@@ -29,9 +29,6 @@ __all__ = [
     "DiagnosisModel",
     "Classification",
     "SignatureCatalog",
-    "ComparisonOutcome",
-    "Ensemble",
-    "EnsembleMember",
     "VARIANCE_FLOOR",
     "label_slo",
     "fit_classifier",
@@ -40,13 +37,9 @@ __all__ = [
     "predict",
     "signatures",
     "mcnemar_p_value",
-    "accuracy_significant",
     "select_features",
     "cluster_signatures",
     "retrieve",
-    "ensemble_fit",
-    "ensemble_classify",
-    "bootstrap_feature_confidence",
     "load_metrics_csv",
     "write_metrics_csv",
     "synth_metrics",
@@ -54,6 +47,8 @@ __all__ = [
 
 # Constant metrics must not collapse a class-conditional to a point mass.
 VARIANCE_FLOOR = 1e-6
+# Lloyd iterations cluster_signatures runs at most before it stops unconverged.
+_KMEANS_MAX_ITER = 100
 
 
 @dataclass(eq=False)
@@ -227,36 +222,6 @@ def mcnemar_p_value(n01: int, n10: int) -> float:
     return min(1.0, 2.0 * tail)
 
 
-@dataclass(frozen=True)
-class ComparisonOutcome:
-    better: str  # "a" | "b" | "tie"
-    significant: bool
-    p_value: float
-    n01: int  # a correct, b wrong
-    n10: int  # a wrong, b correct
-
-
-def accuracy_significant(
-    model_a: DiagnosisModel,
-    model_b: DiagnosisModel,
-    dataset: MetricDataset,
-    labels: np.ndarray,
-    alpha: float = 0.05,
-) -> ComparisonOutcome:
-    """McNemar exact test on whether two models' accuracies differ on the
-    same evaluation epochs."""
-    y = np.asarray(labels, dtype=bool)
-    if y.size == 0:
-        raise ValueError("evaluation set must be non-empty")
-    ok_a = predict(model_a, dataset.metrics) == y
-    ok_b = predict(model_b, dataset.metrics) == y
-    n01 = int(np.count_nonzero(ok_a & ~ok_b))
-    n10 = int(np.count_nonzero(~ok_a & ok_b))
-    p = mcnemar_p_value(n01, n10)
-    better = "tie" if n01 == n10 else ("a" if n01 > n10 else "b")
-    return ComparisonOutcome(better=better, significant=p <= alpha, p_value=p, n01=n01, n10=n10)
-
-
 def _cv_predictions(
     dataset: MetricDataset, labels: np.ndarray, features: Sequence[int], folds: list[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -318,9 +283,7 @@ def select_features(
     return tuple(sorted(selected))
 
 
-def cluster_signatures(
-    attributions: np.ndarray, k: int, seed: int = 0, max_iter: int = 100
-) -> np.ndarray:
+def cluster_signatures(attributions: np.ndarray, k: int, seed: int = 0) -> np.ndarray:
     """k-means over the rows of an (n, k) attribution matrix (L2, seeded
     k-means++ start); returns the cluster index per row, deterministic per seed."""
     x = np.asarray(attributions, dtype=float)
@@ -341,7 +304,7 @@ def cluster_signatures(
             centers[j] = x[rng.choice(len(x), p=d2 / total)]
 
     assign = np.zeros(len(x), dtype=int)
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         dist = ((x[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         new_assign = dist.argmin(axis=1)
         for j in range(k):
@@ -446,92 +409,6 @@ def retrieve(
     dists = np.sqrt((d[:, None, :] @ d[:, :, None])[:, 0, 0])
     order = np.argsort(dists, kind="stable")[:top_k]
     return order, dists[order]
-
-
-@dataclass(frozen=True)
-class EnsembleMember:
-    start: int  # epoch index, inclusive
-    end: int  # exclusive
-    model: DiagnosisModel
-
-
-@dataclass(eq=False)
-class Ensemble:
-    members: tuple[EnsembleMember, ...]
-    window_length: int
-
-
-def ensemble_fit(
-    dataset: MetricDataset,
-    labels: np.ndarray,
-    window_length: int,
-    feature_set: Sequence[int] | None = None,
-) -> Ensemble:
-    """One model per consecutive time window; single-class windows are
-    skipped.  Keeps the classifier honest under workload change."""
-    if window_length < 2:
-        raise ValueError("window_length must be >= 2")
-    y = np.asarray(labels, dtype=bool)
-    members = []
-    for start in range(0, dataset.n_epochs, window_length):
-        end = min(start + window_length, dataset.n_epochs)
-        y_win = y[start:end]
-        if y_win.all() or not y_win.any():
-            continue
-        model = fit_classifier(dataset.rows(slice(start, end)), y_win, feature_set)
-        members.append(EnsembleMember(start, end, model))
-    if not members:
-        raise ValueError("no valid windows")
-    return Ensemble(members=tuple(members), window_length=window_length)
-
-
-def ensemble_classify(
-    ensemble: Ensemble,
-    recent_metrics: np.ndarray,
-    recent_labels: np.ndarray,
-    x: Sequence[float] | np.ndarray,
-) -> Classification:
-    """Delegate to the member with the best Brier score on the recent
-    labeled epochs (ties go to the earliest window)."""
-    rows = np.asarray(recent_metrics, dtype=float)
-    y = np.asarray(recent_labels, dtype=bool)
-    if rows.shape[0] == 0 or rows.shape[0] != y.size:
-        raise ValueError("recent labeled epochs must be non-empty and aligned")
-
-    def brier(member: EnsembleMember) -> float:
-        p = 1.0 / (1.0 + np.exp(-np.clip(log_odds(member.model, rows), -700, 700)))
-        return float(np.mean((p - y) ** 2))
-
-    return classify(min(ensemble.members, key=brier).model, x)
-
-
-def bootstrap_feature_confidence(
-    dataset: MetricDataset,
-    labels: np.ndarray,
-    b: int,
-    seed: int = 0,
-    alpha: float = 0.05,
-    max_features: int = 8,
-) -> np.ndarray:
-    """Per-metric inclusion frequency of select_features over ``b`` bootstrap
-    resamples: how much the data, rather than noise, insists on each metric."""
-    if b < 1:
-        raise ValueError("b must be >= 1")
-    y = np.asarray(labels, dtype=bool)
-    rng = np.random.default_rng(seed)
-    counts = np.zeros(dataset.n_metrics)
-    n = dataset.n_epochs
-    for _ in range(b):
-        for _attempt in range(100):
-            idx = np.sort(rng.integers(0, n, n))
-            y_boot = y[idx]
-            if y_boot.any() and not y_boot.all():
-                break
-        else:
-            raise ValueError("could not draw a two-class bootstrap resample")
-        counts[list(select_features(dataset.rows(idx), y_boot, alpha=alpha,
-                                    max_features=max_features))] += 1
-    return counts / b
 
 
 def load_metrics_csv(text: str) -> MetricDataset:

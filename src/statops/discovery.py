@@ -33,15 +33,13 @@ __all__ = [
     "DependencyGraph",
     "local_dependencies",
     "build_graph",
-    "graph_diff",
     "export_graph",
-    "graph_from_json",
-    "reachable",
 ]
 
 # log Bayes-factor cutoff for method="log_odds": the conventional "strong
-# evidence" point.  Configurable; there is no universal threshold.
-DEFAULT_LOG_BF_THRESHOLD = math.log(20.0)
+# evidence" point.  There is no universal threshold; this one is fixed so
+# every report reads its log_odds column against the same cutoff.
+LOG_BF_THRESHOLD = math.log(20.0)
 
 
 @dataclass(frozen=True)
@@ -51,9 +49,6 @@ class DiscoveryConfig:
     min_samples: int = 10
     method: str = "ks"  # ks | log_odds | both
     seed: int = 0
-    log_bf_threshold: float = DEFAULT_LOG_BF_THRESHOLD
-    log_odds_bins: int = 20
-    dirichlet_alpha: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -88,7 +83,7 @@ def local_dependencies(trace: HostTrace, config: DiscoveryConfig) -> list[Channe
 
     KS p-values of all tested pairs go through bh_select at config.alpha;
     a pair is dependent when its q-value clears alpha (method "ks"), when its
-    log Bayes factor clears the threshold (method "log_odds"), or both
+    log Bayes factor clears LOG_BF_THRESHOLD (method "log_odds"), or both
     (method "both").  Deterministic per (trace, config).
 
     Pairs are tested in batches, one per input channel: all output
@@ -102,7 +97,7 @@ def local_dependencies(trace: HostTrace, config: DiscoveryConfig) -> list[Channe
     # One virtual-channel seed per pair, drawn in input-major pair order.
     seeds = np.random.default_rng(config.seed).integers(0, 2**63, size=(len(inputs), len(outputs)))
     window = trace.window
-    model = LogOddsModel(config.horizon, config.log_odds_bins, config.dirichlet_alpha)
+    model = LogOddsModel(config.horizon)
     out_sizes = np.array([trace.channels[c].times.size for c in outputs])
     out_times = np.concatenate([trace.channels[c].times for c in outputs])
     out_pair = np.repeat(np.arange(len(outputs)), out_sizes)
@@ -150,7 +145,7 @@ def local_dependencies(trace: HostTrace, config: DiscoveryConfig) -> list[Channe
         q = float(selection.q_values[pos])
         bh_dependent = pos in selection.rejected_indices
         pos += 1
-        bf_dependent = log_bf >= config.log_bf_threshold
+        bf_dependent = log_bf >= LOG_BF_THRESHOLD
         if config.method == "ks":
             dependent = bh_dependent
         elif config.method == "log_odds":
@@ -212,14 +207,6 @@ def build_graph(
     return DependencyGraph(nodes=frozenset(nodes), edges=edges)
 
 
-def graph_diff(
-    before: DependencyGraph, after: DependencyGraph
-) -> tuple[set[tuple[str, str, str]], set[tuple[str, str, str]]]:
-    """(added, removed) edge triples between two graphs; evidence is ignored."""
-    b, a = set(before.edges), set(after.edges)
-    return a - b, b - a
-
-
 def export_graph(g: DependencyGraph, format: str = "dot") -> bytes:
     """Render a graph as DOT or JSON, deterministically sorted."""
     if format == "dot":
@@ -250,33 +237,3 @@ def export_graph(g: DependencyGraph, format: str = "dot") -> bytes:
         }
         return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
     raise ValueError(f"unknown format '{format}'")
-
-
-def graph_from_json(data: bytes | str) -> DependencyGraph:
-    """Inverse of export_graph(..., "json")."""
-    payload = json.loads(data)
-    edges = {
-        (e["from"], e["to"], e["service"]): EdgeEvidence(
-            q_value=float(e["q_value"]),
-            n_delays=int(e["n_delays"]),
-            statistic=float(e["statistic"]),
-        )
-        for e in payload["edges"]
-    }
-    return DependencyGraph(nodes=frozenset(payload["nodes"]), edges=edges)
-
-
-def reachable(g: DependencyGraph, start: str) -> frozenset[str]:
-    """Nodes reachable from ``start`` via one or more directed edges."""
-    adjacency: dict[str, set[str]] = {}
-    for src, dst, _ in g.edges:
-        adjacency.setdefault(src, set()).add(dst)
-    seen: set[str] = set()
-    frontier = list(adjacency.get(start, ()))
-    while frontier:
-        node = frontier.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        frontier.extend(adjacency.get(node, ()))
-    return frozenset(seen)

@@ -50,6 +50,7 @@ __all__ = [
     "TRUTHS",
     "NO_ACTION",
     "ABSENT",
+    "POLICY_WINDOW",
     "FleetState",
     "WatchdogSpec",
     "FaultModel",
@@ -99,6 +100,7 @@ STATUSES = tuple(WatchdogStatus)
 TRUTHS = ("ok", "transient", "persistent")
 NO_ACTION = -1  # action code of a row on which no action was issued
 ABSENT = -1  # status code of a watchdog that did not report on a row
+POLICY_WINDOW = 100  # ticks of a machine's repair history the policy sees
 
 _FAILURE = STATES.index(MachineHealth.FAILURE)
 _OK, _WARNING, _ERROR = range(3)  # codes in STATUSES order
@@ -315,7 +317,6 @@ def device_manager_step(
     in_error: np.ndarray,
     policy: Policy,
     tick: int,
-    window: int = 100,
 ) -> np.ndarray:
     """Advance every machine one tick, given whether any watchdog reports
     Error on it.
@@ -324,8 +325,8 @@ def device_manager_step(
     Failed machines whose repair latency has elapsed return to Healthy when
     their reports are clean, and otherwise escalate to a fresh policy action.
     The policy is called only for those machines, in machine order, with the
-    machine's actions of the last ``window`` ticks.  Returns the action code
-    issued to each machine this tick (NO_ACTION for none).
+    machine's actions of the last ``POLICY_WINDOW`` ticks.  Returns the
+    action code issued to each machine this tick (NO_ACTION for none).
     """
     in_error = np.asarray(in_error, dtype=bool)
     if in_error.shape != machines.failure.shape:
@@ -342,7 +343,7 @@ def device_manager_step(
     decide = np.flatnonzero(in_error & (due | ~machines.failure))
     for m in decide.tolist():
         history = machines.history[m]
-        action = policy([(t, a) for t, a in history if t >= tick - window], True)
+        action = policy([(t, a) for t, a in history if t >= tick - POLICY_WINDOW], True)
         history.append((tick, action))
         issued[m] = _ACTION_CODE[action]
     machines.failure[decide] = True
@@ -366,7 +367,6 @@ def simulate(
     policy: Policy,
     horizon: int,
     seed: int,
-    policy_window: int = 100,
 ) -> RepairLog:
     """Run the watchdog / device-manager loop for ``horizon`` ticks.
 
@@ -419,7 +419,7 @@ def simulate(
                     persistent[rolled[cured]] = False
             truth[tick] = np.where(persistent, 2, transient[i])
             in_error = np.where(truth[tick] > 0, any_if_faulty[i], any_if_ok[i])
-            action[tick] = device_manager_step(machines, in_error, policy, tick, policy_window)
+            action[tick] = device_manager_step(machines, in_error, policy, tick)
             state[tick] = machines.failure
 
         errors = np.where(truth[span.start:span.stop, :, None] > 0, error_if_faulty, error_if_ok)
@@ -499,9 +499,14 @@ def estimate_watchdog_fpr(
     """Estimate per-watchdog false-positive rates by mining the repair log.
 
     The estimator is a proxy: it assumes an error that vanished after at most
-    a Reboot was probably never real.  Transient true faults look exactly the
-    same, so configurations with frequent transients will overestimate.
-    Watchdogs that never report Error are absent from the result.
+    a Reboot was probably never real.  It can err in either direction.
+    Transient true faults look exactly the same and push it up, so a perfect
+    watchdog can read above 0.  A false positive that starts a run in which
+    the policy issues ReImage or Replace is never counted, and
+    escalation_policy issues one after any recent repair; that pushes it
+    down, so a noisy watchdog can read several times low.  Check it against
+    ``true_fp_rate`` where the ground truth is known.  Watchdogs that never
+    report Error are absent from the result.
     """
     n = log.tick.size
     if n == 0:

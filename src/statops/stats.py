@@ -6,7 +6,6 @@ Implements:
 - Benjamini-Hochberg step-up selection with adjusted q-values
 - expected-false-positive arithmetic for naive thresholding across many tests
 - a known-variance mean-difference test with a practical-significance gate
-- a conservative calibration bound turning a p-value into an odds-scale bound
 - a closed-form log-odds dependence test (uniform vs. Dirichlet-multinomial
   over binned delays) that needs no sampling-based inference
 
@@ -34,7 +33,6 @@ __all__ = [
     "bh_select",
     "expected_false_positives",
     "mean_difference_test",
-    "calibrate_p_value",
     "log_odds_dependence",
     "ks_statistic_segments",
     "log_odds_segments",
@@ -330,23 +328,6 @@ def mean_difference_test(
         significant=significant,
         practically_significant=bool(significant and abs(gap) >= practical_delta),
     )
-
-
-def calibrate_p_value(p: float) -> float:
-    """Conservative odds-scale calibration of a p-value: min(1, -e*p*ln p)
-    for p < 1/e, else 1.
-
-    A lower bound on the evidence a p-value carries, useful when very large
-    samples make raw p-values look far more convincing than they are.  It is
-    a bound, not a posterior probability.
-    """
-    if not p > 0:
-        raise ValueError(f"p must be > 0, got {p}")
-    if p > 1:
-        raise ValueError(f"p must be <= 1, got {p}")
-    if p >= 1.0 / math.e:
-        return 1.0
-    return min(1.0, -math.e * p * math.log(p))
 
 
 def log_odds_dependence(delays: Sequence[float] | np.ndarray, model: LogOddsModel) -> float:

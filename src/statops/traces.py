@@ -37,9 +37,7 @@ __all__ = [
     "parse_trace",
     "serialize_trace",
     "pair_delays",
-    "delay_samples",
     "virtual_departures",
-    "virtual_random_delays",
     "synth_trace",
     "parse_synth_spec",
     "serialize_ground_truth",
@@ -198,45 +196,16 @@ def pair_delays(
     return delays[kept], kept
 
 
-def delay_samples(input: ChannelSeries, output: ChannelSeries, horizon: float) -> np.ndarray:
-    """Delays from each output event back to the latest input event at or
-    before it, dropping pairs farther apart than ``horizon``.
-
-    One delay per output event at most; an input event may serve several
-    outputs.  Result values lie in [0, horizon].
-    """
-    if not horizon > 0:
-        raise ValueError(f"horizon must be > 0, got {horizon}")
-    return pair_delays(input.times, output.times, horizon)[0]
-
-
 def virtual_departures(n_out: int, window: tuple[float, float], seed: int) -> np.ndarray:
     """Departure times of a virtual output channel: ``n_out`` i.i.d.
-    Uniform(t_min, t_max) draws over the observation ``window``, sorted."""
+    Uniform(t_min, t_max) draws over the observation ``window``, sorted.
+
+    Paired with an input channel, they give the dependence test's null
+    sample.  Drawing over the observed window, not from time 0, keeps the
+    test invariant to the time origin."""
     # The generator default_rng(seed) builds, without its argument checks.
     rng = np.random.Generator(np.random.PCG64(seed))
     return np.sort(rng.uniform(window[0], window[1], n_out))
-
-
-def virtual_random_delays(
-    input: ChannelSeries, n_out: int, window: tuple[float, float], horizon: float, seed: int
-) -> np.ndarray:
-    """Delay sample of ``input`` against a virtual output channel whose
-    departure times are i.i.d. uniform over the observation window
-    (t_min, t_max), the trace's first and last timestamps.
-
-    This is the null reference for the dependence test: a real output channel
-    that ignores the input should look like this one.  Drawing over the
-    observed window, not from time 0, keeps the test invariant to the time
-    origin, so epoch-stamped captures test like zero-based ones.
-    """
-    if n_out < 0:
-        raise ValueError("n_out must be >= 0")
-    if not window[1] > window[0]:
-        raise ValueError(f"window must have t_max > t_min, got {window}")
-    if n_out == 0:
-        return np.empty(0)
-    return pair_delays(input.times, virtual_departures(n_out, window, seed), horizon)[0]
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,17 @@ def test_discover_dot_output(tmp_path):
     assert "digraph constellation {" in text
 
 
+def test_discover_repeated_host_exit_2_writes_nothing(tmp_path, capsys):
+    spec = _write_spec(tmp_path)
+    trace = tmp_path / "host.trace"
+    main(["gen-trace", str(spec), "--out", str(trace)])
+    capsys.readouterr()
+    out = tmp_path / "report"
+    assert main(["discover", str(trace), str(trace), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: host ids must be distinct\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # diagnose
 # ---------------------------------------------------------------------------
@@ -400,6 +411,32 @@ def test_repair_mine_bad_truth_sidecar_names_file_and_line_exit_2(tmp_path, caps
     assert main(["repair-mine", str(log), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {truth}: line 1: bad truth 'weird'\n"
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# --seed
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["gen-trace", "discover", "diagnose", "repair-sim"])
+def test_negative_seed_names_the_flag_exit_2_writes_nothing(command, tmp_path, capsys):
+    spec = _write_spec(tmp_path)
+    trace = tmp_path / "host.trace"
+    main(["gen-trace", str(spec), "--out", str(trace)])
+    inputs = {
+        "gen-trace": [str(spec)],
+        "discover": [str(trace)],
+        "diagnose": [str(_metrics_file(tmp_path)), "--slo-threshold", "200"],
+        "repair-sim": [],
+    }[command]
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *inputs, "--seed", "-1", "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --seed: must be a non-negative integer, got '-1'\n")
+    assert not out.exists() and not (tmp_path / "out.truth").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -9,13 +9,9 @@ from statops.diagnosis import (
     MetricDataset,
     SignatureCatalog,
     SloConfig,
-    accuracy_significant,
-    bootstrap_feature_confidence,
     catalog_from_jsonl,
     classify,
     cluster_signatures,
-    ensemble_classify,
-    ensemble_fit,
     fit_classifier,
     label_slo,
     load_metrics_csv,
@@ -208,33 +204,6 @@ def test_mcnemar_exact_values():
     assert mcnemar_p_value(7, 7) == 1.0
 
 
-def test_accuracy_significant_identical_models():
-    ds, y = _informative_noise(13)
-    model = fit_classifier(ds, y)
-    out = accuracy_significant(model, model, ds, y)
-    assert out.n01 == out.n10 == 0
-    assert out.better == "tie"
-    assert not out.significant and out.p_value == 1.0
-
-
-def test_accuracy_significant_detects_better_model():
-    ds, y = _informative_noise(14, n=2000, shift=3.0)
-    good = fit_classifier(ds, y, feature_set=[0])
-    bad = fit_classifier(ds, y, feature_set=[1])  # pure noise feature
-    out = accuracy_significant(bad, good, ds, y)
-    assert out.better == "b"
-    assert out.significant
-
-
-def test_accuracy_significant_rejects_empty():
-    ds, y = _informative_noise(15)
-    model = fit_classifier(ds, y)
-    empty = MetricDataset(np.empty(0), np.empty((0, ds.n_metrics)), np.empty(0),
-                          ds.metric_names)
-    with pytest.raises(ValueError):
-        accuracy_significant(model, model, empty, np.empty(0, dtype=bool))
-
-
 # ---------------------------------------------------------------------------
 # feature selection
 # ---------------------------------------------------------------------------
@@ -365,98 +334,6 @@ def test_catalog_jsonl_round_trip():
     assert back.annotations == catalog.annotations
     np.testing.assert_allclose(back.attributions, catalog.attributions)
     np.testing.assert_array_equal(back.abnormal, catalog.abnormal)
-
-
-# ---------------------------------------------------------------------------
-# ensembles
-# ---------------------------------------------------------------------------
-
-
-def test_ensemble_single_window_equals_model():
-    ds, y = _informative_noise(27, n=300)
-    ens = ensemble_fit(ds, y, window_length=300)
-    assert len(ens.members) == 1
-    model = fit_classifier(ds, y)
-    rng = np.random.default_rng(28)
-    for _ in range(20):
-        v = rng.standard_normal(ds.n_metrics)
-        assert ensemble_classify(ens, ds.metrics[:50], y[:50], v).violation == \
-            classify(model, v).violation
-
-
-def test_ensemble_stationary_agrees_with_global_model():
-    ds, _, _ = synth_metrics(n_epochs=2000, n_metrics=10,
-                             cause_metric_sets=((0, 1, 2), (3, 4), (5, 6, 7)), seed=29)
-    labels = label_slo(ds, SloConfig(200.0))
-    globe = fit_classifier(ds, labels)
-    ens = ensemble_fit(ds, labels, window_length=400)
-    rng = np.random.default_rng(30)
-    agree = 0
-    eval_idx = rng.choice(np.arange(100, 2000), 150, replace=False)
-    for i in eval_idx:
-        recent = slice(i - 50, i)
-        got = ensemble_classify(ens, ds.metrics[recent], labels[recent], ds.metrics[i])
-        agree += got.violation == classify(globe, ds.metrics[i]).violation
-    assert agree / len(eval_idx) >= 0.95
-
-
-def test_ensemble_beats_stale_model_after_regime_shift():
-    rng = np.random.default_rng(31)
-    n, half = 1200, 600
-    y = rng.random(n) < 0.4
-    x = rng.standard_normal((n, 3))
-    x[:half][y[:half], 0] += 3.0
-    x[half:][y[half:], 0] -= 3.0  # the signal flips direction mid-trace
-    ds = _dataset(x, y)
-    pre = fit_classifier(
-        MetricDataset(ds.timestamps[:half], ds.metrics[:half], ds.art[:half],
-                      ds.metric_names), y[:half])
-    ens = ensemble_fit(ds, y, window_length=300)
-    post = np.arange(half + 60, n)
-    acc_pre = np.mean(predict(pre, ds.metrics[post]) == y[post])
-    correct = 0
-    for i in post:
-        recent = slice(i - 50, i)
-        got = ensemble_classify(ens, ds.metrics[recent], y[recent], ds.metrics[i])
-        correct += got.violation == y[i]
-    assert correct / len(post) >= acc_pre + 0.1
-
-
-def test_ensemble_rejects_all_single_class_windows():
-    ds, _ = _informative_noise(32, n=200)
-    with pytest.raises(ValueError, match="no valid windows"):
-        ensemble_fit(ds, np.zeros(200, dtype=bool) | True, window_length=50)
-
-
-# ---------------------------------------------------------------------------
-# bootstrap feature confidence
-# ---------------------------------------------------------------------------
-
-
-def test_bootstrap_confidence_separates_signal_from_noise():
-    ds, y = _informative_noise(33)
-    freq = bootstrap_feature_confidence(ds, y, b=50, seed=34, max_features=5)
-    assert freq[0] >= 0.9
-    assert freq[1:].max() <= 0.3
-
-
-def test_bootstrap_single_resample_is_binary():
-    ds, y = _informative_noise(35, n=300)
-    freq = bootstrap_feature_confidence(ds, y, b=1, seed=36, max_features=3)
-    assert set(np.unique(freq)) <= {0.0, 1.0}
-
-
-def test_bootstrap_rejects_zero_resamples():
-    ds, y = _informative_noise(37, n=100)
-    with pytest.raises(ValueError):
-        bootstrap_feature_confidence(ds, y, b=0, seed=0)
-
-
-def test_bootstrap_deterministic_per_seed():
-    ds, y = _informative_noise(38, n=300)
-    f1 = bootstrap_feature_confidence(ds, y, b=10, seed=39, max_features=3)
-    f2 = bootstrap_feature_confidence(ds, y, b=10, seed=39, max_features=3)
-    np.testing.assert_array_equal(f1, f2)
 
 
 # ---------------------------------------------------------------------------

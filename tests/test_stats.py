@@ -8,7 +8,6 @@ import pytest
 from statops.stats import (
     LogOddsModel,
     bh_select,
-    calibrate_p_value,
     empirical_cdf,
     expected_false_positives,
     ks_p_value,
@@ -285,36 +284,6 @@ def test_mean_difference_small_sample_both_flags():
 def test_mean_difference_rejects_bad_sigma():
     with pytest.raises(ValueError):
         mean_difference_test([1.0], [1.0], sigma=0.0, alpha=0.05, practical_delta=0.1)
-
-
-# ---------------------------------------------------------------------------
-# p-value calibration
-# ---------------------------------------------------------------------------
-
-
-def test_calibration_boundary_and_clamp():
-    assert calibrate_p_value(1 / math.e) == 1.0
-    assert calibrate_p_value(0.5) == 1.0
-    assert calibrate_p_value(1.0) == 1.0
-
-
-def test_calibration_worked_example():
-    assert calibrate_p_value(0.05) == pytest.approx(-math.e * 0.05 * math.log(0.05))
-    assert calibrate_p_value(0.05) == pytest.approx(0.4072, abs=1e-4)
-
-
-def test_calibration_dominates_p_and_is_monotone():
-    ps = np.linspace(1e-6, 1 / math.e, 300)
-    vals = [calibrate_p_value(float(p)) for p in ps]
-    assert all(v >= p for v, p in zip(vals, ps))
-    assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
-
-
-def test_calibration_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        calibrate_p_value(0.0)
-    with pytest.raises(ValueError):
-        calibrate_p_value(-0.1)
 
 
 # ---------------------------------------------------------------------------

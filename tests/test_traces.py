@@ -3,6 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from delay_oracle import delay_samples, virtual_random_delays
 from statops.stats import empirical_cdf, ks_p_value, ks_statistic
 from statops.traces import (
     ChannelId,
@@ -12,14 +13,14 @@ from statops.traces import (
     HostTrace,
     SynthSpec,
     TraceFormatError,
-    delay_samples,
+    pair_delays,
     parse_ground_truth,
     parse_synth_spec,
     parse_trace,
     serialize_ground_truth,
     serialize_trace,
     synth_trace,
-    virtual_random_delays,
+    virtual_departures,
 )
 
 
@@ -116,40 +117,37 @@ def test_serialize_parse_round_trip():
 # ---------------------------------------------------------------------------
 
 
-def _series(direction, times):
-    cid = ChannelId(direction, "svc", "peer")
-    return ChannelSeries(cid, np.asarray(times, dtype=float))
+def _delays(in_times, out_times, horizon):
+    return pair_delays(np.sort(in_times), np.asarray(out_times, dtype=float), horizon)[0]
 
 
 def test_delay_pairing_worked_example():
-    delays = delay_samples(_series("in", [1.0, 5.0]), _series("out", [1.2, 1.4, 5.1]), 1.0)
+    delays = _delays([1.0, 5.0], [1.2, 1.4, 5.1], 1.0)
     assert delays == pytest.approx([0.2, 0.4, 0.1])
 
 
 def test_delay_pairing_no_preceding_input():
-    assert delay_samples(_series("in", [1.0]), _series("out", [0.5]), 1.0).size == 0
+    assert _delays([1.0], [0.5], 1.0).size == 0
 
 
 def test_delay_pairing_exceeds_horizon():
-    assert delay_samples(_series("in", [1.0]), _series("out", [3.0]), 1.0).size == 0
+    assert _delays([1.0], [3.0], 1.0).size == 0
 
 
 def test_delay_pairing_ignores_inputs_after_last_output():
-    inp = _series("in", [1.0, 2.0])
-    inp_extra = _series("in", [1.0, 2.0, 9.0, 11.0])
-    out = _series("out", [2.5, 2.7])
+    out = [2.5, 2.7]
     np.testing.assert_array_equal(
-        delay_samples(inp, out, 1.0), delay_samples(inp_extra, out, 1.0)
+        _delays([1.0, 2.0], out, 1.0), _delays([1.0, 2.0, 9.0, 11.0], out, 1.0)
     )
 
 
 def test_delay_pairing_horizon_nesting_and_bounds():
     rng = np.random.default_rng(3)
-    inp = _series("in", rng.uniform(0, 50, 80))
-    out = _series("out", rng.uniform(0, 50, 60))
-    d1 = delay_samples(inp, out, 0.3)
-    d2 = delay_samples(inp, out, 1.5)
-    assert d1.size <= d2.size <= out.times.size
+    inp = rng.uniform(0, 50, 80)
+    out = rng.uniform(0, 50, 60)
+    d1 = _delays(inp, out, 0.3)
+    d2 = _delays(inp, out, 1.5)
+    assert d1.size <= d2.size <= out.size
     # multiset inclusion: every short-horizon delay appears under the long one
     remaining = list(d2)
     for v in d1:
@@ -157,18 +155,22 @@ def test_delay_pairing_horizon_nesting_and_bounds():
     assert np.all(d1 >= 0) and np.all(d1 <= 0.3)
 
 
+def _virtual_delays(in_times, n_out, window, horizon, seed):
+    return pair_delays(np.sort(in_times), virtual_departures(n_out, window, seed), horizon)[0]
+
+
 def test_virtual_delays_empty_and_deterministic():
-    inp = _series("in", [1.0, 2.0, 3.0])
-    assert virtual_random_delays(inp, 0, (0.0, 10.0), 1.0, seed=1).size == 0
-    a = virtual_random_delays(inp, 50, (0.0, 10.0), 1.0, seed=42)
-    b = virtual_random_delays(inp, 50, (0.0, 10.0), 1.0, seed=42)
+    inp = [1.0, 2.0, 3.0]
+    assert _virtual_delays(inp, 0, (0.0, 10.0), 1.0, seed=1).size == 0
+    a = _virtual_delays(inp, 50, (0.0, 10.0), 1.0, seed=42)
+    b = _virtual_delays(inp, 50, (0.0, 10.0), 1.0, seed=42)
     np.testing.assert_array_equal(a, b)
 
 
 def test_virtual_delays_dense_input_mostly_paired():
     rng = np.random.default_rng(8)
-    inp = _series("in", np.sort(rng.uniform(0, 100, 1000)))  # rate 10/s
-    virtual = virtual_random_delays(inp, 1000, (0.0, 100.0), 1.0, seed=9)
+    inp = np.sort(rng.uniform(0, 100, 1000))  # rate 10/s
+    virtual = _virtual_delays(inp, 1000, (0.0, 100.0), 1.0, seed=9)
     assert virtual.size >= 990
 
 
@@ -239,7 +241,7 @@ def test_synth_trace_planted_delays_concentrate():
     )
     trace, truth = synth_trace(spec)
     assert truth == frozenset({(in_id, out_id)})
-    delays = delay_samples(trace.channels[in_id], trace.channels[out_id], 1.0)
+    delays = pair_delays(trace.channels[in_id].times, trace.channels[out_id].times, 1.0)[0]
     assert np.mean(delays < 0.2) > 0.8
 
 
