@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -205,6 +206,8 @@ def _load_catalog(args: argparse.Namespace, n_metrics: int) -> diagnosis.Signatu
         raise ValueError("retrieve requires --catalog")
     if args.query_epoch is None:
         raise ValueError("retrieve requires --query-epoch")
+    if not math.isfinite(args.query_epoch):
+        raise ValueError(f"--query-epoch must be a finite number, got {args.query_epoch}")
     if args.top_k < 1:
         raise ValueError("--top-k must be >= 1")
     path = Path(args.catalog)
@@ -251,6 +254,10 @@ def _cmd_repair_sim(args: argparse.Namespace) -> int:
 
 
 def _cmd_repair_mine(args: argparse.Namespace) -> int:
+    if args.lookahead < 0:
+        return _fail(f"--lookahead must be >= 0, got {args.lookahead}")
+    if not 0 <= args.downtime_cost < math.inf:
+        return _fail(f"--downtime-cost must be a finite number >= 0, got {args.downtime_cost}")
     log = _load(Path(args.log), repairs.parse_repair_log, "log file")
     # the default <log>.truth is optional, an explicit --truth is not
     truth_path = Path(args.truth or args.log + ".truth")

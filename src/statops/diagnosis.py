@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -348,19 +349,62 @@ class SignatureCatalog:
         return self.attributions > 0
 
     def to_jsonl(self) -> str:
-        rows = zip(self.epochs.tolist(), self.attributions.tolist(),
-                   self.abnormal.tolist(), self.annotations)
-        return "".join(
-            json.dumps({"ts": ts, "attributions": attr, "abnormal": abnormal,
-                        "annotation": annotation}, sort_keys=True) + "\n"
-            for ts, attr, abnormal, annotation in rows
-        )
+        """One line per row, the bytes of ``json.dumps(row, sort_keys=True)``.
+
+        Finite rows are formatted directly (``repr`` is how ``json`` writes
+        a float); a row with a nan or inf takes ``json.dumps`` itself, which
+        writes ``NaN``, ``Infinity`` and ``-Infinity``."""
+        finite = (np.isfinite(self.attributions).all(axis=1) & np.isfinite(self.epochs)).tolist()
+        lines = []
+        for ts, attr, annotation, ok in zip(self.epochs.tolist(), self.attributions.tolist(),
+                                            self.annotations, finite):
+            if ok:
+                abnormal = ", ".join(["true" if a > 0 else "false" for a in attr])
+                lines.append(f'{{"abnormal": [{abnormal}], "annotation": {json.dumps(annotation)}, '
+                             f'"attributions": [{", ".join(map(repr, attr))}], "ts": {ts!r}}}\n')
+            else:
+                lines.append(json.dumps({"ts": ts, "attributions": attr,
+                                         "abnormal": [a > 0 for a in attr],
+                                         "annotation": annotation}, sort_keys=True) + "\n")
+        return "".join(lines)
+
+
+# "}, {" inside one line, as where one catalog entry ends and the next begins
+_TWO_ENTRIES = re.compile(r"\}[ \t]*,[ \t]*\{")
 
 
 def catalog_from_jsonl(text: str) -> SignatureCatalog:
     """Parse a JSON-lines catalog.  ``abnormal`` is ignored: it is derived
     from the attributions.  Errors read ``line N: ...``, N counting blank
-    lines too."""
+    lines too.
+
+    A well-formed catalog is decoded by one ``json.loads`` over its lines
+    joined into an array; anything else goes through the per-line reader,
+    which returns the same catalog or names the bad line.  The joined array
+    holds one object per line when it has as many objects as lines and no
+    line holds ``}, {``: an object that ran on past its line would need
+    such a line to make up the count.  A raw newline is not
+    allowed inside a JSON string, so the joining ",\\n" cannot hide in one.
+    """
+    lines = [line for line in text.splitlines() if line.strip()]
+    joined = "[" + ",\n".join(lines) + "]"
+    try:
+        objs = json.loads(joined)
+        if len(objs) == len(lines) and not _TWO_ENTRIES.search(joined):
+            epochs = np.array([obj["ts"] for obj in objs])
+            attributions = np.array([obj["attributions"] for obj in objs])
+            # isfinite raises on the str or object array of a non-number
+            if (epochs.ndim == 1 and attributions.ndim == 2
+                    and np.isfinite(epochs).all() and np.isfinite(attributions).all()):
+                return SignatureCatalog(attributions, epochs,
+                                        [str(obj["annotation"]) for obj in objs])
+    except (ValueError, KeyError, TypeError, RecursionError):
+        pass  # the per-line reader below names what is wrong
+    return _catalog_per_line(text)
+
+
+def _catalog_per_line(text: str) -> SignatureCatalog:
+    """The line-checked reader behind catalog_from_jsonl."""
     line_nos, entries = [], []
     for n, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -416,19 +460,43 @@ def load_metrics_csv(text: str) -> MetricDataset:
 
     Blank lines and lines starting with '#' are skipped.  A ragged row, a
     cell that is not a number and a nan or inf cell fail with
-    ``line N: ...``, N counting every line of the text."""
-    numbered = [(n, line) for n, line in enumerate(text.splitlines(), start=1)
-                if line.strip() and not line.startswith("#")]
-    if not numbered:
+    ``line N: ...``, N counting every line of the text.
+
+    A well-formed body is read by one ``np.loadtxt`` pass, which parses a
+    cell to the bits ``float()`` gives.  Anything that pass rejects goes
+    through the per-cell reader, which names the bad cell or, for the few
+    spellings only ``float()`` reads (digit separators, full-width digits),
+    returns its values."""
+    lines = [line for line in text.splitlines() if line.strip() and not line.startswith("#")]
+    if not lines:
         raise ValueError("empty metrics file")
-    header = [h.strip() for h in numbered[0][1].split(",")]
+    header = [h.strip() for h in lines[0].split(",")]
     if len(header) < 3 or header[0] != "ts" or header[1] != "art_ms":
         raise ValueError("metrics header must be ts,art_ms,<metric names>")
-    line_nos, body = [n for n, _ in numbered[1:]], [line for _, line in numbered[1:]]
+    body = lines[1:]
     if not body:
         raise ValueError("metrics file has no data rows")
+    rows = None
+    # a '_' (a digit separator to float(), not to loadtxt) or a '#' (which no
+    # number holds) fails the loadtxt pass: such a body skips it
+    if not any("#" in line or "_" in line for line in body):
+        try:
+            rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if rows is None or rows.shape != (len(body), len(header)) or not np.isfinite(rows).all():
+        rows = _metrics_per_cell(text, header)
+    return MetricDataset(rows[:, 0], rows[:, 2:], rows[:, 1], tuple(header[2:]))
+
+
+def _metrics_per_cell(text: str, header: list[str]) -> np.ndarray:
+    """The body rows load_metrics_csv keeps, read with float() cell by cell;
+    an error names its line, counting every line of the text."""
+    numbered = [(n, line) for n, line in enumerate(text.splitlines(), start=1)
+                if line.strip() and not line.startswith("#")][1:]
+    body = [line for _, line in numbered]
     width = len(header)
-    for n, line in zip(line_nos, body):
+    for n, line in numbered:
         if line.count(",") != width - 1:
             raise ValueError(f"line {n}: {line.count(',') + 1} fields, the header has {width}")
     # one line's cells at a time: a list of every cell's string would set
@@ -440,7 +508,7 @@ def load_metrics_csv(text: str) -> MetricDataset:
     except ValueError:
         ok = False
     if not ok:
-        for n, line in zip(line_nos, body):
+        for n, line in numbered:
             for name, cell in zip(header, line.split(",")):
                 try:
                     finite = math.isfinite(float(cell))
@@ -449,18 +517,16 @@ def load_metrics_csv(text: str) -> MetricDataset:
                 if not finite:
                     raise ValueError(f"line {n}: {cell.strip()!r} in column '{name}' is not "
                                      "a finite number")
-    rows = values.reshape(len(body), width)
-    return MetricDataset(rows[:, 0], rows[:, 2:], rows[:, 1], tuple(header[2:]))
+    return values.reshape(len(body), width)
 
 
 def write_metrics_csv(dataset: MetricDataset) -> str:
-    header = "ts,art_ms," + ",".join(dataset.metric_names)
-    lines = [header]
-    for i in range(dataset.n_epochs):
-        cells = [repr(float(dataset.timestamps[i])), repr(float(dataset.art[i]))]
-        cells += [repr(float(v)) for v in dataset.metrics[i]]
-        lines.append(",".join(cells))
-    return "".join(line + "\n" for line in lines)
+    # one row's cells at a time: a list of the whole matrix's floats would
+    # set the caller's peak memory
+    lines = ["ts,art_ms," + ",".join(dataset.metric_names) + "\n"]
+    for ts, art, row in zip(dataset.timestamps.tolist(), dataset.art.tolist(), dataset.metrics):
+        lines.append(f"{ts!r},{art!r},{','.join(map(repr, row.tolist()))}\n")
+    return "".join(lines)
 
 
 def synth_metrics(

@@ -305,6 +305,10 @@ def _bad_diagnose_input(case, tmp_path):
         return [*argv, *retrieve[:2], *retrieve[4:]], "error: retrieve requires --catalog\n"
     if case == "no-query-epoch":
         return [*argv, *retrieve[:4]], "error: retrieve requires --query-epoch\n"
+    if case in ("nan-query-epoch", "inf-query-epoch"):
+        epoch = case.split("-")[0]
+        return ([*argv, *retrieve[:-1], epoch],
+                f"error: --query-epoch must be a finite number, got {epoch}\n")
     if case == "missing-catalog":
         catalog.unlink()
         return [*argv, *retrieve], f"error: catalog not found: {catalog}\n"
@@ -323,7 +327,8 @@ def _bad_diagnose_input(case, tmp_path):
 
 @pytest.mark.parametrize("case", [
     "ragged-row", "nan-cell", "too-many-clusters", "zero-clusters", "no-catalog",
-    "no-query-epoch", "missing-catalog", "bad-catalog-json", "catalog-width",
+    "no-query-epoch", "nan-query-epoch", "inf-query-epoch", "missing-catalog",
+    "bad-catalog-json", "catalog-width",
 ])
 def test_diagnose_bad_input_exit_2_writes_nothing(case, tmp_path, capsys):
     argv, message = _bad_diagnose_input(case, tmp_path)
@@ -410,6 +415,20 @@ def test_repair_mine_bad_truth_sidecar_names_file_and_line_exit_2(tmp_path, caps
     out = tmp_path / "mine"
     assert main(["repair-mine", str(log), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {truth}: line 1: bad truth 'weird'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--lookahead", "-1", "--lookahead must be >= 0, got -1"),
+    ("--downtime-cost", "-5", "--downtime-cost must be a finite number >= 0, got -5.0"),
+    ("--downtime-cost", "nan", "--downtime-cost must be a finite number >= 0, got nan"),
+])
+def test_repair_mine_bad_flag_exit_2_writes_nothing(flag, value, message, tmp_path, capsys):
+    log = tmp_path / "repair.log"
+    log.write_text(_GOOD_LOG_LINE, encoding="utf-8")
+    out = tmp_path / "mine"
+    assert main(["repair-mine", str(log), flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 

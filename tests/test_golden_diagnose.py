@@ -13,6 +13,12 @@ catalog made from the written signatures by seeded edits: annotations, some
 with non-ASCII text, rows shuffled and the query's own row duplicated, so that
 equal distances must keep catalog order.
 
+One more case writes the long narrow log as a hand edit might leave it: a
+comment line first, CRLF line ends, blank lines, space-padded cells and
+digit separators (``1_234.0``) in the timestamps.  The separators send the
+body through the per-cell reader instead of the one-pass one; the values are
+the plain log's, so its digests equal that case's.
+
 After an intended change to the report bytes, regenerate the digests with
 
     PYTHONPATH=src python tests/test_golden_diagnose.py
@@ -25,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -39,6 +46,7 @@ GOLDEN = Path(__file__).with_name("golden_diagnose.json")
 SEEDS = (3, 11, 29)
 # (epochs, metrics, metrics per planted cause)
 SHAPES = {"long-narrow": (3000, 6, 2), "wide": (300, 60, 12)}
+EDITED = "-hand-edited"  # suffix of a shape whose log is written as a hand edit
 SLO_THRESHOLD = "200.0"
 TRAIN_REPORTS = ("model.json", "signatures.jsonl", "timeline.csv")
 ANNOTATIONS = ("disk full", "GC pause", "cache miss storm", "réseau saturé", "磁盘已满")
@@ -49,11 +57,25 @@ def _digest(path: Path) -> str:
 
 
 def _write_metrics(shape: str, seed: int, path: Path) -> None:
-    epochs, metrics, width = SHAPES[shape]
+    epochs, metrics, width = SHAPES[shape.removesuffix(EDITED)]
     causes = tuple(tuple(range(c * width, (c + 1) * width)) for c in range(3))
     dataset, _, _ = diagnosis.synth_metrics(
         n_epochs=epochs, n_metrics=metrics, cause_metric_sets=causes, seed=seed)
-    path.write_text(diagnosis.write_metrics_csv(dataset), encoding="utf-8")
+    text = diagnosis.write_metrics_csv(dataset)
+    path.write_bytes((_hand_edited(text) if shape.endswith(EDITED) else text).encode())
+
+
+def _hand_edited(text: str) -> str:
+    """The same log with a comment line, CRLF ends, a blank line after every
+    seventh row, cells padded with spaces and a '_' after the first digit
+    of every timestamp of two or more digits."""
+    lines = ["# exported by hand"]
+    for i, line in enumerate(text.splitlines()):
+        ts, *rest = line.split(",")
+        lines.append(", ".join([re.sub(r"^(\d)(?=\d)", r"\1_", ts), *rest]) + " ")
+        if i % 7 == 6:
+            lines.append("")
+    return "".join(line + "\r\n" for line in lines)
 
 
 def _annotated_catalog(signatures: str, query_ts: float, rng: random.Random) -> str:
@@ -82,7 +104,7 @@ def diagnose_digests(shape: str, seed: int, work: Path) -> dict[str, str]:
 
     signatures = (out / "signatures.jsonl").read_text(encoding="utf-8")
     ts = [json.loads(line)["ts"] for line in signatures.splitlines()]
-    rng = random.Random(f"{shape}/{seed}")
+    rng = random.Random(f"{shape.removesuffix(EDITED)}/{seed}")
     annotated = work / "annotated.jsonl"
     query_ts = rng.choice(ts)
     annotated.write_text(_annotated_catalog(signatures, query_ts, rng), encoding="utf-8")
@@ -100,7 +122,7 @@ def diagnose_digests(shape: str, seed: int, work: Path) -> dict[str, str]:
     return digests
 
 
-CASES = [(shape, seed) for shape in SHAPES for seed in SEEDS]
+CASES = [(shape, seed) for shape in SHAPES for seed in SEEDS] + [("long-narrow" + EDITED, 3)]
 
 
 def case_id(shape: str, seed: int) -> str:
@@ -115,6 +137,10 @@ def golden():
 @pytest.mark.parametrize("shape,seed", CASES, ids=[case_id(*c) for c in CASES])
 def test_diagnose_reports_match_golden_digests(shape, seed, tmp_path, golden):
     assert diagnose_digests(shape, seed, tmp_path) == golden[case_id(shape, seed)]
+
+
+def test_hand_edited_log_reports_match_the_plain_log(golden):
+    assert golden[case_id("long-narrow" + EDITED, 3)] == golden[case_id("long-narrow", 3)]
 
 
 def regenerate() -> None:

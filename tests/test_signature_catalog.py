@@ -4,19 +4,24 @@ The batch path is checked against the one-row path bit for bit: a signature
 row, a log-odds value and a retrieval distance must not depend on how many
 rows were computed together.  The catalog and metrics readers get a table of
 every rejected input with its exact ``line N`` message, and the catalog a
-hypothesis round trip.
+hypothesis round trip.  Each reader's one-pass path is checked against its
+line-checked path: the same bits for every text both accept, and the same
+error for every text either rejects.  The catalog writer is checked against
+one ``json.dumps(..., sort_keys=True)`` per row.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from statops import diagnosis
 from statops.diagnosis import (
     SignatureCatalog,
     SloConfig,
@@ -189,3 +194,151 @@ def test_metrics_reader_accepts_padding_comments_and_crlf():
     np.testing.assert_array_equal(ds.timestamps, [0.0, 1.0])
     np.testing.assert_array_equal(ds.art, [100.5, 90.0])
     np.testing.assert_array_equal(ds.metrics, [[1000.0], [-2.0]])
+
+
+# ---------------------------------------------------------------------------
+# one-pass readers and writer against their line-checked references
+# ---------------------------------------------------------------------------
+
+
+def _outcome(read, text):
+    """What a reader makes of a text: its arrays' bytes, or its error."""
+    try:
+        result = read(text)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", [np.asarray(v).tobytes() if isinstance(v, np.ndarray) else v
+                  for v in vars(result).values()]
+
+
+def _metrics_per_cell(text):
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError):
+        return load_metrics_csv(text)
+
+
+# Cells float() reads (some of which np.loadtxt does not) and cells neither
+# may accept.
+ODD_CELLS = (" 1.5 ", "+1", ".5", "5.", "-0", "1e400", "1_0", "\uff11", "nan", "Infinity",
+             "", "2#3", "\t7", "0x10", "1 2")
+
+
+@st.composite
+def metric_texts(draw):
+    n_metrics = draw(st.integers(1, 3))
+    cell = st.one_of(finite.map(repr), finite.map(repr), st.sampled_from(ODD_CELLS))
+    lines = [draw(st.sampled_from(["# exported", ""]))] if draw(st.booleans()) else []
+    lines.append("ts,art_ms," + ",".join(f"m{j}" for j in range(n_metrics)))
+    for _ in range(draw(st.integers(1, 5))):
+        width = n_metrics + 2 + draw(st.sampled_from((0, 0, 0, 0, 0, 0, -1, 1)))
+        lines.append(",".join(draw(st.lists(cell, min_size=width, max_size=width))))
+        lines += draw(st.lists(st.sampled_from(["", "  ", "\t", "# note", "#"]), max_size=1))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + eol
+
+
+@settings(max_examples=300, deadline=None)
+@given(metric_texts())
+@example("ts,art_ms,m\r\n 1.5 ,+1,.5\r\n\r\n5.,-0,1_0\r\n  \r\n\uff11,2,3\r\n")
+@example("ts,art_ms,m\n1,2,1e400\n")
+@example("ts,art_ms,m\n1,2,3 # note\n")
+def test_metrics_one_pass_reader_matches_per_cell_reader(text):
+    assert _outcome(load_metrics_csv, text) == _outcome(_metrics_per_cell, text)
+
+
+@pytest.mark.parametrize("cell", ODD_CELLS)
+def test_metrics_readers_agree_on_each_odd_cell(cell):
+    text = f"ts,art_ms,m\n0,100,1\n1,100,{cell}\n"
+    assert _outcome(load_metrics_csv, text) == _outcome(_metrics_per_cell, text)
+
+
+def test_metrics_well_formed_log_takes_one_loadtxt_pass():
+    ds, _, _ = synth_metrics(n_epochs=50, n_metrics=4, cause_metric_sets=((0,),), seed=5)
+    text = diagnosis.write_metrics_csv(ds)
+    with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+        back = load_metrics_csv(text)
+    assert loadtxt.call_count == 1
+    for name in ("timestamps", "art", "metrics"):
+        assert getattr(back, name).tobytes() == getattr(ds, name).tobytes()
+
+
+# (values the reader takes, values it may not) per key
+_ENTRY_PARTS = {
+    "ts": (("1.5", "-0.0", "7", "true", "1e300"), ('"5"', "null", "[1]", "1e400", "NaN")),
+    "attributions": (("[0.5, -0.5]", "[1, 2]", "[true, 0.0]", "[-1e-300, 3]"),
+                     ("[0.5]", "[]", '[0.5, "x"]', "[0.5, NaN]", "[-Infinity, 1.0]", '"12"',
+                      "[[1], [2]]", "{}")),
+    "annotation": (('"disk full"', '""', '"r\\u00e9seau \\"q\\" }, {"'), ("3", "null", "[1]")),
+    "abnormal": (("[true, false]", "[]"), ()),
+}
+
+
+@st.composite
+def catalog_texts(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        keys = [k for k in _ENTRY_PARTS if draw(st.integers(0, 49))]  # a key is mostly present
+        entry = "{" + ", ".join(
+            f'"{k}": {draw(st.sampled_from(_ENTRY_PARTS[k][0] * 6 + _ENTRY_PARTS[k][1]))}'
+            for k in keys) + "}"
+        odd = [" " + entry + "\t", entry + entry, entry + ", " + entry, entry[:-1], "[1, 2]"]
+        entry = draw(st.sampled_from([entry] * 30 + odd))
+        lines += [entry] + draw(st.lists(st.sampled_from(["", " "]), max_size=1))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + eol
+
+
+# Two lines whose joined text is two well-formed entries, though the first
+# line alone is not JSON: the per-line reader rejects it, so must the reader.
+SPLIT_ENTRY = ('{"ts": 1, "attributions": [1.0], "annotation": "a", "x": [{}\n'
+               '{}], "abnormal": []}, {"ts": 2, "attributions": [2.0], "annotation": "b"}\n')
+
+
+@settings(max_examples=300, deadline=None)
+@given(catalog_texts())
+@example(SPLIT_ENTRY)
+@example('{"ts": 1, "attributions": [1.0\n2.0], "annotation": "a"}\n')
+@example('{"ts": 1, "attributions": [1.0], "annotation": "a"}{"ts": 2, "attributions": [2.0], '
+         '"annotation": "b"}\n')
+def test_catalog_one_pass_reader_matches_per_line_reader(text):
+    assert _outcome(catalog_from_jsonl, text) == _outcome(diagnosis._catalog_per_line, text)
+
+
+def test_catalog_reader_rejects_an_entry_split_across_lines():
+    with pytest.raises(ValueError, match="^line 1: bad JSON: "):
+        catalog_from_jsonl(SPLIT_ENTRY)
+    two = GOOD + GOOD + "\n"
+    with pytest.raises(ValueError, match="^line 1: bad JSON: Extra data$"):
+        catalog_from_jsonl(two)
+
+
+any_float = st.one_of(finite, st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e308]))
+
+
+@st.composite
+def any_catalogs(draw):
+    n = draw(st.integers(0, 8))
+    k = draw(st.integers(0, 5))
+    values = draw(st.lists(any_float, min_size=n * k, max_size=n * k))
+    epochs = draw(st.lists(any_float, min_size=n, max_size=n))
+    annotation = st.one_of(st.text(), st.sampled_from(['say "hi"', "tab\tnew\nline\x00",
+                                                       "r\u00e9seau \u78c1\u76d8", "\U0001f600"]))
+    annotations = draw(st.lists(annotation, min_size=n, max_size=n))
+    return SignatureCatalog(np.array(values).reshape(n, k), epochs, annotations)
+
+
+@settings(max_examples=200, deadline=None)
+@given(any_catalogs())
+def test_to_jsonl_is_json_dumps_per_row(catalog):
+    reference = "".join(
+        json.dumps({"ts": ts, "attributions": attr, "abnormal": [a > 0 for a in attr],
+                    "annotation": annotation}, sort_keys=True) + "\n"
+        for ts, attr, annotation in zip(catalog.epochs.tolist(), catalog.attributions.tolist(),
+                                        catalog.annotations))
+    assert catalog.to_jsonl() == reference
+
+
+def test_to_jsonl_writes_non_finite_values_as_json_does():
+    catalog = SignatureCatalog([[math.nan, math.inf, -math.inf, 1e308]], [0.0], ("x",))
+    assert catalog.to_jsonl() == ('{"abnormal": [false, true, false, true], "annotation": "x", '
+                                  '"attributions": [NaN, Infinity, -Infinity, 1e+308], '
+                                  '"ts": 0.0}\n')
