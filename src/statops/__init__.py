@@ -7,9 +7,18 @@ Three pipelines over one testing core:
 - ``diagnosis``: SLO violation classification, per-metric signatures,
   clustering and retrieval
 - ``repairs``: watchdog / device-manager repair-loop simulation and log mining
+
+``import statops`` loads no submodule: each one is imported on first access
+(``statops.repairs``), so a command pays only for the modules it runs.
 """
 
-from statops import diagnosis, discovery, repairs, stats, traces
+import importlib
 
 __all__ = ["stats", "traces", "discovery", "diagnosis", "repairs"]
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

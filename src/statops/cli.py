@@ -14,11 +14,15 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from statops import diagnosis, discovery, repairs, stats, traces
+# Each command imports only the statops modules it runs, as `import statops.x
+# as x`: `python -X importtime` does not record a submodule that `from statops
+# import x` loads.
+if TYPE_CHECKING:
+    from statops import diagnosis, repairs
 
 _EXIT_OK = 0
 _EXIT_WARN = 1
@@ -70,6 +74,8 @@ def _config_comment(config: dict) -> str:
 
 
 def _cmd_gen_trace(args: argparse.Namespace) -> int:
+    import statops.traces as traces
+
     spec = _load(Path(args.spec), traces.parse_synth_spec, "spec file")
     if args.seed is not None:  # flag overrides the spec file
         spec = dataclasses.replace(spec, seed=args.seed)
@@ -96,6 +102,9 @@ def _pair_rows(host: str, results) -> list[str]:
 
 
 def _cmd_discover(args: argparse.Namespace) -> int:
+    import statops.discovery as discovery
+    import statops.traces as traces
+
     config = discovery.DiscoveryConfig(
         alpha=args.alpha, horizon=args.horizon, min_samples=args.min_samples,
         method=args.method.replace("-", "_"), seed=args.seed,
@@ -135,19 +144,31 @@ def _cmd_discover(args: argparse.Namespace) -> int:
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
-    dataset = _load(Path(args.metrics), diagnosis.load_metrics_csv, "metrics file")
+    # the flags are checked before the metrics log is read, and every
+    # precondition before the first report is written
     actions = [a.strip() for a in args.actions.split(",") if a.strip()]
     unknown = set(actions) - {"train", "signatures", "cluster", "retrieve"}
     if unknown:
         return _fail(f"unknown actions: {sorted(unknown)}")
+    if "retrieve" in actions:
+        if not args.catalog:
+            return _fail("retrieve requires --catalog")
+        if args.query_epoch is None:
+            return _fail("retrieve requires --query-epoch")
+        if not math.isfinite(args.query_epoch):
+            return _fail(f"--query-epoch must be a finite number, got {args.query_epoch}")
+        if args.top_k < 1:
+            return _fail("--top-k must be >= 1")
 
-    # every precondition is checked before the first report is written
+    import statops.diagnosis as diagnosis
+
+    dataset = _load(Path(args.metrics), diagnosis.load_metrics_csv, "metrics file")
     labels = diagnosis.label_slo(dataset, diagnosis.SloConfig(args.slo_threshold))
     violation_idx = np.flatnonzero(labels)
     if "cluster" in actions and not 1 <= args.clusters <= violation_idx.size:
         return _fail(f"--clusters must lie in [1, {violation_idx.size}], the number of "
                      f"violations, got {args.clusters}")
-    catalog = _load_catalog(args, dataset.n_metrics) if "retrieve" in actions else None
+    catalog = _load_catalog(args.catalog, dataset.n_metrics) if "retrieve" in actions else None
     model = diagnosis.fit_classifier(dataset, labels) if actions else None
 
     echo = {
@@ -200,17 +221,11 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _load_catalog(args: argparse.Namespace, n_metrics: int) -> diagnosis.SignatureCatalog:
+def _load_catalog(catalog_path: str, n_metrics: int) -> diagnosis.SignatureCatalog:
     """The --catalog of a retrieve action; a ValueError says what is wrong."""
-    if not args.catalog:
-        raise ValueError("retrieve requires --catalog")
-    if args.query_epoch is None:
-        raise ValueError("retrieve requires --query-epoch")
-    if not math.isfinite(args.query_epoch):
-        raise ValueError(f"--query-epoch must be a finite number, got {args.query_epoch}")
-    if args.top_k < 1:
-        raise ValueError("--top-k must be >= 1")
-    path = Path(args.catalog)
+    import statops.diagnosis as diagnosis
+
+    path = Path(catalog_path)
     catalog = _load(path, diagnosis.catalog_from_jsonl, "catalog")
     if not len(catalog):
         raise ValueError(f"{path}: catalog is empty")
@@ -220,14 +235,17 @@ def _load_catalog(args: argparse.Namespace, n_metrics: int) -> diagnosis.Signatu
     return catalog
 
 
+# --policy name -> the name of its function in statops.repairs
 _POLICIES = {
-    "escalation": repairs.escalation_policy,
-    "do-nothing": repairs.always_do_nothing,
-    "always-replace": repairs.always_replace,
+    "escalation": "escalation_policy",
+    "do-nothing": "always_do_nothing",
+    "always-replace": "always_replace",
 }
 
 
 def _parse_watchdogs(specs: list[str]) -> tuple[repairs.WatchdogSpec, ...]:
+    import statops.repairs as repairs
+
     out = []
     for raw in specs:
         parts = raw.split(":")
@@ -238,6 +256,8 @@ def _parse_watchdogs(specs: list[str]) -> tuple[repairs.WatchdogSpec, ...]:
 
 
 def _cmd_repair_sim(args: argparse.Namespace) -> int:
+    import statops.repairs as repairs
+
     watchdogs = _parse_watchdogs(args.watchdog) if args.watchdog else (repairs.WatchdogSpec("wd0"),)
     model = repairs.FaultModel(
         transient_rate=args.transient_rate,
@@ -245,7 +265,8 @@ def _cmd_repair_sim(args: argparse.Namespace) -> int:
         watchdogs=watchdogs,
         warning_rate=args.warning_rate,
     )
-    log = repairs.simulate(args.machines, model, _POLICIES[args.policy], args.ticks, args.seed)
+    policy = getattr(repairs, _POLICIES[args.policy])
+    log = repairs.simulate(args.machines, model, policy, args.ticks, args.seed)
     out = Path(args.out)
     _write(out, repairs.serialize_repair_log(log))
     _write(Path(str(out) + ".truth"), repairs.serialize_fault_truth(log))
@@ -258,6 +279,8 @@ def _cmd_repair_mine(args: argparse.Namespace) -> int:
         return _fail(f"--lookahead must be >= 0, got {args.lookahead}")
     if not 0 <= args.downtime_cost < math.inf:
         return _fail(f"--downtime-cost must be a finite number >= 0, got {args.downtime_cost}")
+    import statops.repairs as repairs
+
     log = _load(Path(args.log), repairs.parse_repair_log, "log file")
     # the default <log>.truth is optional, an explicit --truth is not
     truth_path = Path(args.truth or args.log + ".truth")
@@ -294,6 +317,8 @@ def _read_floats(line: str) -> list[float]:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    import statops.stats as stats
+
     text = sys.stdin.read()
     if args.which == "bh":
         p_values = _read_floats(text)

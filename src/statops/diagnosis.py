@@ -371,12 +371,16 @@ class SignatureCatalog:
 
 # "}, {" inside one line, as where one catalog entry ends and the next begins
 _TWO_ENTRIES = re.compile(r"\}[ \t]*,[ \t]*\{")
+# the types json.loads gives a JSON number; a bool is not one, though numpy
+# would take [true, 1.5] as [1.0, 1.5]
+_NUMBER_TYPES = frozenset((int, float))
 
 
 def catalog_from_jsonl(text: str) -> SignatureCatalog:
     """Parse a JSON-lines catalog.  ``abnormal`` is ignored: it is derived
-    from the attributions.  Errors read ``line N: ...``, N counting blank
-    lines too.
+    from the attributions.  ``ts`` and each attribution must be a finite
+    JSON number, not a string or a bool, and ``annotation`` a string.
+    Errors read ``line N: ...``, N counting blank lines too.
 
     A well-formed catalog is decoded by one ``json.loads`` over its lines
     joined into an array; anything else goes through the per-line reader,
@@ -391,13 +395,18 @@ def catalog_from_jsonl(text: str) -> SignatureCatalog:
     try:
         objs = json.loads(joined)
         if len(objs) == len(lines) and not _TWO_ENTRIES.search(joined):
-            epochs = np.array([obj["ts"] for obj in objs])
-            attributions = np.array([obj["attributions"] for obj in objs])
-            # isfinite raises on the str or object array of a non-number
-            if (epochs.ndim == 1 and attributions.ndim == 2
+            ts = [obj["ts"] for obj in objs]
+            rows = [obj["attributions"] for obj in objs]
+            annotations = [obj["annotation"] for obj in objs]
+            # chain raises on a number in place of the attribution list
+            typed = (_NUMBER_TYPES.issuperset(map(type, ts))
+                     and _NUMBER_TYPES.issuperset(map(type, itertools.chain.from_iterable(rows)))
+                     and all(type(a) is str for a in annotations))
+            epochs, attributions = np.array(ts), np.array(rows)
+            # isfinite raises on the object array of an int too large for a float
+            if (typed and epochs.ndim == 1 and attributions.ndim == 2
                     and np.isfinite(epochs).all() and np.isfinite(attributions).all()):
-                return SignatureCatalog(attributions, epochs,
-                                        [str(obj["annotation"]) for obj in objs])
+                return SignatureCatalog(attributions, epochs, annotations)
     except (ValueError, KeyError, TypeError, RecursionError):
         pass  # the per-line reader below names what is wrong
     return _catalog_per_line(text)
@@ -411,17 +420,20 @@ def _catalog_per_line(text: str) -> SignatureCatalog:
             continue
         try:
             obj = json.loads(line)
-            attr = obj["attributions"]
-            if not isinstance(attr, list):
+            attr, ts, annotation = obj["attributions"], obj["ts"], obj["annotation"]
+            if not (type(ts) in _NUMBER_TYPES and type(attr) is list
+                    and _NUMBER_TYPES.issuperset(map(type, attr))):
                 raise TypeError
-            entries.append((float(obj["ts"]), [float(a) for a in attr], str(obj["annotation"])))
+            entries.append((float(ts), [float(a) for a in attr], annotation))
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {n}: bad JSON: {exc.msg}") from None
         except KeyError as exc:
             raise ValueError(f"line {n}: missing key {exc}") from None
-        except (TypeError, ValueError):
+        except (TypeError, OverflowError):
             raise ValueError(f"line {n}: want an object with a numeric ts and a list of "
                              "numeric attributions") from None
+        if type(annotation) is not str:
+            raise ValueError(f"line {n}: annotation must be a string, got {json.dumps(annotation)}")
         if len(attr) != len(entries[0][1]):
             raise ValueError(f"line {n}: {len(attr)} attributions, the first entry has "
                              f"{len(entries[0][1])}")

@@ -71,7 +71,12 @@ class ChannelSeries:
     times: np.ndarray
 
     def __post_init__(self) -> None:
-        t = np.unique(np.asarray(self.times, dtype=float))
+        # np.unique's own sort-and-mask, without its np.ma.is_masked call,
+        # which imports numpy.ma
+        t = np.sort(np.asarray(self.times, dtype=float), axis=None)
+        keep = np.ones(t.size, dtype=bool)
+        keep[1:] = t[1:] != t[:-1]
+        t = t[keep]
         if t.size == 0:
             raise ValueError(f"channel {self.id} has no events")
         t.flags.writeable = False

@@ -338,6 +338,25 @@ def test_diagnose_bad_input_exit_2_writes_nothing(case, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flags,message", [
+    (["--actions", "train,bogus"], "unknown actions: ['bogus']"),
+    (["--actions", "retrieve", "--query-epoch", "5"], "retrieve requires --catalog"),
+    (["--actions", "retrieve", "--catalog", "c.jsonl"], "retrieve requires --query-epoch"),
+    (["--actions", "retrieve", "--catalog", "c.jsonl", "--query-epoch", "inf"],
+     "--query-epoch must be a finite number, got inf"),
+    (["--actions", "retrieve", "--catalog", "c.jsonl", "--query-epoch", "5", "--top-k", "0"],
+     "--top-k must be >= 1"),
+], ids=["unknown-action", "no-catalog", "no-query-epoch", "inf-query-epoch", "zero-top-k"])
+def test_diagnose_bad_flag_fails_before_reading_metrics(flags, message, tmp_path, capsys):
+    # the metrics path does not exist: the flag error must come first
+    out = tmp_path / "out"
+    argv = ["diagnose", str(tmp_path / "missing.csv"), "--slo-threshold", "200", *flags,
+            "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # repair-sim / repair-mine
 # ---------------------------------------------------------------------------

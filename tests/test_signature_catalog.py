@@ -141,6 +141,24 @@ BAD_CATALOGS = {
                                  "numeric attributions"),
     "ts not a number": (_entry(ts=[1]) + "\n", "line 1: want an object with a numeric ts "
                         "and a list of numeric attributions"),
+    "ts a numeric string": (GOOD + "\n" + _entry(ts="5") + "\n", "line 2: want an object with a "
+                            "numeric ts and a list of numeric attributions"),
+    "ts a bool": (_entry(ts=True) + "\n", "line 1: want an object with a numeric ts and a list "
+                  "of numeric attributions"),
+    "ts beyond float range": (_entry(ts=10**400) + "\n", "line 1: want an object with a "
+                              "numeric ts and a list of numeric attributions"),
+    "attribution a numeric string": (_entry(attributions=[0.5, "1_0"]) + "\n", "line 1: want "
+                                     "an object with a numeric ts and a list of numeric "
+                                     "attributions"),
+    "attribution a bool among floats": (GOOD + "\n" + _entry(attributions=[True, 1.5]) + "\n",
+                                        "line 2: want an object with a numeric ts and a list of "
+                                        "numeric attributions"),
+    "attributions all bools": (_entry(attributions=[True, False]) + "\n", "line 1: want an "
+                               "object with a numeric ts and a list of numeric attributions"),
+    "annotation null": (GOOD + "\n" + GOOD.replace('"disk full"', "null") + "\n",
+                        "line 2: annotation must be a string, got null"),
+    "annotation a number": (_entry(annotation=3) + "\n",
+                            "line 1: annotation must be a string, got 3"),
     "ragged width": (GOOD + "\n\n" + _entry(attributions=[1.0, 2.0, 3.0]) + "\n",
                      "line 3: 3 attributions, the first entry has 2"),
     "nan attribution": (GOOD + "\n" + _entry(attributions=[0.5, math.nan]) + "\n",
@@ -263,10 +281,10 @@ def test_metrics_well_formed_log_takes_one_loadtxt_pass():
 
 # (values the reader takes, values it may not) per key
 _ENTRY_PARTS = {
-    "ts": (("1.5", "-0.0", "7", "true", "1e300"), ('"5"', "null", "[1]", "1e400", "NaN")),
-    "attributions": (("[0.5, -0.5]", "[1, 2]", "[true, 0.0]", "[-1e-300, 3]"),
-                     ("[0.5]", "[]", '[0.5, "x"]', "[0.5, NaN]", "[-Infinity, 1.0]", '"12"',
-                      "[[1], [2]]", "{}")),
+    "ts": (("1.5", "-0.0", "7", "1e300"), ('"5"', "true", "null", "[1]", "1e400", "NaN")),
+    "attributions": (("[0.5, -0.5]", "[1, 2]", "[-1e-300, 3]"),
+                     ("[0.5]", "[]", '[0.5, "x"]', "[true, 0.0]", "[0.5, NaN]", "[-Infinity, 1.0]",
+                      '"12"', "[[1], [2]]", "{}")),
     "annotation": (('"disk full"', '""', '"r\\u00e9seau \\"q\\" }, {"'), ("3", "null", "[1]")),
     "abnormal": (("[true, false]", "[]"), ()),
 }
