@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import sim_oracle
 from statops.repairs import (
+    _BLOCK_ROLLS,
     ACTIONS,
     NO_ACTION,
     TRUTHS,
@@ -205,6 +207,48 @@ def test_simulate_warning_reports_are_inert():
     statuses = {r.status for e in log.entries for r in e.reports}
     assert statuses == {WatchdogStatus.WARNING}
     assert all(e.state is MachineHealth.HEALTHY for e in log.entries)
+
+
+_POLICIES = (escalation_policy, always_do_nothing, always_replace)
+
+
+def _random_model(rng, n_watchdogs):
+    def rate(high):  # exactly 0 or 1 now and then, else uniform below high
+        return float(rng.choice([0.0, 1.0, rng.uniform(0, high)], p=[0.15, 0.05, 0.8]))
+
+    return FaultModel(
+        transient_rate=rate(0.1),
+        persistent_rate=rate(0.03),
+        watchdogs=tuple(WatchdogSpec(f"w{k}", min(rate(0.2), 0.5), min(rate(0.5), 0.5))
+                        for k in range(n_watchdogs)),
+        repair_efficacy={a: float(rng.uniform()) for a in RepairAction},
+        repair_latency={a: int(rng.integers(1, 8)) for a in RepairAction},
+        warning_rate=float(rng.uniform(0.01, 0.5)),
+    )
+
+
+def _assert_matches_oracle(fleet, model, policy, horizon, seed):
+    log = simulate(fleet, model, policy, horizon, seed)
+    want = sim_oracle.simulate(fleet, model, policy, horizon, seed)
+    assert serialize_repair_log(log) == serialize_repair_log(want)
+    assert serialize_fault_truth(log) == serialize_fault_truth(want)
+
+
+@pytest.mark.parametrize("case", range(60))
+def test_simulate_matches_per_tick_oracle(case):
+    rng = np.random.default_rng(case)
+    fleet = int(rng.choice([1, 40, rng.integers(1, 41)], p=[0.1, 0.1, 0.8]))
+    horizon = int(rng.choice([1, 600, rng.integers(1, 601)], p=[0.1, 0.1, 0.8]))
+    model = _random_model(rng, int(rng.integers(1, 5)))
+    _assert_matches_oracle(fleet, model, _POLICIES[case % 3], horizon, seed=case)
+
+
+@pytest.mark.parametrize("policy", _POLICIES, ids=lambda p: p.__name__)
+def test_simulate_matches_per_tick_oracle_across_roll_blocks(policy):
+    fleet, n_watchdogs = 40, 4
+    horizon = 3 * (_BLOCK_ROLLS // (fleet * n_watchdogs)) + 7  # four blocks of rolls
+    model = _random_model(np.random.default_rng(100), n_watchdogs)
+    _assert_matches_oracle(fleet, model, policy, horizon, seed=100)
 
 
 # ---------------------------------------------------------------------------
