@@ -147,6 +147,8 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     # the flags are checked before the metrics log is read, and every
     # precondition before the first report is written
     actions = [a.strip() for a in args.actions.split(",") if a.strip()]
+    if not actions:
+        return _fail(f"--actions must name at least one action, got '{args.actions}'")
     unknown = set(actions) - {"train", "signatures", "cluster", "retrieve"}
     if unknown:
         return _fail(f"unknown actions: {sorted(unknown)}")
@@ -169,7 +171,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         return _fail(f"--clusters must lie in [1, {violation_idx.size}], the number of "
                      f"violations, got {args.clusters}")
     catalog = _load_catalog(args.catalog, dataset.n_metrics) if "retrieve" in actions else None
-    model = diagnosis.fit_classifier(dataset, labels) if actions else None
+    model = diagnosis.fit_classifier(dataset, labels)
 
     echo = {
         "slo_threshold": args.slo_threshold, "seed": args.seed, "clusters": args.clusters,

@@ -90,6 +90,7 @@ def local_dependencies(trace: HostTrace, config: DiscoveryConfig) -> list[Channe
     channels' times are paired with the input at once, and each statistic
     is computed for every pair of the batch in one segmented pass.
     """
+    model = LogOddsModel(config.horizon)  # checks the horizon, also for an empty trace
     inputs = sorted(c for c in trace.channels if c.direction == "in")
     outputs = sorted(c for c in trace.channels if c.direction == "out")
     if not inputs or not outputs:
@@ -97,7 +98,6 @@ def local_dependencies(trace: HostTrace, config: DiscoveryConfig) -> list[Channe
     # One virtual-channel seed per pair, drawn in input-major pair order.
     seeds = np.random.default_rng(config.seed).integers(0, 2**63, size=(len(inputs), len(outputs)))
     window = trace.window
-    model = LogOddsModel(config.horizon)
     out_sizes = np.array([trace.channels[c].times.size for c in outputs])
     out_times = np.concatenate([trace.channels[c].times for c in outputs])
     out_pair = np.repeat(np.arange(len(outputs)), out_sizes)

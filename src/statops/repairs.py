@@ -14,10 +14,13 @@ Per tick and machine the simulator logs reports, assigned state and any
 action issued; the true fault status is kept in a separate ground-truth
 channel that mining code must not rely on.
 
-Everything is columnar: a RepairLog holds one array per field and a rows x
-watchdogs status matrix, the simulator advances the whole fleet each tick
-with array operations and consults the policy only for machines that need a
-decision, and serializing, parsing and mining work on the arrays.
+The mined data is columnar: a RepairLog holds one array per field and a
+rows x watchdogs status matrix, and serializing, parsing and mining work on
+the arrays.  The simulator is event-driven: it draws a block of ticks' rolls
+at once and fills the block's rows with array operations, and runs the
+device-manager rule (``device_manager_step``, one machine at a time) only
+for machines in Failure, with a persistent fault, or with a fault arrival or
+an Error report on the tick.
 
 Logs and their ground-truth sidecars hold one record per line in the shared
 ``key=value`` syntax of ``statops.records``.  Log lines are
@@ -51,7 +54,7 @@ __all__ = [
     "NO_ACTION",
     "ABSENT",
     "POLICY_WINDOW",
-    "FleetState",
+    "MachineState",
     "WatchdogSpec",
     "FaultModel",
     "LogEntry",
@@ -105,7 +108,6 @@ POLICY_WINDOW = 100  # ticks of a machine's repair history the policy sees
 _FAILURE = STATES.index(MachineHealth.FAILURE)
 _OK, _WARNING, _ERROR = range(3)  # codes in STATUSES order
 _ESCALATED = [ACTIONS.index(RepairAction.REIMAGE), ACTIONS.index(RepairAction.REPLACE)]
-_ACTION_CODE = {a: k for k, a in enumerate(ACTIONS)}
 _STATE_BY_VALUE = {s.value: k for k, s in enumerate(STATES)}
 _ACTION_BY_VALUE = {a.value: k for k, a in enumerate(ACTIONS)}
 _STATUS_BY_VALUE = {s.value: k for k, s in enumerate(STATUSES)}
@@ -281,79 +283,66 @@ def always_replace(history: Sequence[tuple[int, RepairAction]], in_error: bool) 
     return RepairAction.REPLACE if in_error else RepairAction.DO_NOTHING
 
 
-@dataclass
-class FleetState:
-    """Device-manager view of a fleet, one slot per machine.  ``pending`` holds
-    an action code exactly while ``failure`` is set (NO_ACTION otherwise), and
-    ``since`` the tick that action was issued; ``latency`` is the repair
-    latency of each action code."""
+@dataclass(eq=False, slots=True)
+class MachineState:
+    """Device-manager view of one machine.  ``pending`` holds an action code
+    exactly while the machine is in Failure (NO_ACTION otherwise), and
+    ``due`` the tick that action's repair latency elapses; ``history`` holds
+    the policy's actions of the last ``POLICY_WINDOW`` ticks, oldest first.
+    ``latency`` is the repair latency of each action code."""
 
-    failure: np.ndarray
-    pending: np.ndarray
-    since: np.ndarray
-    latency: np.ndarray
-    history: list[list[tuple[int, RepairAction]]]
+    latency: tuple[int, ...] = tuple(_default_latency()[a] for a in ACTIONS)
+    pending: int = NO_ACTION
+    due: int = 0
+    history: list[tuple[int, RepairAction]] = field(default_factory=list)
 
-    @classmethod
-    def healthy(cls, fleet: int,
-                latency: Mapping[RepairAction, int] | None = None) -> FleetState:
-        return cls(np.zeros(fleet, dtype=bool), np.full(fleet, NO_ACTION, dtype=np.int8),
-                   np.zeros(fleet, dtype=np.int64),
-                   _by_action(_default_latency() if latency is None else latency, np.int64),
-                   [[] for _ in range(fleet)])
-
-    def due(self, tick: int) -> np.ndarray:
-        """Machines in Failure whose pending action's latency has elapsed."""
-        # a Healthy slot's NO_ACTION code picks the last latency; the mask drops it
-        return self.failure & (tick >= self.since + self.latency[self.pending])
-
-
-def _by_action(values: Mapping[RepairAction, float], dtype) -> np.ndarray:
-    return np.array([values[a] for a in ACTIONS], dtype=dtype)
+    @property
+    def failure(self) -> bool:
+        return self.pending != NO_ACTION
 
 
 def device_manager_step(
-    machines: FleetState,
-    in_error: np.ndarray,
+    machine: MachineState,
+    in_error: bool,
     policy: Policy,
     tick: int,
-) -> np.ndarray:
-    """Advance every machine one tick, given whether any watchdog reports
+) -> int:
+    """Advance one machine one tick, given whether any watchdog reports
     Error on it.
 
-    Healthy machines found in error move to Failure and get a policy action.
-    Failed machines whose repair latency has elapsed return to Healthy when
-    their reports are clean, and otherwise escalate to a fresh policy action.
-    The policy is called only for those machines, in machine order, with the
-    machine's actions of the last ``POLICY_WINDOW`` ticks.  Returns the
-    action code issued to each machine this tick (NO_ACTION for none).
+    A Healthy machine found in error moves to Failure and gets a policy
+    action.  A failed machine whose repair latency has elapsed returns to
+    Healthy when its reports are clean, and otherwise escalates to a fresh
+    policy action.  The policy sees the machine's actions of the last
+    ``POLICY_WINDOW`` ticks.  Returns the action code issued this tick
+    (NO_ACTION for none).
     """
-    in_error = np.asarray(in_error, dtype=bool)
-    if in_error.shape != machines.failure.shape:
-        raise ValueError(f"need one error flag per machine ({machines.failure.size}), "
-                         f"got shape {in_error.shape}")
-    issued = np.full(in_error.size, NO_ACTION, dtype=np.int8)
-    if not (in_error.any() or machines.failure.any()):
-        return issued
-    due = machines.due(tick)
-    recovered = due & ~in_error
-    machines.failure[recovered] = False
-    machines.pending[recovered] = NO_ACTION
-
-    decide = np.flatnonzero(in_error & (due | ~machines.failure))
-    for m in decide.tolist():
-        history = machines.history[m]
-        action = policy([(t, a) for t, a in history if t >= tick - POLICY_WINDOW], True)
-        history.append((tick, action))
-        issued[m] = _ACTION_CODE[action]
-    machines.failure[decide] = True
-    machines.pending[decide] = issued[decide]
-    machines.since[decide] = tick
-    return issued
+    if machine.pending != NO_ACTION and tick < machine.due:
+        return NO_ACTION
+    if not in_error:
+        machine.pending = NO_ACTION
+        return NO_ACTION
+    history = machine.history
+    while history and history[0][0] < tick - POLICY_WINDOW:
+        del history[0]
+    action = policy(history.copy(), True)
+    history.append((tick, action))
+    machine.pending = code = ACTIONS.index(action)
+    machine.due = tick + machine.latency[code]
+    return code
 
 
 # Report rolls drawn per block of ticks in simulate; bounds its scratch memory.
 _BLOCK_ROLLS = 1 << 16
+
+
+def _any_watchdog(flags: np.ndarray) -> np.ndarray:
+    """``flags.any(axis=-1)`` over the watchdog axis, as an OR of its few
+    columns: numpy reduces a short last axis an order of magnitude slower."""
+    out = flags[..., 0].copy()
+    for k in range(1, flags.shape[-1]):
+        out |= flags[..., k]
+    return out
 
 
 def _machine_ids(fleet: int) -> list[str]:
@@ -385,12 +374,16 @@ def simulate(
     n_wd = len(model.watchdogs)
     fp = np.array([w.false_positive_rate for w in model.watchdogs])
     fn = np.array([w.false_negative_rate for w in model.watchdogs])
-    efficacy = _by_action(model.repair_efficacy, float)
-    machines = FleetState.healthy(fleet, model.repair_latency)
-    persistent = np.zeros(fleet, dtype=bool)
+    efficacy = [model.repair_efficacy[a] for a in ACTIONS]
+    latency = tuple(model.repair_latency[a] for a in ACTIONS)
+    machines = [MachineState(latency) for _ in range(fleet)]
+    persistent = [False] * fleet
+    live: list[int] = []  # machines in Failure or with a persistent fault, in order
+    # Rows on which nothing happens keep these values: Healthy, no action,
+    # and the truth of the tick's transient roll.
     truth = np.empty((horizon, fleet), dtype=np.int8)  # TRUTHS codes
-    state = np.empty((horizon, fleet), dtype=np.int8)
-    action = np.empty((horizon, fleet), dtype=np.int8)
+    state = np.zeros((horizon, fleet), dtype=np.int8)
+    action = np.full((horizon, fleet), NO_ACTION, dtype=np.int8)
     status = np.empty((horizon, fleet, n_wd), dtype=np.int8)
 
     # Fault and report rolls do not depend on the fleet's state, so they are
@@ -400,30 +393,64 @@ def simulate(
     # across policies under one seed.
     block = max(1, _BLOCK_ROLLS // (fleet * n_wd))
     for first in range(0, horizon, block):
-        span = range(first, min(first + block, horizon))
-        u = rng_faults.random((len(span), fleet, 2))
+        size = min(block, horizon - first)
+        rows = slice(first, first + size)
+        u = rng_faults.random((size, fleet, 2))
         transient, arrival = u[..., 0] < model.transient_rate, u[..., 1] < model.persistent_rate
-        v = rng_reports.random((len(span), fleet, n_wd, 2))
+        v = rng_reports.random((size, fleet, n_wd, 2))
         error_if_faulty, error_if_ok = v[..., 0] >= fn, v[..., 0] < fp
-        any_if_faulty, any_if_ok = error_if_faulty.any(axis=2), error_if_ok.any(axis=2)
+        any_if_faulty = _any_watchdog(error_if_faulty)
+        # Without a persistent fault a machine is faulty on its transient ticks.
+        any_if_clear = np.where(transient, any_if_faulty, _any_watchdog(error_if_ok))
+        truth[rows] = transient
+        # Per machine-tick: bit 0 a persistent-fault arrival, bit 1 an Error
+        # report if the machine holds a persistent fault, bit 2 one if not.
+        rolls = (arrival + 2 * any_if_faulty + 4 * any_if_clear).tolist()
+        # Machines with a persistent-fault arrival, or with an Error report
+        # while free of a persistent fault, by tick.
+        by_tick, hit = np.nonzero(arrival | any_if_clear)
+        bounds = np.searchsorted(by_tick, np.arange(size + 1)).tolist()
+        hit = hit.tolist()
 
-        for i, tick in enumerate(span):
-            # Transients last one tick; persistent faults stay until repaired.
-            persistent |= arrival[i]
-            # Repairs whose latency elapses now get their efficacy roll: one
-            # draw per still-faulty machine, in machine order.
-            if machines.failure.any():
-                rolled = np.flatnonzero(machines.due(tick) & persistent)
-                if rolled.size:
-                    cured = rng_repairs.random(rolled.size) < efficacy[machines.pending[rolled]]
-                    persistent[rolled[cured]] = False
-            truth[tick] = np.where(persistent, 2, transient[i])
-            in_error = np.where(truth[tick] > 0, any_if_faulty[i], any_if_ok[i])
-            action[tick] = device_manager_step(machines, in_error, policy, tick)
-            state[tick] = machines.failure
+        # The device-manager rule runs only for machines in Failure, with a
+        # persistent fault, or with a hit this tick, in machine order; for
+        # any other machine it would do nothing.  Their rows' changes are
+        # collected as indices into the block's flattened rows.
+        faulty, failed, issued, issued_codes = [], [], [], []
+        for i in range(size):
+            lo, hi = bounds[i], bounds[i + 1]
+            if live:
+                active = sorted({*live, *hit[lo:hi]}) if hi > lo else live
+            elif hi > lo:
+                active = hit[lo:hi]
+            else:
+                continue
+            tick, row, at = first + i, rolls[i], i * fleet
+            live = []
+            for m in active:
+                machine, r = machines[m], row[m]
+                held = persistent[m] or r & 1 == 1
+                if held and machine.pending != NO_ACTION and tick >= machine.due:
+                    # the repair's efficacy roll: one draw per due, still-faulty machine
+                    held = rng_repairs.random() >= efficacy[machine.pending]
+                persistent[m] = held
+                if held:
+                    faulty.append(at + m)
+                code = device_manager_step(machine, r & (2 if held else 4) != 0, policy, tick)
+                if code != NO_ACTION:
+                    issued.append(at + m)
+                    issued_codes.append(code)
+                if machine.pending != NO_ACTION:
+                    failed.append(at + m)
+                    live.append(m)
+                elif held:
+                    live.append(m)
 
-        errors = np.where(truth[span.start:span.stop, :, None] > 0, error_if_faulty, error_if_ok)
-        status[span.start:span.stop] = np.where(
+        truth[rows].reshape(-1)[faulty] = _TRUTH_CODE["persistent"]
+        state[rows].reshape(-1)[failed] = _FAILURE
+        action[rows].reshape(-1)[issued] = issued_codes
+        errors = np.where(truth[rows, :, None] > 0, error_if_faulty, error_if_ok)
+        status[rows] = np.where(
             errors, _ERROR, np.where(v[..., 1] < model.warning_rate, _WARNING, _OK))
 
     ticks = np.repeat(np.arange(horizon, dtype=np.int64), fleet)

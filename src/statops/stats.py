@@ -94,8 +94,9 @@ class LogOddsModel:
     dirichlet_alpha: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (self.horizon > 0):
-            raise ValueError(f"horizon must be > 0, got {self.horizon}")
+        # an infinite horizon makes every bin infinitely wide: all delays land in bin 0
+        if not 0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be a finite number > 0, got {self.horizon}")
         if not (self.dirichlet_alpha > 0):
             raise ValueError(f"dirichlet_alpha must be > 0, got {self.dirichlet_alpha}")
 

@@ -183,6 +183,23 @@ def test_discover_dot_output(tmp_path):
     assert "digraph constellation {" in text
 
 
+@pytest.mark.parametrize("empty", [False, True], ids=["trace", "empty-trace"])
+@pytest.mark.parametrize("horizon", ["inf", "nan", "0"])
+def test_discover_bad_horizon_exit_2_writes_nothing(horizon, empty, tmp_path, capsys):
+    spec = _write_spec(tmp_path)
+    trace = tmp_path / "host.trace"
+    main(["gen-trace", str(spec), "--out", str(trace)])
+    if empty:
+        trace.write_text("")
+    capsys.readouterr()
+    out = tmp_path / "report"
+    assert main(["discover", str(trace), "--horizon", horizon, "--method", "log-odds",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"error: horizon must be a finite number > 0, got {float(horizon)}\n"
+    assert not out.exists()
+
+
 def test_discover_repeated_host_exit_2_writes_nothing(tmp_path, capsys):
     spec = _write_spec(tmp_path)
     trace = tmp_path / "host.trace"
@@ -339,6 +356,8 @@ def test_diagnose_bad_input_exit_2_writes_nothing(case, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags,message", [
+    (["--actions", ","], "--actions must name at least one action, got ','"),
+    (["--actions", ""], "--actions must name at least one action, got ''"),
     (["--actions", "train,bogus"], "unknown actions: ['bogus']"),
     (["--actions", "retrieve", "--query-epoch", "5"], "retrieve requires --catalog"),
     (["--actions", "retrieve", "--catalog", "c.jsonl"], "retrieve requires --query-epoch"),
@@ -346,7 +365,8 @@ def test_diagnose_bad_input_exit_2_writes_nothing(case, tmp_path, capsys):
      "--query-epoch must be a finite number, got inf"),
     (["--actions", "retrieve", "--catalog", "c.jsonl", "--query-epoch", "5", "--top-k", "0"],
      "--top-k must be >= 1"),
-], ids=["unknown-action", "no-catalog", "no-query-epoch", "inf-query-epoch", "zero-top-k"])
+], ids=["comma-actions", "empty-actions", "unknown-action", "no-catalog", "no-query-epoch",
+        "inf-query-epoch", "zero-top-k"])
 def test_diagnose_bad_flag_fails_before_reading_metrics(flags, message, tmp_path, capsys):
     # the metrics path does not exist: the flag error must come first
     out = tmp_path / "out"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,8 @@ from statops.repairs import (
     TRUTHS,
     CostModel,
     FaultModel,
-    FleetState,
     MachineHealth,
+    MachineState,
     RepairAction,
     WatchdogReport,
     WatchdogSpec,
@@ -97,54 +99,49 @@ def test_escalation_ladder():
 
 
 def test_step_healthy_plus_error_fails_with_action():
-    machines = FleetState.healthy(1)
-    issued = device_manager_step(machines, [True], escalation_policy, tick=0)
-    assert machines.failure.tolist() == [True]
-    assert _actions(machines.pending) == [RepairAction.REBOOT]
-    assert _actions(issued) == [RepairAction.REBOOT]
-    assert machines.history == [[(0, RepairAction.REBOOT)]]
+    machine = MachineState()
+    issued = device_manager_step(machine, True, escalation_policy, tick=0)
+    assert machine.failure is True
+    assert _actions([machine.pending]) == [RepairAction.REBOOT]
+    assert _actions([issued]) == [RepairAction.REBOOT]
+    assert machine.history == [(0, RepairAction.REBOOT)]
 
 
 def test_step_failure_recovers_after_latency():
-    machines = FleetState.healthy(1)
-    device_manager_step(machines, [True], escalation_policy, tick=0)
+    machine = MachineState()
+    device_manager_step(machine, True, escalation_policy, tick=0)
     # latency for Reboot is 1: still Failure during the same tick window
-    device_manager_step(machines, [False], escalation_policy, tick=1)
-    assert machines.failure.tolist() == [False]
-    assert _actions(machines.pending) == [None]
+    device_manager_step(machine, False, escalation_policy, tick=1)
+    assert machine.failure is False
+    assert _actions([machine.pending]) == [None]
 
 
 def test_step_failure_escalates_when_error_persists():
-    machines = FleetState.healthy(1)
-    device_manager_step(machines, [True], escalation_policy, tick=0)
-    issued = device_manager_step(machines, [True], escalation_policy, tick=1)
-    assert _actions(issued) == [RepairAction.REIMAGE]
-    assert machines.failure.tolist() == [True]
+    machine = MachineState()
+    device_manager_step(machine, True, escalation_policy, tick=0)
+    issued = device_manager_step(machine, True, escalation_policy, tick=1)
+    assert _actions([issued]) == [RepairAction.REIMAGE]
+    assert machine.failure is True
 
 
 def test_step_healthy_all_ok_unchanged():
-    machines = FleetState.healthy(1)
-    issued = device_manager_step(machines, [False], escalation_policy, tick=0)
-    assert _actions(issued) == [None]
-    assert machines.failure.tolist() == [False]
-    assert machines.history == [[]]
-
-
-def test_step_rejects_wrong_fleet_size():
-    with pytest.raises(ValueError, match="one error flag per machine"):
-        device_manager_step(FleetState.healthy(1), [False, False],
-                            escalation_policy, tick=0)
+    machine = MachineState()
+    issued = device_manager_step(machine, False, escalation_policy, tick=0)
+    assert _actions([issued]) == [None]
+    assert machine.failure is False
+    assert machine.history == []
 
 
 def test_pending_action_iff_failure_invariant():
     model = FaultModel(transient_rate=0.02, persistent_rate=0.003,
                        watchdogs=(WatchdogSpec("wd", 0.01, 0.05),))
-    machines = FleetState.healthy(4, model.repair_latency)
+    latency = tuple(model.repair_latency[a] for a in ACTIONS)
+    machines = [MachineState(latency) for _ in range(4)]
     rng = np.random.default_rng(0)
     for tick in range(200):
-        in_error = rng.random(4) < 0.1
-        device_manager_step(machines, in_error, escalation_policy, tick)
-        assert ((machines.pending != NO_ACTION) == machines.failure).all()
+        for machine, in_error in zip(machines, (rng.random(4) < 0.1).tolist()):
+            device_manager_step(machine, in_error, escalation_policy, tick)
+            assert (machine.pending != NO_ACTION) == machine.failure
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +224,20 @@ def _random_model(rng, n_watchdogs):
     )
 
 
+def _first_difference(got: str, want: str):
+    """(line number, got, want) of the first line that differs, or None; a
+    plain == on long texts would have pytest diff them for minutes."""
+    for no, pair in enumerate(itertools.zip_longest(got.splitlines(), want.splitlines()), 1):
+        if pair[0] != pair[1]:
+            return no, *pair
+    return None
+
+
 def _assert_matches_oracle(fleet, model, policy, horizon, seed):
     log = simulate(fleet, model, policy, horizon, seed)
     want = sim_oracle.simulate(fleet, model, policy, horizon, seed)
-    assert serialize_repair_log(log) == serialize_repair_log(want)
-    assert serialize_fault_truth(log) == serialize_fault_truth(want)
+    assert _first_difference(serialize_repair_log(log), serialize_repair_log(want)) is None
+    assert _first_difference(serialize_fault_truth(log), serialize_fault_truth(want)) is None
 
 
 @pytest.mark.parametrize("case", range(60))
