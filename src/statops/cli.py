@@ -122,10 +122,11 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     header = "host,input_service,input_remote,output_service,output_remote," \
              "n_delays,statistic,p_value,log_odds,q_value,dependent,insufficient_data"
-    lines = [header]
+    lines = [_config_comment(echo) + header]
     for host, results in per_host:
         lines.extend(_pair_rows(host, results))
-    _write(out_dir / "pairs.csv", _config_comment(echo) + "".join(l + "\n" for l in lines))
+    lines.append("")  # the last line end; the text is built in one join
+    _write(out_dir / "pairs.csv", "\n".join(lines))
 
     if args.format == "dot":
         comment = "// " + " ".join(f"{k}={echo[k]}" for k in sorted(echo)) + "\n"

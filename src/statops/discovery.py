@@ -182,9 +182,10 @@ def build_graph(
     A dependent pair with input remote x (service s_in) and output remote y
     (service s_out) on host h contributes edges x -(s_in)-> h and
     h -(s_out)-> y.  Duplicate edges keep the strongest (smallest-q) evidence,
-    so merging the same results twice is a no-op.
+    so merging the same results twice is a no-op.  Host ids must be
+    distinct, apart from '', the id of every trace without records.
     """
-    hosts = [h for h, _ in per_host]
+    hosts = [h for h, _ in per_host if h]
     if len(hosts) != len(set(hosts)):
         raise ValueError("host ids must be distinct")
     nodes: set[str] = set()

@@ -6,11 +6,18 @@ order.  Lines end at every boundary ``str.splitlines`` knows, CRLF included,
 and count from 1, blank ones included; a blank line holds no record.  This
 module writes every error of the syntax: ``line N: expected K fields, got
 M``, ``line N: expected field 'k', got 't'`` and ``line N: bad k 'v'``.
+
+``read_columns`` reads traces, repair logs and truth sidecars.  Text in the
+written form (ASCII, ``\\n`` line ends, single spaces) is read a block at a
+time with numpy; any other text goes through a line-checked loop, which
+gives the same values and raises every error.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -18,6 +25,11 @@ import numpy as np
 # (key, converter): the converter returns the field's value from its raw text,
 # or rejects it with ValueError or LookupError.
 Field = tuple[str, Callable[[str], object]]
+
+# Text per block of the written-form reader: numpy's per-call cost stays
+# small next to a block, and a block's masks and tokens (about 4x its size)
+# stay small next to the rest of a command's memory.
+_BLOCK_BYTES = 1 << 15
 
 
 class RecordError(ValueError):
@@ -67,46 +79,104 @@ def tokenize(line_no: int, line: str, fields: Sequence[Field]) -> list | None:
     return values
 
 
-def read_columns(source, canonical: re.Pattern, fields: Sequence[Field],
+def read_columns(source, fields: Sequence[Field], rest_form: re.Pattern,
                  decode: Callable[[int, str], object], number: Callable,
-                 low: float, high: float) -> tuple[list, np.ndarray, list]:
+                 low: float, high: float) -> tuple[np.ndarray, np.ndarray, list]:
     """Columns of records whose first field is a number and whose other
     fields form a key that many lines share.
 
-    Returns (numbers, codes, keys): line i's key is ``keys[codes[i]]``, the
-    value of ``decode(line_no, key)`` at the key's first line, where ``key``
-    is the key's fields joined by single spaces.  A line that ``canonical``
-    fully matches as (number, key), with ``number(...)`` in [low, high), is
-    taken as it is; any other line goes through ``tokenize``, which raises
-    its error.  Lines are read in order, so the first bad line's error is the
-    one raised.
+    Returns (numbers, codes, keys): ``numbers`` has the dtype of ``number``
+    (``float`` or ``int``), and line i's key is ``keys[codes[i]]``, the value
+    of ``decode(line_no, key)`` at the key's first line, where ``key`` is the
+    key's fields joined by single spaces.  Str or bytes in the written form
+    are read a block at a time (``_written_columns``).  Anything else goes
+    through the line loop, which tokenizes each line in order, so the first
+    bad line's error is the one raised.
     """
-    match = canonical.fullmatch
+    if hasattr(source, "read"):
+        source = source.read()
+    if isinstance(source, (str, bytes)):
+        found = _written_columns(source, fields, rest_form, number, low, high)
+        if found is not None:
+            numbers, code_of, firsts = found
+            return numbers, code_of, [decode(line_no, key) for line_no, key in firsts]
     codes: dict[str, int] = {}
     keys: list = []
     numbers: list = []
     code_of: list[int] = []
-    add_number, add_code = numbers.append, code_of.append
     for line_no, line in enumerate(split_lines(source), start=1):
-        m = match(line)
-        if m is not None:
-            x, key = m.groups()
-            try:
-                x = number(x)
-            except ValueError:
-                m = None
-            else:
-                if not low <= x < high:
-                    m = None
-        if m is None:
-            values = tokenize(line_no, line, fields)
-            if values is None:
-                continue
-            x, key = values[0], " ".join(line.split()[1:])
+        values = tokenize(line_no, line, fields)
+        if values is None:
+            continue
+        key = " ".join(line.split()[1:])
         code = codes.get(key)
         if code is None:
             code = codes[key] = len(keys)
             keys.append(decode(line_no, key))
-        add_number(x)
-        add_code(code)
-    return numbers, np.array(code_of, dtype=np.intp), keys
+        numbers.append(values[0])
+        code_of.append(code)
+    return np.array(numbers, dtype=np.dtype(number)), np.array(code_of, dtype=np.intp), keys
+
+
+def _written_columns(text: str | bytes, fields: Sequence[Field], rest_form: re.Pattern,
+                     number: Callable, low: float, high: float):
+    """(numbers, codes, [(first line, key)]) of ``text`` if it is all in the
+    written form, else None: ASCII with ``\\n`` line ends and no other
+    control byte, each line ``<first key>=<number> <rest>`` with single
+    spaces between fields, ``number(...)`` in [low, high), and ``rest``
+    fully matching ``rest_form``, which must admit only single-spaced fields
+    that ``tokenize`` accepts.  Blocks of about ``_BLOCK_BYTES``, cut at line
+    ends, are checked with numpy; each distinct rest is matched once.
+    """
+    newline = "\n" if isinstance(text, str) else b"\n"
+    prefix = np.frombuffer(f"{fields[0][0]}=".encode(), np.uint8)
+    layout = np.array([32] * (len(fields) - 1) + [10], np.uint8)  # a line's gaps
+    rows = text.count(newline) + 1  # at least the number of lines
+    numbers, code_of = np.empty(rows, np.dtype(number)), np.empty(rows, np.intp)
+    codes: dict[bytes, int] = defaultdict()
+    codes.default_factory = codes.__len__  # a new rest gets the next code
+    firsts: list = []
+    line_no = start = 0
+    while start < len(text):
+        end = text.rfind(newline, start, start + _BLOCK_BYTES) + 1
+        if end <= start:  # a line longer than a block
+            end = text.find(newline, start + _BLOCK_BYTES) + 1 or len(text)
+        buf = bytearray(text[start:end].encode() if isinstance(text, str) else text[start:end])
+        start = end
+        if not buf.isascii():
+            return None
+        if not buf.endswith(b"\n"):
+            buf += b"\n"
+        b = np.frombuffer(buf, np.uint8)
+        # Each line's bytes up to a space are its len(fields) - 1 spaces and
+        # its line end.  Its first value is not empty, and rest_form admits
+        # no empty field.
+        gaps = np.flatnonzero(b <= 32)
+        if gaps.size % len(fields):
+            return None
+        gaps = gaps.reshape(-1, len(fields))
+        starts = np.r_[0, gaps[:-1, -1] + 1]
+        if ((b[gaps] != layout).any() or (gaps[:, 0] - starts <= prefix.size).any()
+                or (b[starts[:, None] + np.arange(prefix.size)] != prefix).any()):
+            return None
+        b[starts + prefix.size - 1] = b[gaps[:, 0]] = 10  # each line: key, number, rest
+        tokens = bytes(buf).split(b"\n")
+        n = len(gaps)
+        try:
+            x = numbers[line_no:line_no + n] = np.fromiter(map(number, tokens[1::3]),
+                                                           numbers.dtype, n)
+        except (ValueError, OverflowError):
+            return None
+        if not ((low <= x) & (x < high)).all():
+            return None
+        known = len(codes)
+        c = code_of[line_no:line_no + n] = np.fromiter(map(codes.__getitem__, tokens[2::3]),
+                                                       np.intp, n)
+        rests = [rest.decode() for rest in islice(codes, known, None)]
+        if not all(map(rest_form.fullmatch, rests)):
+            return None
+        new = np.flatnonzero(c >= known)
+        first = new[np.unique(c[new], return_index=True)[1]]
+        firsts += zip((line_no + 1 + first).tolist(), rests)
+        line_no += n
+    return numbers[:line_no], code_of[:line_no], firsts

@@ -27,7 +27,8 @@ Logs and their ground-truth sidecars hold one record per line in the shared
 ``tick=<int> machine=<id> state=<Healthy|Failure> action=<action|->
 reports=<wd:status;...>``; the sidecar uses
 ``tick=<int> machine=<id> truth=<ok|transient|persistent>``.  Both are read
-by one columnar line loop (``records.read_columns``).
+into columns by ``records.read_columns``, a block at a time when in the
+written form; each distinct rest of a line after its tick is decoded once.
 """
 
 from __future__ import annotations
@@ -676,15 +677,10 @@ def serialize_fault_truth(log: RepairLog) -> str:
                     zip(truth.tick.tolist(), truth.machine.tolist(), truth.code.tolist())])
 
 
-# The canonical line forms, as the serializers write them: the tick, then the
-# rest of the line as one key.  Any other line goes through the tokenizer,
-# which accepts every form the format allows and raises the line's error.
-_TICK = r"tick=(-?[0-9]{1,18}) "
-_LOG_RE = re.compile(
-    _TICK + rf"(machine=\S+ state=(?:{'|'.join(_STATE_BY_VALUE)}) "
-    rf"action=(?:{'|'.join(_ACTION_BY_VALUE)}|-) reports=\S+)"
-)
-_TRUTH_RE = re.compile(_TICK + rf"(machine=\S+ truth=(?:{'|'.join(TRUTHS)}))")
+# A line's fields after the tick, as the serializers write them.
+_LOG_RE = re.compile(rf"machine=\S+ state=(?:{'|'.join(_STATE_BY_VALUE)}) "
+                     rf"action=(?:{'|'.join(_ACTION_BY_VALUE)}|-) reports=\S+")
+_TRUTH_RE = re.compile(rf"machine=\S+ truth=(?:{'|'.join(TRUTHS)})")
 
 
 def _tick(raw: str) -> int:
@@ -714,7 +710,7 @@ def _decode_log_rest(line_no: int, rest: str) -> tuple[int, int, list[tuple[str,
     return _STATE_BY_VALUE[state], _ACTION_BY_VALUE.get(action, NO_ACTION), list(pairs.items())
 
 
-def _read_rows(text: str, canonical: re.Pattern, fields, decode: Callable):
+def _read_rows(text: str, rest_form: re.Pattern, fields, decode: Callable):
     """Columns of a ``tick=<int> machine=<id> <rest>`` file: (tick, machine
     code, machine names, rest code, decoded rests).  Lines share few distinct
     rests, so each is decoded once, by ``decode(line_no, rest)``."""
@@ -729,10 +725,9 @@ def _read_rows(text: str, canonical: re.Pattern, fields, decode: Callable):
             decoded.append(decode(line_no, rest))
         return machines.setdefault(machine[len("machine="):], len(machines)), rests[rest]
 
-    tick, codes, keys = read_columns(text, canonical, fields, split, int, -2**63, 2**63)
+    tick, codes, keys = read_columns(text, fields, rest_form, split, int, -2**63, 2**63)
     key_codes = np.array(keys, dtype=np.intp).reshape(-1, 2)
-    return (np.array(tick, dtype=np.int64), key_codes[codes, 0], tuple(machines),
-            key_codes[codes, 1], decoded)
+    return tick, key_codes[codes, 0], tuple(machines), key_codes[codes, 1], decoded
 
 
 def parse_repair_log(text: str) -> RepairLog:

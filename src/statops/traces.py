@@ -47,10 +47,8 @@ __all__ = [
 _ID = r"[A-Za-z0-9._-]+"
 _ID_RE = re.compile(_ID + r"\Z")
 _DIRECTIONS = ("in", "out")
-# A trace record as serialize_trace writes it: single spaces, nothing around.
-_CANONICAL_RE = re.compile(
-    rf"ts=(\S+) (host={_ID} remote={_ID} service={_ID} dir=(?:in|out))"
-)
+# A trace record's fields after ts, as serialize_trace writes them.
+_REST_RE = re.compile(rf"host={_ID} remote={_ID} service={_ID} dir=(?:in|out)")
 
 # Malformed trace, spec or ground-truth file; carries the 1-based line number.
 TraceFormatError = RecordError
@@ -162,9 +160,8 @@ def parse_trace(source) -> HostTrace:
         hosts.append(host)
         return ChannelId(direction, service, remote)
 
-    stamps, codes, ids = read_columns(source, _CANONICAL_RE, _TRACE_FIELDS, channel,
-                                      float, 0.0, np.inf)
-    times = np.array(stamps, dtype=float)
+    times, codes, ids = read_columns(source, _TRACE_FIELDS, _REST_RE, channel,
+                                     float, 0.0, np.inf)
     by_channel = np.split(times[np.argsort(codes, kind="stable")],
                           np.cumsum(np.bincount(codes, minlength=len(ids)))[:-1])
     channels = {cid: ChannelSeries(cid, ts) for cid, ts in zip(ids, by_channel)}

@@ -153,6 +153,18 @@ def test_discover_empty_trace_warns_exit_1(tmp_path):
     assert payload["edges"] == [] and payload["nodes"] == []
 
 
+def test_discover_two_empty_traces_warn_exit_1(tmp_path, capsys):
+    # both parse to host '', which is no repeated host
+    first, second = tmp_path / "a.trace", tmp_path / "b.trace"
+    first.write_text("")
+    second.write_text("\n")
+    out = tmp_path / "report"
+    assert main(["discover", str(first), str(second), "--out", str(out)]) == 1
+    assert "warning: at least one host had no testable channel pairs" in capsys.readouterr().err
+    payload = json.loads((out / "graph.json").read_text())
+    assert payload["edges"] == [] and payload["nodes"] == []
+
+
 def test_discover_malformed_trace_exit_2(tmp_path, capsys):
     trace = tmp_path / "bad.trace"
     trace.write_text("ts=1.0 host=h remote=x service=http dir=sideways\n")
