@@ -90,8 +90,9 @@ def read_columns(source, fields: Sequence[Field], rest_form: re.Pattern,
     of ``decode(line_no, key)`` at the key's first line, where ``key`` is the
     key's fields joined by single spaces.  Str or bytes in the written form
     are read a block at a time (``_written_columns``).  Anything else goes
-    through the line loop, which tokenizes each line in order, so the first
-    bad line's error is the one raised.
+    through the line loop, which tokenizes each key's first line and each
+    line not in the written form, in order, so the first bad line's error is
+    the one raised.
     """
     if hasattr(source, "read"):
         source = source.read()
@@ -100,20 +101,34 @@ def read_columns(source, fields: Sequence[Field], rest_form: re.Pattern,
         if found is not None:
             numbers, code_of, firsts = found
             return numbers, code_of, [decode(line_no, key) for line_no, key in firsts]
+    prefix = fields[0][0] + "="
     codes: dict[str, int] = {}
     keys: list = []
     numbers: list = []
     code_of: list[int] = []
     for line_no, line in enumerate(split_lines(source), start=1):
-        values = tokenize(line_no, line, fields)
-        if values is None:
-            continue
-        key = " ".join(line.split()[1:])
-        code = codes.get(key)
+        # A line whose key passed tokenize and decode at an earlier line
+        # needs only its number checked, if it is written with no padding.
+        head, _, key = line.partition(" ")
+        raw = head[len(prefix):]
+        code = codes.get(key) if head.startswith(prefix) and raw == raw.strip() else None
+        if code is not None:
+            try:
+                x = number(raw)
+            except ValueError:
+                code = None
+            else:
+                code = code if low <= x < high else None
         if code is None:
-            code = codes[key] = len(keys)
-            keys.append(decode(line_no, key))
-        numbers.append(values[0])
+            values = tokenize(line_no, line, fields)
+            if values is None:
+                continue
+            x, key = values[0], " ".join(line.split()[1:])
+            code = codes.get(key)
+            if code is None:
+                code = codes[key] = len(keys)
+                keys.append(decode(line_no, key))
+        numbers.append(x)
         code_of.append(code)
     return np.array(numbers, dtype=np.dtype(number)), np.array(code_of, dtype=np.intp), keys
 
@@ -148,9 +163,9 @@ def _written_columns(text: str | bytes, fields: Sequence[Field], rest_form: re.P
         if not buf.endswith(b"\n"):
             buf += b"\n"
         b = np.frombuffer(buf, np.uint8)
-        # Each line's bytes up to a space are its len(fields) - 1 spaces and
-        # its line end.  Its first value is not empty, and rest_form admits
-        # no empty field.
+        # A line's bytes at or below a space are its len(fields) - 1 spaces,
+        # then its line end: no other control byte.  Its first value is not
+        # empty, and rest_form admits no empty field.
         gaps = np.flatnonzero(b <= 32)
         if gaps.size % len(fields):
             return None
@@ -163,20 +178,19 @@ def _written_columns(text: str | bytes, fields: Sequence[Field], rest_form: re.P
         tokens = bytes(buf).split(b"\n")
         n = len(gaps)
         try:
-            x = numbers[line_no:line_no + n] = np.fromiter(map(number, tokens[1::3]),
-                                                           numbers.dtype, n)
+            x = np.fromiter(map(number, tokens[1::3]), numbers.dtype, n)
         except (ValueError, OverflowError):
             return None
         if not ((low <= x) & (x < high)).all():
             return None
         known = len(codes)
-        c = code_of[line_no:line_no + n] = np.fromiter(map(codes.__getitem__, tokens[2::3]),
-                                                       np.intp, n)
+        c = np.fromiter(map(codes.__getitem__, tokens[2::3]), np.intp, n)
         rests = [rest.decode() for rest in islice(codes, known, None)]
         if not all(map(rest_form.fullmatch, rests)):
             return None
         new = np.flatnonzero(c >= known)
         first = new[np.unique(c[new], return_index=True)[1]]
         firsts += zip((line_no + 1 + first).tolist(), rests)
+        numbers[line_no:line_no + n], code_of[line_no:line_no + n] = x, c
         line_no += n
     return numbers[:line_no], code_of[:line_no], firsts

@@ -1,7 +1,8 @@
 """The shared record reader's two paths: str and bytes in the written form
 are read a block at a time, and anything else goes through the
 line-checked loop.  Both must give the same columns, or the same
-``line N: ...`` error, for traces, repair logs and truth sidecars."""
+``line N: ...`` error, as a plain loop that tokenizes every line, for
+traces, repair logs and truth sidecars."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statops import records
+from statops import records, repairs, traces
 from statops.records import RecordError
 from statops.repairs import parse_fault_truth, parse_repair_log
 from statops.traces import parse_trace
@@ -70,7 +71,9 @@ def record_text(rnd, fields) -> tuple[str, list[str]]:
             line = rnd.choice([
                 "\t".join(tokens), "  ".join(tokens), " " + line, line + " ", "", "  ",
                 " ".join(tokens[:-1]), line + " x=1", first[1::-1] + first[2:] + " " + rest,
-                *(first + c + " " + rest for c in "\x0b\x0c\x1c\x1f"),
+                first.replace("=", "=\t", 1) + " " + rest,
+                *(first + c + " " + rest for c in "\t\x0b\x0c\x1c\x1f"),
+                *(first + c + rest for c in "\t\x0b\x1c"),
             ])
             end = rnd.choice(["\n", "\r\n"])
         lines.append(line + end)
@@ -78,6 +81,23 @@ def record_text(rnd, fields) -> tuple[str, list[str]]:
     if lines and rnd.random() < 0.5:
         text = text[:-len(end)]  # no final line end
     return text, lines
+
+
+def _every_line_tokenized(source, fields, rest_form, decode, number, low, high):
+    """``records.read_columns`` as a plain loop that tokenizes every line."""
+    codes: dict[str, int] = {}
+    keys, numbers, code_of = [], [], []
+    for line_no, line in enumerate(records.split_lines(source), start=1):
+        values = records.tokenize(line_no, line, fields)
+        if values is None:
+            continue
+        key = " ".join(line.split()[1:])
+        if key not in codes:
+            codes[key] = len(keys)
+            keys.append(decode(line_no, key))
+        numbers.append(values[0])
+        code_of.append(codes[key])
+    return np.array(numbers, dtype=np.dtype(number)), np.array(code_of, dtype=np.intp), keys
 
 
 def _columns(parsed):
@@ -106,7 +126,10 @@ def test_block_path_matches_line_path(rnd, fmt):
     # lines around it fall in different blocks.
     edge = len("".join(lines[:rnd.randint(0, len(lines))]).encode())
     block = max(1, edge + rnd.randint(-3, 3))
-    expected = _outcome(parse, text.splitlines())  # an iterable takes the line loop
+    with mock.patch.object(traces, "read_columns", _every_line_tokenized), \
+            mock.patch.object(repairs, "read_columns", _every_line_tokenized):
+        expected = _outcome(parse, text)
+    assert _outcome(parse, text.splitlines()) == expected  # an iterable takes the line loop
     with mock.patch.object(records, "_BLOCK_BYTES", block):
         assert _outcome(parse, text) == expected
         assert _outcome(parse, text.encode()) == expected
@@ -117,22 +140,22 @@ def test_block_path_matches_line_path(rnd, fmt):
 @pytest.mark.parametrize("text", [
     "num=1 a=x b=y\u2028z\n", "num=1 a=x b=y\x85z\n", "num=1 a=x b=y\x0bz\n",
     "num=1 a=x\tq=1 b=y\n", "num=1 a=x b=y\r\n", "nmu=1 a=x b=y\n", "num= a=x b=y\n",
-    "num a=x b=y\n", "num=1 a=x b=y\n  ",
+    "num a=x b=y\n", "num=1 a=x b=y\n  ", "num=1\x0ba=x b=y\n",
 ], ids=["line-separator", "next-line", "vertical-tab", "tab", "crlf", "first-key",
-        "empty-number", "no-equals", "short-last-line"])
+        "empty-number", "no-equals", "short-last-line", "vertical-tab-for-space"])
 def test_layout_checks_do_not_lean_on_rest_form(text):
     fields = (("num", int), ("a", str), ("b", str))
 
-    def read(source):
+    def read(source, reader=records.read_columns):
         try:
-            numbers, codes, keys = records.read_columns(
-                source, fields, re.compile("a=[^ ]* b=[^ ]*"), lambda line_no, key: key,
-                int, 0, 100)
+            numbers, codes, keys = reader(source, fields, re.compile("a=[^ ]* b=[^ ]*"),
+                                          lambda line_no, key: key, int, 0, 100)
         except RecordError as exc:
             return str(exc)
         return numbers.tolist(), codes.tolist(), keys
 
-    assert read(text) == read(text.encode()) == read(text.splitlines())
+    expected = read(text, _every_line_tokenized)
+    assert read(text) == read(text.encode()) == read(text.splitlines()) == expected
 
 
 def test_written_form_skips_line_loop():

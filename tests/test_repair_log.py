@@ -96,6 +96,8 @@ LOG_ERRORS = [
     ("odd-spacing-bad-status-first", OK + "\n"
      "tick=1  machine=m state=Healthy action=- reports=a:Oops\n"
      "tick=2 machine=m state=Healthy action=- reports=b:Oops\n", "line 2: bad status 'Oops'"),
+    ("padded-tick-of-known-rest", OK + "\n" + OK.replace("tick=", "tick=\t") + "\n",
+     "line 2: expected 5 fields, got 6"),
     ("repeated-bad-reports-report-first-line", OK + "\n"
      "tick=1 machine=m state=Healthy action=- reports=a:Oops\n"
      "tick=2 machine=m state=Healthy action=- reports=a:Oops\n", "line 2: bad status 'Oops'"),

@@ -75,6 +75,9 @@ ERRORS = [
     ("nan-before-mismatch",
      "ts=nan host=h remote=x service=http dir=in\nts=2.0 host=b remote=x service=http dir=in\n",
      1, "line 1: bad ts 'nan'"),
+    # A known channel's line is still tokenized when its ts is padded.
+    ("padded-ts-of-known-channel", OK + "\n" + OK.replace("ts=", "ts=\t") + "\n", 2,
+     "line 2: expected 5 fields, got 6"),
     ("host-equals-remote-after-odd-spacing",
      "ts=1.0  host=h remote=x service=http dir=in\nts=1.0 host=h remote=h service=http dir=in\n",
      2, "line 2: host equals remote 'h'"),
