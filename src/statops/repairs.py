@@ -710,7 +710,7 @@ def _decode_log_rest(line_no: int, rest: str) -> tuple[int, int, list[tuple[str,
     return _STATE_BY_VALUE[state], _ACTION_BY_VALUE.get(action, NO_ACTION), list(pairs.items())
 
 
-def _read_rows(text: str, rest_form: re.Pattern, fields, decode: Callable):
+def _read_rows(text: str, fields, rest_form: re.Pattern, decode: Callable):
     """Columns of a ``tick=<int> machine=<id> <rest>`` file: (tick, machine
     code, machine names, rest code, decoded rests).  Lines share few distinct
     rests, so each is decoded once, by ``decode(line_no, rest)``."""
@@ -739,7 +739,7 @@ def parse_repair_log(text: str) -> RepairLog:
     RecordError('line N: ...').
     """
     tick, machine, machines, rest_of, rests = _read_rows(
-        text, _LOG_RE, _LOG_FIELDS, _decode_log_rest)
+        text, _LOG_FIELDS, _LOG_RE, _decode_log_rest)
     watchdogs = sorted({w for _, _, pairs in rests for w, _ in pairs})
     column = {w: k for k, w in enumerate(watchdogs)}
     table = np.full((len(rests), len(watchdogs)), ABSENT, dtype=np.int8)
@@ -759,7 +759,7 @@ def parse_fault_truth(text: str) -> FaultTruth:
     overrides an earlier one; the first malformed line raises
     RecordError('line N: ...')."""
     tick, machine, names, rest_of, rests = _read_rows(
-        text, _TRUTH_RE, _TRUTH_FIELDS, lambda _, rest: _TRUTH_CODE[rest[len("truth="):]])
+        text, _TRUTH_FIELDS, _TRUTH_RE, lambda _, rest: _TRUTH_CODE[rest[len("truth="):]])
     rank = np.empty(len(names), dtype=np.intp)
     rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
     order = np.lexsort((rank[machine], tick))
