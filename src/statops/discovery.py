@@ -88,7 +88,8 @@ def local_dependencies(trace: HostTrace, config: DiscoveryConfig) -> list[Channe
 
     Pairs are tested in batches, one per input channel: all output
     channels' times are paired with the input at once, and each statistic
-    is computed for every pair of the batch in one segmented pass.
+    is computed for every pair of the batch in one segmented pass.  The
+    virtual channels of all the host's pairs are drawn in one call.
     """
     model = LogOddsModel(config.horizon)  # checks the horizon, also for an empty trace
     inputs = sorted(c for c in trace.channels if c.direction == "in")
@@ -102,27 +103,37 @@ def local_dependencies(trace: HostTrace, config: DiscoveryConfig) -> list[Channe
     out_times = np.concatenate([trace.channels[c].times for c in outputs])
     out_pair = np.repeat(np.arange(len(outputs)), out_sizes)
 
+    # Real delays of every pair, one batch per input, and the output each
+    # delay belongs to.
+    real = []
+    for cin in inputs:
+        delays, kept = pair_delays(trace.channels[cin].times, out_times, config.horizon)
+        real.append((delays, out_pair[kept]))
+    n_real = np.array([np.bincount(pair_of, minlength=len(outputs)) for _, pair_of in real])
+
+    # Virtual-channel null sample for every pair with enough real delays,
+    # split into one run of departures per input.
+    enough = (n_real >= config.min_samples) & (window[1] > window[0])
+    rows, cols = np.nonzero(enough)
+    departures = np.split(virtual_departures(out_sizes[cols], window, seeds[rows, cols]),
+                          np.cumsum((enough * out_sizes).sum(axis=1))[:-1])
+
     # (input, output, n_delays, log BF, KS outcome or None), input-major.
     pairs: list[tuple[ChannelId, ChannelId, int, float, TestOutcome | None]] = []
     for i, cin in enumerate(inputs):
-        in_times = trace.channels[cin].times
-        delays, kept = pair_delays(in_times, out_times, config.horizon)
-        pair_of = out_pair[kept]
-        n = np.bincount(pair_of, minlength=len(outputs))
-        log_bfs = log_odds_segments(delays, n, model)
+        delays, pair_of = real[i]
+        log_bfs = log_odds_segments(delays, n_real[i], model)
+        drawn = np.flatnonzero(enough[i])
+        virtual, v_kept = pair_delays(trace.channels[cin].times, departures[i], config.horizon)
+        n_virtual = np.bincount(np.repeat(np.arange(drawn.size), out_sizes[drawn])[v_kept],
+                                minlength=drawn.size)
+        tested, n_virtual = drawn[n_virtual > 0], n_virtual[n_virtual > 0]
+        is_tested = np.zeros(len(outputs), dtype=bool)
+        is_tested[tested] = True
+        d = ks_statistic_segments(delays[is_tested[pair_of]], n_real[i, tested],
+                                  virtual, n_virtual)
 
-        # Virtual-channel null sample for every pair with enough real delays.
-        enough = np.flatnonzero((n >= config.min_samples) & (window[1] > window[0]))
-        departures = [virtual_departures(int(out_sizes[j]), window, int(seeds[i, j]))
-                      for j in enough]
-        virtual, v_kept = pair_delays(in_times, np.concatenate([np.empty(0), *departures]),
-                                      config.horizon)
-        n_virtual = np.bincount(np.repeat(np.arange(enough.size), out_sizes[enough])[v_kept],
-                                minlength=enough.size)
-        tested, n_virtual = enough[n_virtual > 0], n_virtual[n_virtual > 0]
-        d = ks_statistic_segments(delays[np.isin(pair_of, tested)], n[tested], virtual, n_virtual)
-
-        counts = n.tolist()
+        counts = n_real[i].tolist()
         outcome: list[TestOutcome | None] = [None] * len(outputs)
         for j, stat, n_b in zip(tested.tolist(), d.tolist(), n_virtual.tolist()):
             p = ks_p_value(stat, counts[j], n_b)

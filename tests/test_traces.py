@@ -13,6 +13,7 @@ from statops.traces import (
     HostTrace,
     SynthSpec,
     TraceFormatError,
+    _pcg64_states,
     pair_delays,
     parse_ground_truth,
     parse_synth_spec,
@@ -156,7 +157,7 @@ def test_delay_pairing_horizon_nesting_and_bounds():
 
 
 def _virtual_delays(in_times, n_out, window, horizon, seed):
-    return pair_delays(np.sort(in_times), virtual_departures(n_out, window, seed), horizon)[0]
+    return pair_delays(np.sort(in_times), virtual_departures([n_out], window, [seed]), horizon)[0]
 
 
 def test_virtual_delays_empty_and_deterministic():
@@ -172,6 +173,58 @@ def test_virtual_delays_dense_input_mostly_paired():
     inp = np.sort(rng.uniform(0, 100, 1000))  # rate 10/s
     virtual = _virtual_delays(inp, 1000, (0.0, 100.0), 1.0, seed=9)
     assert virtual.size >= 990
+
+
+# The kernel's seeds: the edges of both uint32 words and of [0, 2**63), then
+# random ones over the range discover draws them from.
+_EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1]
+_SEEDS = _EDGE_SEEDS + np.random.default_rng(19).integers(0, 2**63, 2000).tolist()
+
+
+def test_pcg64_states_match_numpy_seeding():
+    states = _pcg64_states(np.array(_SEEDS, dtype=np.uint64))
+    assert len(states) == len(_SEEDS)
+    for seed, (state, inc) in zip(_SEEDS, states):
+        assert np.random.PCG64(seed).state["state"] == {"state": state, "inc": inc}, seed
+
+
+@pytest.mark.parametrize("window", [(0.0, 10.0), (0.0, 1e-300), (3.5, 3.5),
+                                    (1.7e9 + 0.123, 1.7e9 + 600.7)])
+def test_virtual_departures_match_default_rng_bit_for_bit(window):
+    rng = np.random.default_rng(20)
+    seeds = _SEEDS[:300]
+    sizes = [0, 1, *rng.integers(0, 60, len(seeds) - 2).tolist()]
+    got = virtual_departures(sizes, window, seeds)
+    want = [np.sort(np.random.default_rng(s).uniform(window[0], window[1], n))
+            for s, n in zip(seeds, sizes)]
+    assert got.tobytes() == np.concatenate(want).tobytes()
+    # A one-pair call is the one-segment case.
+    for s, n, segment in zip(seeds[:20], sizes, want):
+        assert virtual_departures([n], window, [s]).tobytes() == segment.tobytes()
+
+
+def test_virtual_departures_accepts_any_integer_dtype():
+    window = (0.0, 1.0)
+    want = virtual_departures([5, 5], window, [7, 2**40])
+    for seeds in (np.array([7, 2**40], dtype=np.int64), np.array([7, 2**40], dtype=np.uint64)):
+        assert virtual_departures(np.array([5, 5]), window, seeds).tobytes() == want.tobytes()
+    assert virtual_departures([], window, []).size == 0
+
+
+@pytest.mark.parametrize("seeds", [[-1], [2**63], [2**64 - 1], [2**64], [1.0], [True],
+                                   np.array([-3], dtype=np.int8)])
+def test_virtual_departures_rejects_seeds_outside_the_range(seeds):
+    with pytest.raises(ValueError):
+        virtual_departures([3] * len(seeds), (0.0, 1.0), seeds)
+
+
+@pytest.mark.parametrize("sizes, seeds, window", [([3, 3], [1], (0.0, 1.0)),
+                                                   ([-1], [1], (0.0, 1.0)),
+                                                   ([[3]], [[1]], (0.0, 1.0)),
+                                                   ([3], [1], (2.0, 1.0))])
+def test_virtual_departures_rejects_bad_shapes_and_windows(sizes, seeds, window):
+    with pytest.raises(ValueError):
+        virtual_departures(sizes, window, seeds)
 
 
 # ---------------------------------------------------------------------------
