@@ -38,7 +38,6 @@ __all__ = [
     "predict",
     "signatures",
     "mcnemar_p_value",
-    "select_features",
     "cluster_signatures",
     "retrieve",
     "load_metrics_csv",
@@ -80,11 +79,6 @@ class MetricDataset:
     @property
     def n_metrics(self) -> int:
         return int(self.metrics.shape[1])
-
-    def rows(self, idx: np.ndarray | slice) -> MetricDataset:
-        """The epochs selected by ``idx`` as a dataset of their own."""
-        return MetricDataset(self.timestamps[idx], self.metrics[idx], self.art[idx],
-                             self.metric_names)
 
 
 @dataclass(frozen=True)
@@ -221,67 +215,6 @@ def mcnemar_p_value(n01: int, n10: int) -> float:
     k = min(n01, n10)
     tail = sum(math.comb(n, i) for i in range(k + 1)) * 0.5**n
     return min(1.0, 2.0 * tail)
-
-
-def _cv_predictions(
-    dataset: MetricDataset, labels: np.ndarray, features: Sequence[int], folds: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Held-out predictions over all folds whose training part has both
-    classes; returns (evaluated indices, predictions)."""
-    y = np.asarray(labels, dtype=bool)
-    idx_parts, pred_parts = [], []
-    for fold in folds:
-        train = np.setdiff1d(np.arange(dataset.n_epochs), fold)
-        y_train = y[train]
-        if y_train.all() or not y_train.any():
-            continue
-        model = fit_classifier(dataset.rows(train), y_train, features)
-        idx_parts.append(fold)
-        pred_parts.append(predict(model, dataset.metrics[fold]))
-    if not idx_parts:
-        raise ValueError("no usable folds: need both classes in every training split")
-    return np.concatenate(idx_parts), np.concatenate(pred_parts)
-
-
-def select_features(
-    dataset: MetricDataset,
-    labels: np.ndarray,
-    alpha: float = 0.05,
-    max_features: int = 8,
-    n_folds: int = 5,
-) -> tuple[int, ...]:
-    """Greedy forward feature selection gated on significant accuracy gains.
-
-    Folds are contiguous in time.  The first feature is the cross-validated
-    accuracy maximizer; each later candidate must beat the current model with
-    a significant McNemar test on the pooled held-out predictions.  Ties
-    break toward the lowest metric index.
-    """
-    if max_features < 1:
-        raise ValueError("max_features must be >= 1")
-    y = np.asarray(labels, dtype=bool)
-    if y.all() or not y.any():
-        raise ValueError("need both classes")
-    folds = [f for f in np.array_split(np.arange(dataset.n_epochs), n_folds) if f.size]
-
-    selected: list[int] = []
-    current: tuple[np.ndarray, np.ndarray] | None = None  # (evaluated indices, predictions)
-    while len(selected) < max_features:
-        candidates = [(f, *_cv_predictions(dataset, y, selected + [f], folds))
-                      for f in range(dataset.n_metrics) if f not in selected]
-        if not candidates:
-            break
-        # max keeps the first of equal accuracies: the lowest metric index
-        f, idx, pred = max(candidates, key=lambda c: float(np.mean(c[2] == y[c[1]])))
-        if current is not None:
-            ok_cur, ok_new = current[1] == y[current[0]], pred == y[idx]
-            n01 = int(np.count_nonzero(ok_cur & ~ok_new))
-            n10 = int(np.count_nonzero(~ok_cur & ok_new))
-            if not (n10 > n01 and mcnemar_p_value(n01, n10) <= alpha):
-                break
-        selected.append(f)
-        current = (idx, pred)
-    return tuple(sorted(selected))
 
 
 def cluster_signatures(attributions: np.ndarray, k: int, seed: int = 0) -> np.ndarray:

@@ -18,7 +18,6 @@ from statops.diagnosis import (
     mcnemar_p_value,
     predict,
     retrieve,
-    select_features,
     signatures,
     synth_metrics,
     write_metrics_csv,
@@ -202,48 +201,6 @@ def test_mcnemar_exact_values():
     assert mcnemar_p_value(0, 15) == pytest.approx(2 * 0.5**15, rel=1e-12)
     assert mcnemar_p_value(0, 0) == 1.0
     assert mcnemar_p_value(7, 7) == 1.0
-
-
-# ---------------------------------------------------------------------------
-# feature selection
-# ---------------------------------------------------------------------------
-
-
-def test_select_features_finds_informative_rarely_noise():
-    noise_included = 0
-    for seed in range(50):
-        ds, y = _informative_noise(seed)
-        sel = select_features(ds, y, alpha=0.05, max_features=5)
-        assert 0 in sel
-        noise_included += any(f != 0 for f in sel)
-    assert noise_included / 50 <= 0.2
-
-
-def test_select_features_identical_copies_pick_lowest():
-    rng = np.random.default_rng(16)
-    y = rng.random(400) < 0.5
-    col = rng.standard_normal(400) + 2.0 * y
-    x = np.tile(col[:, None], (1, 4))
-    ds = _dataset(x, y, names=("a", "b", "c", "d"))
-    assert select_features(ds, y, max_features=4) == (0,)
-
-
-def test_select_features_rejects_bad_config():
-    ds, y = _informative_noise(17)
-    with pytest.raises(ValueError):
-        select_features(ds, y, max_features=0)
-
-
-def test_select_features_order_independent_within_folds():
-    ds, y = _informative_noise(18, n=500)
-    base = select_features(ds, y, max_features=4)
-    rng = np.random.default_rng(19)
-    perm = np.concatenate([rng.permutation(np.arange(lo, hi))
-                           for lo, hi in [(0, 100), (100, 200), (200, 300),
-                                          (300, 400), (400, 500)]])
-    ds_perm = MetricDataset(ds.timestamps, ds.metrics[perm], ds.art[perm],
-                            ds.metric_names)
-    assert select_features(ds_perm, y[perm], max_features=4) == base
 
 
 # ---------------------------------------------------------------------------
