@@ -7,7 +7,8 @@ Implements:
 - expected-false-positive arithmetic for naive thresholding across many tests
 - a known-variance mean-difference test with a practical-significance gate
 - a closed-form log-odds dependence test (uniform vs. Dirichlet-multinomial
-  over binned delays) that needs no sampling-based inference
+  over binned delays) that needs no sampling-based inference; its uniform
+  null is not that of independent channels (see log_odds_dependence)
 
 All functions are pure in (inputs, seed); there is no shared state, so many
 tests can be evaluated in parallel with identical results.
@@ -335,14 +336,19 @@ def log_odds_dependence(delays: Sequence[float] | np.ndarray, model: LogOddsMode
     """Closed-form log Bayes factor for delay dependence.
 
     Bins delays into K equal-width bins over [0, horizon] and compares a
-    uniform-delay null (independent channels) against a Dirichlet-multinomial
-    alternative:
+    uniform-delay null against a Dirichlet-multinomial alternative:
 
         log BF = lgamma(K*a) - lgamma(n + K*a)
                  + sum_k [lgamma(c_k + a) - lgamma(a)] + n * log K
 
     Positive values favor dependence.  Conjugacy keeps this exact and cheap,
     with no simulation-based inference in the loop.
+
+    The uniform null is not the null of independent channels.  An output at
+    a random time pairs with the latest input before it, so under
+    independence its delay follows the input's gaps: for a Poisson input of
+    rate r, an exponential of rate r cut at the horizon.  On a busy input
+    the log BF of an unrelated pair therefore grows with its delay count.
     """
     if model.bins < 2:
         raise ValueError(f"need at least 2 bins, got {model.bins}")
