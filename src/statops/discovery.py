@@ -89,15 +89,14 @@ def local_dependencies(trace: HostTrace, config: DiscoveryConfig) -> list[Channe
     Pairs are tested in batches, one per input channel: all output
     channels' times are paired with the input at once, and each statistic
     is computed for every pair of the batch in one segmented pass.  The
-    virtual channels of all the host's pairs are drawn in one call.
+    virtual channels of all the host's pairs are drawn in one call, from
+    one generator, in input-major pair order.
     """
     model = LogOddsModel(config.horizon)  # checks the horizon, also for an empty trace
     inputs = sorted(c for c in trace.channels if c.direction == "in")
     outputs = sorted(c for c in trace.channels if c.direction == "out")
     if not inputs or not outputs:
         return []
-    # One virtual-channel seed per pair, drawn in input-major pair order.
-    seeds = np.random.default_rng(config.seed).integers(0, 2**63, size=(len(inputs), len(outputs)))
     window = trace.window
     out_sizes = np.array([trace.channels[c].times.size for c in outputs])
     out_times = np.concatenate([trace.channels[c].times for c in outputs])
@@ -114,8 +113,9 @@ def local_dependencies(trace: HostTrace, config: DiscoveryConfig) -> list[Channe
     # Virtual-channel null sample for every pair with enough real delays,
     # split into one run of departures per input.
     enough = (n_real >= config.min_samples) & (window[1] > window[0])
-    rows, cols = np.nonzero(enough)
-    departures = np.split(virtual_departures(out_sizes[cols], window, seeds[rows, cols]),
+    # A spawned child: default_rng(seed) would replay gen-trace's draws for an equal seed.
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
+    departures = np.split(virtual_departures(out_sizes[np.nonzero(enough)[1]], window, rng),
                           np.cumsum((enough * out_sizes).sum(axis=1))[:-1])
 
     # (input, output, n_delays, log BF, KS outcome or None), input-major.

@@ -102,12 +102,6 @@ class HostTrace:
         hi = max(float(s.times[-1]) for s in self.channels.values())
         return lo, hi
 
-    @property
-    def duration(self) -> float:
-        """Max minus min timestamp over all channels; 0 with fewer than 2 events."""
-        lo, hi = self.window
-        return hi - lo
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HostTrace):
             return NotImplemented
@@ -198,104 +192,27 @@ def pair_delays(
     return delays[kept], kept
 
 
-# numpy's SeedSequence hash constants and PCG64 multiplier
-# (numpy/random/bit_generator.pyx, pcg64.h).  NumPy's stream policy (NEP 19)
-# fixes the stream PCG64(seed) gives, and these with it.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-
-
-def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
-    """SeedSequence's uint32 hash step; each call moves on to the next
-    constant of the sequence ``const``, ``const * mult``, ..."""
-    def hash_step(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = (const * mult) & _MASK32
-        value = value * np.uint32(const)
-        return value ^ (value >> 16)
-    return hash_step
-
-
-def _pcg64_states(seeds: np.ndarray) -> list[tuple[int, int]]:
-    """``(state, inc)`` of ``np.random.PCG64(s)`` for every uint64 seed
-    s < 2**63, in one pass.
-
-    ``SeedSequence(s)`` hashes the seed's little-endian uint32 words into a
-    pool of four; a word the seed lacks hashes as 0, so a seed below 2**32
-    hashes as its two-word form.  ``generate_state(4, np.uint64)`` then
-    draws PCG64's seed and stream words from the pool.  Both run here on
-    whole uint32 arrays; PCG64's two seeding steps run on Python ints."""
-    hashmix = _hasher(_INIT_A, _MULT_A)
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = np.uint32(_MIX_L) * x - np.uint32(_MIX_R) * y
-        return result ^ (result >> 16)
-
-    zero = np.zeros(seeds.size, dtype=np.uint32)
-    pool = [hashmix(word) for word in ((seeds & _MASK32).astype(np.uint32),
-                                       (seeds >> 32).astype(np.uint32), zero, zero)]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    draw = _hasher(_INIT_B, _MULT_B)
-    words = [draw(pool[k % 4]).astype(np.uint64) for k in range(8)]
-    seed_hi, seed_lo, seq_hi, seq_lo = ((words[2 * k] | (words[2 * k + 1] << 32)).tolist()
-                                        for k in range(4))
-    states = []
-    for a, b, c, d in zip(seed_hi, seed_lo, seq_hi, seq_lo):
-        # pcg_setseq_128_srandom_r: inc = seq * 2 + 1, then two LCG steps
-        # from state 0 with the seed added between them.
-        inc = ((((c << 64) | d) << 1) | 1) & _MASK128
-        state = ((((a << 64) | b) + inc) * _PCG_MULT + inc) & _MASK128
-        states.append((state, inc))
-    return states
-
-
 def virtual_departures(n_out: Sequence[int] | np.ndarray, window: tuple[float, float],
-                       seeds: Sequence[int] | np.ndarray) -> np.ndarray:
+                       rng: np.random.Generator) -> np.ndarray:
     """Departure times of virtual output channels, laid end to end: segment
     j holds ``n_out[j]`` i.i.d. Uniform(t_min, t_max) draws over the
     observation ``window``, sorted.
 
-    A segment is what ``np.sort(np.random.default_rng(seeds[j]).uniform(
-    t_min, t_max, n_out[j]))`` gives, bit for bit, but every pair's
-    generator state is computed in one pass and set on one reused PCG64.
-    Seeds must be integers in [0, 2**63), and t_min <= t_max.
+    The segments take consecutive draws from ``rng``: segment j is
+    ``t_min + (t_max - t_min) * np.sort(rng.random(n_out[j]))`` after the
+    segments before it, bit for bit.
 
     Paired with an input channel, a segment gives the dependence test's
     null sample.  Drawing over the observed window, not from time 0, keeps
     the test invariant to the time origin."""
-    sizes = np.asarray(n_out, dtype=np.intp)
-    seeds = np.asarray(seeds)
-    if seeds.dtype.kind not in "iu" and seeds.size:
-        raise ValueError(f"seeds must be integers, got {seeds.dtype}")
-    # A negative seed wraps to 2**63 or more.
-    seeds = seeds.astype(np.uint64)
-    if np.any(seeds >> 63):
-        raise ValueError("seeds must lie in [0, 2**63)")
-    if sizes.ndim != 1 or sizes.shape != seeds.shape or np.any(sizes < 0):
-        raise ValueError("n_out and seeds must be 1-D, of one length, and n_out >= 0")
-    t_min, t_max = window
-    if not t_min <= t_max:
-        raise ValueError(f"window must have t_min <= t_max, got {window}")
-    out = np.empty(int(sizes.sum()))
-    bitgen = np.random.PCG64(0)  # each pair's state replaces this one
-    random = np.random.Generator(bitgen).random
+    bounds = np.cumsum(n_out).tolist()
+    out = rng.random(bounds[-1] if bounds else 0)
     start = 0
-    for end, (state, inc) in zip(np.cumsum(sizes).tolist(), _pcg64_states(seeds)):
-        bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                        "has_uint32": 0, "uinteger": 0}
-        segment = out[start:end]
-        random(out=segment)
-        segment.sort()
+    for end in bounds:
+        out[start:end].sort()
         start = end
-    # Generator.uniform's own formula, low + (high - low) * random(); it is
-    # monotone for high >= low, so sorting before it changes nothing.
+    # Scaling is monotone for t_min <= t_max, so the segments stay sorted.
+    t_min, t_max = window
     out *= t_max - t_min
     out += t_min
     return out

@@ -27,8 +27,9 @@ def delay_samples(input: ChannelSeries, output: ChannelSeries, horizon: float) -
 
 
 def virtual_random_delays(input: ChannelSeries, n_out: int, window: tuple[float, float],
-                          horizon: float, seed: int) -> np.ndarray:
-    """Delays of ``input`` against ``n_out`` sorted Uniform(window) departures
-    drawn from ``default_rng(seed)``."""
-    departures = np.sort(np.random.default_rng(seed).uniform(window[0], window[1], n_out))
+                          horizon: float, rng: np.random.Generator) -> np.ndarray:
+    """Delays of ``input`` against ``n_out`` sorted Uniform(window) departures,
+    the next ``n_out`` draws of ``rng``."""
+    lo, hi = window
+    departures = lo + (hi - lo) * np.sort(rng.random(n_out))
     return _pair(input.times.tolist(), departures.tolist(), horizon)

@@ -128,19 +128,24 @@ def test_batched_pairs_match_single_pair_functions():
     config = DiscoveryConfig(seed=12)
     model = LogOddsModel(config.horizon)
     results = local_dependencies(trace, config)
-    # One virtual-channel seed per pair, in input-major pair order.
-    seeds = iter(np.random.default_rng(config.seed).integers(0, 2**63, size=len(results)))
+    # Every pair with min_samples real delays, in input-major pair order,
+    # takes the next draws of one child of the seed's stream, also when its
+    # virtual sample pairs nothing.
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     assert any(r.insufficient_data for r in results)
     for r in results:
-        seed = int(next(seeds))
         delays = delay_samples(trace.channels[r.input], trace.channels[r.output], config.horizon)
         assert r.n_delays == delays.size
         assert r.log_odds == log_odds_dependence(delays, model)
-        if r.insufficient_data:
+        if delays.size < config.min_samples:
+            assert r.insufficient_data
             continue
         virtual = virtual_random_delays(trace.channels[r.input],
                                         trace.channels[r.output].times.size,
-                                        trace.window, config.horizon, seed)
+                                        trace.window, config.horizon, rng)
+        assert r.insufficient_data == (virtual.size == 0)
+        if r.insufficient_data:
+            continue
         d = ks_statistic(empirical_cdf(delays), empirical_cdf(virtual))
         assert (r.ks.statistic, r.ks.n_b) == (d, virtual.size)
         assert r.ks.p_value == ks_p_value(d, delays.size, virtual.size)
