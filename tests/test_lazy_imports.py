@@ -3,7 +3,7 @@
 Every case runs ``cli.main`` in a fresh interpreter on tiny inputs and then
 reads that interpreter's ``sys.modules``: a command must load the modules it
 runs and none of the others (``numpy.ma`` included, which ``np.unique``
-would pull in).
+would pull in).  No command may load scipy, which serves the tests only.
 """
 
 from __future__ import annotations
@@ -31,8 +31,10 @@ kind=dep in_service=http in_remote=web01 out_service=sql out_remote=db01 mean_de
 
 DISCOVERY = {"statops.traces", "statops.discovery", "statops.stats"}
 OTHER_THAN_DIAGNOSIS = {"statops.repairs", "statops.records"} | DISCOVERY
+OTHER_THAN_STATS = {"statops.traces", "statops.discovery", "statops.diagnosis",
+                    "statops.repairs", "statops.records", "numpy.ma"}
 
-# command -> (modules it must load, modules it must not load)
+# command -> (modules it must load, modules it must not load, besides scipy)
 CASES = {
     "gen-trace": ({"statops.traces"}, {"statops.diagnosis", "statops.repairs", "numpy.ma"}),
     "discover": (DISCOVERY, {"statops.diagnosis", "statops.repairs", "numpy.ma"}),
@@ -40,13 +42,17 @@ CASES = {
     "diagnose-retrieve": ({"statops.diagnosis"}, OTHER_THAN_DIAGNOSIS),
     "repair-sim": ({"statops.repairs"}, {"statops.diagnosis", "statops.discovery"}),
     "repair-mine": ({"statops.repairs"}, {"statops.diagnosis", "statops.discovery"}),
+    "stats-bh": ({"statops.stats"}, OTHER_THAN_STATS),
+    "stats-ks": ({"statops.stats"}, OTHER_THAN_STATS),
 }
+# What the stats commands read on stdin.
+STDIN = {"stats-bh": "0.001 0.02 0.4 0.03\n", "stats-ks": "0.1 0.4 0.7 0.9\n0.2 0.5 1.5\n"}
 
 
-def _run_fresh(code: str) -> list:
+def _run_fresh(code: str, stdin: str = "") -> list:
     """The JSON that ``code`` prints last, run in a new interpreter."""
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=SRC))
+    proc = subprocess.run([sys.executable, "-c", code], input=stdin, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -75,6 +81,8 @@ def argvs(tmp_path_factory) -> dict[str, list[str]]:
         "repair-sim": ["repair-sim", "--machines", "2", "--ticks", "20",
                        "--out", str(d / "again.log")],
         "repair-mine": ["repair-mine", log, "--out", str(d / "mine")],
+        "stats-bh": ["stats", "bh", "--out", str(d / "bh.json")],
+        "stats-ks": ["stats", "ks", "--out", str(d / "ks.json")],
     }
 
 
@@ -83,11 +91,11 @@ def test_command_loads_only_its_modules(case, argvs):
     code = ("import json, sys; from statops.cli import main; "
             f"exit_code = main({argvs[case]!r}); "
             "print(json.dumps([exit_code, sorted(sys.modules)]))")
-    exit_code, modules = _run_fresh(code)
+    exit_code, modules = _run_fresh(code, STDIN.get(case, ""))
     assert exit_code == 0
     needed, unwanted = CASES[case]
     assert needed <= set(modules)
-    assert not unwanted & set(modules)
+    assert not (unwanted | {"scipy"}) & set(modules)
 
 
 def test_import_statops_loads_submodules_on_first_access():
