@@ -12,6 +12,8 @@ import argparse
 import dataclasses
 import json
 import math
+import os
+import pickle
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence
@@ -51,6 +53,60 @@ def _load(path: Path, parse, what: str):
         return parse(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _map_forked(fn, items: Sequence) -> list:
+    """[fn(x) for x in items], run in contiguous chunks, one per usable CPU.
+
+    The parent runs the first chunk; each other chunk runs in a forked child
+    that sends its results back pickled through a pipe.  A chunk whose child
+    raised or died is run again by the parent, so any error is the plain
+    loop's, raised in its order.  Every child ends in os._exit and is reaped
+    before this returns, killed first if the parent raises.  fn must write
+    nothing, and its results must pickle.
+    """
+    items = list(items)
+    # os.sched_getaffinity exists only where os.fork does; elsewhere: the plain loop
+    n = min(len(items), len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
+    if n <= 1:
+        return [fn(x) for x in items]
+    bounds = [len(items) * k // n for k in range(n + 1)]
+    chunks = [items[a:b] for a, b in zip(bounds, bounds[1:])]
+    children = []  # (pid, read end of its pipe) per chunk after the first; -1: none to reap
+    try:
+        for chunk in chunks[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the parent runs this chunk
+                pid = -1
+            if pid == 0:  # the child: never returns
+                status = 1
+                try:
+                    with open(write, "wb") as pipe:
+                        pickle.dump([fn(x) for x in chunk], pipe, pickle.HIGHEST_PROTOCOL)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        results = [fn(x) for x in chunks[0]]
+        for k, chunk in enumerate(chunks[1:]):
+            pid, pipe = children[k]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1] if pid > 0 else 1
+            children[k] = (-1, pipe)  # reaped
+            results += pickle.loads(data) if status == 0 else [fn(x) for x in chunk]
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if pid > 0:
+                import signal  # only on this path: every command imports this module
+
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def _seed(raw: str) -> int:
@@ -109,10 +165,14 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         alpha=args.alpha, horizon=args.horizon, min_samples=args.min_samples,
         method=args.method.replace("-", "_"), seed=args.seed,
     )
-    per_host = []
-    for path in args.traces:
+
+    def discover_host(path: str):
         trace = _load(Path(path), traces.parse_trace, "trace file")
-        per_host.append((trace.host, discovery.local_dependencies(trace, config)))
+        return trace.host, discovery.local_dependencies(trace, config)
+
+    # Hosts are independent (each draws its null sample from its own stream),
+    # so their traces can be discovered in any process.
+    per_host = _map_forked(discover_host, args.traces)
 
     echo = {
         "alpha": args.alpha, "horizon": args.horizon, "method": args.method,
@@ -132,8 +192,7 @@ def _cmd_discover(args: argparse.Namespace) -> int:
         comment = "// " + " ".join(f"{k}={echo[k]}" for k in sorted(echo)) + "\n"
         _write(out_dir / "graph.dot", comment.encode() + discovery.export_graph(graph, "dot"))
     else:
-        payload = json.loads(discovery.export_graph(graph, "json"))
-        _write(out_dir / "graph.json", _json_report(payload, echo))
+        _write(out_dir / "graph.json", _json_report(discovery.graph_payload(graph), echo))
 
     warn = any(
         all(r.insufficient_data for r in results) for _, results in per_host
@@ -165,13 +224,20 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
     import statops.diagnosis as diagnosis
 
-    dataset = _load(Path(args.metrics), diagnosis.load_metrics_csv, "metrics file")
+    # The metrics log is read here and the catalog in a child; a read error
+    # is raised only where the checks below reach its file.
+    reads = [lambda: _load(Path(args.metrics), diagnosis.load_metrics_csv, "metrics file")]
+    if "retrieve" in actions:
+        reads.append(lambda: _load(Path(args.catalog), diagnosis.catalog_from_jsonl, "catalog"))
+    dataset, *catalog_read = _map_forked(_outcome, reads)
+    dataset = _value(dataset)
     labels = diagnosis.label_slo(dataset, diagnosis.SloConfig(args.slo_threshold))
     violation_idx = np.flatnonzero(labels)
     if "cluster" in actions and not 1 <= args.clusters <= violation_idx.size:
         return _fail(f"--clusters must lie in [1, {violation_idx.size}], the number of "
                      f"violations, got {args.clusters}")
-    catalog = _load_catalog(args.catalog, dataset.n_metrics) if "retrieve" in actions else None
+    catalog = _check_catalog(_value(catalog_read[0]), Path(args.catalog),
+                             dataset.n_metrics) if catalog_read else None
     model = diagnosis.fit_classifier(dataset, labels)
 
     echo = {
@@ -224,12 +290,25 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _load_catalog(catalog_path: str, n_metrics: int) -> diagnosis.SignatureCatalog:
-    """The --catalog of a retrieve action; a ValueError says what is wrong."""
-    import statops.diagnosis as diagnosis
+def _outcome(read):
+    """read()'s value, or the ValueError or OSError it raised."""
+    try:
+        return read()
+    except (ValueError, OSError) as exc:
+        return exc
 
-    path = Path(catalog_path)
-    catalog = _load(path, diagnosis.catalog_from_jsonl, "catalog")
+
+def _value(outcome):
+    """Raise the error _outcome caught, or return its value."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _check_catalog(catalog: diagnosis.SignatureCatalog, path: Path,
+                   n_metrics: int) -> diagnosis.SignatureCatalog:
+    """The --catalog of a retrieve action, read from path; a ValueError says
+    what is wrong."""
     if not len(catalog):
         raise ValueError(f"{path}: catalog is empty")
     if catalog.attributions.shape[1] != n_metrics:
@@ -253,12 +332,20 @@ def _parse_watchdogs(specs: list[str]) -> tuple[repairs.WatchdogSpec, ...]:
     for raw in specs:
         parts = raw.split(":")
         if len(parts) != 3:
-            raise ValueError(f"watchdog spec must be NAME:FP:FN, got '{raw}'")
-        out.append(repairs.WatchdogSpec(parts[0], float(parts[1]), float(parts[2])))
+            raise ValueError(f"--watchdog must be NAME:FP:FN, got '{raw}'")
+        try:
+            rates = float(parts[1]), float(parts[2])
+        except ValueError:
+            raise ValueError(f"--watchdog FP and FN must be numbers, got '{raw}'") from None
+        out.append(repairs.WatchdogSpec(parts[0], *rates))
     return tuple(out)
 
 
 def _cmd_repair_sim(args: argparse.Namespace) -> int:
+    if args.machines < 1:
+        return _fail(f"--machines must be >= 1, got {args.machines}")
+    if args.ticks < 1:
+        return _fail(f"--ticks must be >= 1, got {args.ticks}")
     import statops.repairs as repairs
 
     watchdogs = _parse_watchdogs(args.watchdog) if args.watchdog else (repairs.WatchdogSpec("wd0"),)

@@ -34,6 +34,7 @@ __all__ = [
     "local_dependencies",
     "build_graph",
     "export_graph",
+    "graph_payload",
 ]
 
 # log Bayes-factor cutoff for method="log_odds": the conventional "strong
@@ -233,19 +234,23 @@ def export_graph(g: DependencyGraph, format: str = "dot") -> bytes:
         lines.append("}")
         return ("\n".join(lines) + "\n").encode("utf-8")
     if format == "json":
-        payload = {
-            "nodes": sorted(g.nodes),
-            "edges": [
-                {
-                    "from": src,
-                    "to": dst,
-                    "service": service,
-                    "q_value": g.edges[(src, dst, service)].q_value,
-                    "n_delays": g.edges[(src, dst, service)].n_delays,
-                    "statistic": g.edges[(src, dst, service)].statistic,
-                }
-                for (src, dst, service) in sorted(g.edges)
-            ],
-        }
-        return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("utf-8")
+        return (json.dumps(graph_payload(g), sort_keys=True, indent=2) + "\n").encode("utf-8")
     raise ValueError(f"unknown format '{format}'")
+
+
+def graph_payload(g: DependencyGraph) -> dict:
+    """The JSON form of a graph: sorted nodes and sorted edges with their evidence."""
+    return {
+        "nodes": sorted(g.nodes),
+        "edges": [
+            {
+                "from": src,
+                "to": dst,
+                "service": service,
+                "q_value": g.edges[(src, dst, service)].q_value,
+                "n_delays": g.edges[(src, dst, service)].n_delays,
+                "statistic": g.edges[(src, dst, service)].statistic,
+            }
+            for (src, dst, service) in sorted(g.edges)
+        ],
+    }

@@ -417,6 +417,19 @@ def test_repair_sim_bad_watchdog_spec_exit_2(tmp_path, capsys):
                  str(tmp_path / "x.log")]) == 2
 
 
+@pytest.mark.parametrize("flag,value,message", [
+    ("--machines", "0", "--machines must be >= 1, got 0"),
+    ("--ticks", "-1", "--ticks must be >= 1, got -1"),
+    ("--watchdog", "a:x:0", "--watchdog FP and FN must be numbers, got 'a:x:0'"),
+], ids=["machines", "ticks", "watchdog"])
+def test_repair_sim_bad_flag_names_it_exit_2_writes_nothing(flag, value, message, tmp_path,
+                                                            capsys):
+    log = tmp_path / "x.log"
+    assert main(["repair-sim", flag, value, "--out", str(log)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not log.exists() and not (tmp_path / "x.log.truth").exists()
+
+
 @pytest.mark.parametrize("spec,name", [("a;b:0:0", "a;b"), ("a b:0:0", "a b"), (":0:0", "")],
                          ids=["semicolon", "space", "empty"])
 def test_repair_sim_watchdog_name_outside_log_syntax_exit_2(tmp_path, capsys, spec, name):
