@@ -24,7 +24,7 @@ import numpy as np
 # as x`: `python -X importtime` does not record a submodule that `from statops
 # import x` loads.
 if TYPE_CHECKING:
-    from statops import diagnosis, repairs
+    from statops import diagnosis, discovery, repairs
 
 _EXIT_OK = 0
 _EXIT_WARN = 1
@@ -143,21 +143,28 @@ def _cmd_gen_trace(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _pair_rows(host: str, results) -> list[str]:
+def _pair_rows(host: str, table: discovery.PairTable) -> list[str]:
     rows = []
-    for r in results:
-        stat = repr(r.ks.statistic) if r.ks else ""
-        p = repr(r.ks.p_value) if r.ks else ""
-        q = "" if r.insufficient_data else repr(r.q_value)
+    columns = zip(table.pairs(), table.n_delays.tolist(), table.statistic.tolist(),
+                  table.p_value.tolist(), table.log_odds.tolist(), table.q_value.tolist(),
+                  table.dependent.tolist(), table.tested.tolist())
+    for (cin, cout), n, stat, p, log_odds, q, dependent, tested in columns:
         rows.append(",".join([
-            host, r.input.service, r.input.remote, r.output.service, r.output.remote,
-            str(r.n_delays), stat, p, repr(r.log_odds), q,
-            str(r.dependent).lower(), str(r.insufficient_data).lower(),
+            host, cin.service, cin.remote, cout.service, cout.remote, str(n),
+            repr(stat) if tested else "", repr(p) if tested else "", repr(log_odds),
+            repr(q) if tested else "", str(dependent).lower(), str(not tested).lower(),
         ]))
     return rows
 
 
 def _cmd_discover(args: argparse.Namespace) -> int:
+    # DiscoveryConfig and LogOddsModel check these too, in their own field names
+    if not 0 < args.alpha < 1:
+        return _fail(f"--alpha must lie in (0, 1), got {args.alpha}")
+    if not 0 < args.horizon < math.inf:
+        return _fail(f"--horizon must be a finite number > 0, got {args.horizon}")
+    if args.min_samples < 1:
+        return _fail(f"--min-samples must be >= 1, got {args.min_samples}")
     import statops.discovery as discovery
     import statops.traces as traces
 
@@ -183,8 +190,8 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     header = "host,input_service,input_remote,output_service,output_remote," \
              "n_delays,statistic,p_value,log_odds,q_value,dependent,insufficient_data"
     lines = [_config_comment(echo) + header]
-    for host, results in per_host:
-        lines.extend(_pair_rows(host, results))
+    for host, table in per_host:
+        lines.extend(_pair_rows(host, table))
     lines.append("")  # the last line end; the text is built in one join
     _write(out_dir / "pairs.csv", "\n".join(lines))
 
@@ -194,10 +201,7 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     else:
         _write(out_dir / "graph.json", _json_report(discovery.graph_payload(graph), echo))
 
-    warn = any(
-        all(r.insufficient_data for r in results) for _, results in per_host
-    ) or any(len(results) == 0 for _, results in per_host)
-    if warn:
+    if any(not table.tested.any() for _, table in per_host):
         print("warning: at least one host had no testable channel pairs", file=sys.stderr)
         return _EXIT_WARN
     return _EXIT_OK
@@ -337,6 +341,9 @@ def _parse_watchdogs(specs: list[str]) -> tuple[repairs.WatchdogSpec, ...]:
             rates = float(parts[1]), float(parts[2])
         except ValueError:
             raise ValueError(f"--watchdog FP and FN must be numbers, got '{raw}'") from None
+        for what, rate in zip(("FP", "FN"), rates):
+            if not 0 <= rate < 1:
+                raise ValueError(f"--watchdog {what} must lie in [0, 1), got {rate} in '{raw}'")
         out.append(repairs.WatchdogSpec(parts[0], *rates))
     return tuple(out)
 
@@ -346,6 +353,10 @@ def _cmd_repair_sim(args: argparse.Namespace) -> int:
         return _fail(f"--machines must be >= 1, got {args.machines}")
     if args.ticks < 1:
         return _fail(f"--ticks must be >= 1, got {args.ticks}")
+    for flag in ("transient_rate", "persistent_rate", "warning_rate"):
+        rate = getattr(args, flag)
+        if not 0 <= rate <= 1:
+            return _fail(f"--{flag.replace('_', '-')} must lie in [0, 1], got {rate}")
     import statops.repairs as repairs
 
     watchdogs = _parse_watchdogs(args.watchdog) if args.watchdog else (repairs.WatchdogSpec("wd0"),)

@@ -28,13 +28,11 @@ __all__ = [
     "MetricDataset",
     "SloConfig",
     "DiagnosisModel",
-    "Classification",
     "SignatureCatalog",
     "VARIANCE_FLOOR",
     "label_slo",
     "fit_classifier",
     "log_odds",
-    "classify",
     "predict",
     "signatures",
     "mcnemar_p_value",
@@ -161,33 +159,11 @@ def _attribution_matrix(model: DiagnosisModel, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Classification:
-    violation: bool
-    log_odds: float
-    posterior: tuple[float, float]  # (P(compliant|x), P(violation|x))
-
-
 def log_odds(model: DiagnosisModel, rows: np.ndarray) -> np.ndarray:
     """Log posterior ratio violation:compliant per row of a (n, k) metric
     matrix: the log prior ratio plus the row's attribution sum."""
     attr = _attribution_matrix(model, np.asarray(rows, dtype=float))
     return math.log(model.prior[1]) - math.log(model.prior[0]) + attr.sum(axis=1)
-
-
-def classify(model: DiagnosisModel, x: Sequence[float] | np.ndarray) -> Classification:
-    """Score one metric vector.  log_odds is the log posterior ratio
-    violation:compliant; the class is violation iff log_odds > 0."""
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1 or v.size != len(model.metric_names):
-        raise ValueError(f"metric vector must have {len(model.metric_names)} entries")
-    for i in model.feature_set:
-        if not np.isfinite(v[i]):
-            raise ValueError(f"missing value for metric '{model.metric_names[i]}'")
-    lo = float(log_odds(model, v[None, :])[0])
-    p_violation = 1.0 / (1.0 + math.exp(-lo)) if abs(lo) < 700 else float(lo > 0)
-    return Classification(violation=lo > 0, log_odds=lo,
-                          posterior=(1.0 - p_violation, p_violation))
 
 
 def predict(model: DiagnosisModel, rows: np.ndarray) -> np.ndarray:

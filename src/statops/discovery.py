@@ -5,6 +5,10 @@ the empirical CDF of its real input->output delays against the CDF of delays
 to a virtual random output channel.  KS p-values for all tested pairs on a
 host are then pushed through Benjamini-Hochberg selection, which is what
 keeps a host with thousands of channel pairs from drowning in false edges.
+
+A host's results are one PairTable: a column per statistic over all of its
+pairs, filled batch by batch, with no Python object per pair.  The graph
+and the reports read the columns.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import numpy as np
 
 from statops.stats import (
     LogOddsModel,
-    TestOutcome,
     bh_select,
     ks_p_value,
     ks_statistic_segments,
@@ -28,7 +31,7 @@ from statops.traces import ChannelId, HostTrace, pair_delays, virtual_departures
 
 __all__ = [
     "DiscoveryConfig",
-    "ChannelPairResult",
+    "PairTable",
     "EdgeEvidence",
     "DependencyGraph",
     "local_dependencies",
@@ -60,26 +63,37 @@ class DiscoveryConfig:
             raise ValueError(f"unknown method '{self.method}'")
 
 
-@dataclass(frozen=True)
-class ChannelPairResult:
-    """Dependence evidence for one (input, output) channel pair.
+@dataclass(frozen=True, eq=False)
+class PairTable:
+    """Dependence evidence for every (input, output) channel pair of one host,
+    as columns.
 
-    Pairs with fewer than min_samples paired delays (or no usable virtual
-    sample) are never tested: ks is None, q_value is NaN and
-    insufficient_data is set.
+    Pair k is ``(inputs[k // len(outputs)], outputs[k % len(outputs)])``:
+    pairs run input-major over the host's sorted channels, and ``len(table)``
+    counts them.  A pair with fewer than min_samples paired delays (or no
+    usable virtual sample) is not tested: ``tested`` is False, ``statistic``,
+    ``p_value`` and ``q_value`` are NaN, and it is never ``dependent``.
     """
 
-    input: ChannelId
-    output: ChannelId
-    n_delays: int
-    ks: TestOutcome | None
-    log_odds: float
-    q_value: float
-    dependent: bool
-    insufficient_data: bool
+    inputs: tuple[ChannelId, ...]
+    outputs: tuple[ChannelId, ...]
+    n_delays: np.ndarray  # int, paired delays within the horizon
+    statistic: np.ndarray  # KS D against the virtual channel
+    p_value: np.ndarray  # ks_p_value of the statistic
+    log_odds: np.ndarray  # log Bayes factor, for every pair
+    q_value: np.ndarray  # BH-adjusted p-value over the host's tested pairs
+    dependent: np.ndarray  # bool
+    tested: np.ndarray  # bool
+
+    def __len__(self) -> int:
+        return self.n_delays.size
+
+    def pairs(self) -> list[tuple[ChannelId, ChannelId]]:
+        """(input, output) of every pair, in table order."""
+        return [(cin, cout) for cin in self.inputs for cout in self.outputs]
 
 
-def local_dependencies(trace: HostTrace, config: DiscoveryConfig) -> list[ChannelPairResult]:
+def local_dependencies(trace: HostTrace, config: DiscoveryConfig) -> PairTable:
     """Test every input x output channel pair on one host.
 
     KS p-values of all tested pairs go through bh_select at config.alpha;
@@ -94,81 +108,64 @@ def local_dependencies(trace: HostTrace, config: DiscoveryConfig) -> list[Channe
     one generator, in input-major pair order.
     """
     model = LogOddsModel(config.horizon)  # checks the horizon, also for an empty trace
-    inputs = sorted(c for c in trace.channels if c.direction == "in")
-    outputs = sorted(c for c in trace.channels if c.direction == "out")
-    if not inputs or not outputs:
-        return []
-    window = trace.window
-    out_sizes = np.array([trace.channels[c].times.size for c in outputs])
-    out_times = np.concatenate([trace.channels[c].times for c in outputs])
-    out_pair = np.repeat(np.arange(len(outputs)), out_sizes)
+    inputs = tuple(sorted(c for c in trace.channels if c.direction == "in"))
+    outputs = tuple(sorted(c for c in trace.channels if c.direction == "out"))
+    shape = (len(inputs), len(outputs))
+    n_delays = np.zeros(shape, dtype=np.int64)
+    statistic, p_value = np.full(shape, np.nan), np.full(shape, np.nan)
+    log_odds = np.zeros(shape)
+    tested = np.zeros(shape, dtype=bool)
+    if inputs and outputs:
+        window = trace.window
+        out_sizes = np.array([trace.channels[c].times.size for c in outputs])
+        out_times = np.concatenate([trace.channels[c].times for c in outputs])
+        out_pair = np.repeat(np.arange(len(outputs)), out_sizes)
 
-    # Real delays of every pair, one batch per input, and the output each
-    # delay belongs to.
-    real = []
-    for cin in inputs:
-        delays, kept = pair_delays(trace.channels[cin].times, out_times, config.horizon)
-        real.append((delays, out_pair[kept]))
-    n_real = np.array([np.bincount(pair_of, minlength=len(outputs)) for _, pair_of in real])
+        # Real delays of every pair, one batch per input, and the output each
+        # delay belongs to.
+        real = []
+        for i, cin in enumerate(inputs):
+            delays, kept = pair_delays(trace.channels[cin].times, out_times, config.horizon)
+            real.append((delays, out_pair[kept]))
+            n_delays[i] = np.bincount(out_pair[kept], minlength=len(outputs))
 
-    # Virtual-channel null sample for every pair with enough real delays,
-    # split into one run of departures per input.
-    enough = (n_real >= config.min_samples) & (window[1] > window[0])
-    # A spawned child: default_rng(seed) would replay gen-trace's draws for an equal seed.
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
-    departures = np.split(virtual_departures(out_sizes[np.nonzero(enough)[1]], window, rng),
-                          np.cumsum((enough * out_sizes).sum(axis=1))[:-1])
+        # Virtual-channel null sample for every pair with enough real delays,
+        # split into one run of departures per input.
+        enough = (n_delays >= config.min_samples) & (window[1] > window[0])
+        # A spawned child: default_rng(seed) would replay gen-trace's draws for an equal seed.
+        rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
+        departures = np.split(virtual_departures(out_sizes[np.nonzero(enough)[1]], window, rng),
+                              np.cumsum((enough * out_sizes).sum(axis=1))[:-1])
 
-    # (input, output, n_delays, log BF, KS outcome or None), input-major.
-    pairs: list[tuple[ChannelId, ChannelId, int, float, TestOutcome | None]] = []
-    for i, cin in enumerate(inputs):
-        delays, pair_of = real[i]
-        log_bfs = log_odds_segments(delays, n_real[i], model)
-        drawn = np.flatnonzero(enough[i])
-        virtual, v_kept = pair_delays(trace.channels[cin].times, departures[i], config.horizon)
-        n_virtual = np.bincount(np.repeat(np.arange(drawn.size), out_sizes[drawn])[v_kept],
-                                minlength=drawn.size)
-        tested, n_virtual = drawn[n_virtual > 0], n_virtual[n_virtual > 0]
-        is_tested = np.zeros(len(outputs), dtype=bool)
-        is_tested[tested] = True
-        d = ks_statistic_segments(delays[is_tested[pair_of]], n_real[i, tested],
-                                  virtual, n_virtual)
+        for i, cin in enumerate(inputs):
+            delays, pair_of = real[i]
+            log_odds[i] = log_odds_segments(delays, n_delays[i], model)
+            drawn = np.flatnonzero(enough[i])
+            virtual, v_kept = pair_delays(trace.channels[cin].times, departures[i], config.horizon)
+            n_virtual = np.bincount(np.repeat(np.arange(drawn.size), out_sizes[drawn])[v_kept],
+                                    minlength=drawn.size)
+            cols, n_virtual = drawn[n_virtual > 0], n_virtual[n_virtual > 0]
+            tested[i, cols] = True
+            statistic[i, cols] = ks_statistic_segments(
+                delays[tested[i, pair_of]], n_delays[i, cols], virtual, n_virtual)
+            # One series per pair: math.exp keeps the p-value's bits, which
+            # np.exp over a batch would not.
+            p_value[i, cols] = [ks_p_value(d, n_a, n_b) for d, n_a, n_b in zip(
+                statistic[i, cols].tolist(), n_delays[i, cols].tolist(), n_virtual.tolist())]
 
-        counts = n_real[i].tolist()
-        outcome: list[TestOutcome | None] = [None] * len(outputs)
-        for j, stat, n_b in zip(tested.tolist(), d.tolist(), n_virtual.tolist()):
-            p = ks_p_value(stat, counts[j], n_b)
-            outcome[j] = TestOutcome(statistic=stat, p_value=p, n_a=counts[j], n_b=n_b,
-                                     significant=p <= config.alpha)
-        pairs += zip([cin] * len(outputs), outputs, counts, log_bfs.tolist(), outcome)
-
-    tested_ks = [ks for *_, ks in pairs if ks is not None]
-    selection = bh_select([ks.p_value for ks in tested_ks], config.alpha) if tested_ks else None
-    results = []
-    pos = 0
-    for cin, cout, n, log_bf, ks in pairs:
-        if ks is None:
-            results.append(ChannelPairResult(
-                input=cin, output=cout, n_delays=n, ks=None,
-                log_odds=log_bf, q_value=float("nan"), dependent=False,
-                insufficient_data=True,
-            ))
-            continue
-        q = float(selection.q_values[pos])
-        bh_dependent = pos in selection.rejected_indices
-        pos += 1
-        bf_dependent = log_bf >= LOG_BF_THRESHOLD
-        if config.method == "ks":
-            dependent = bh_dependent
-        elif config.method == "log_odds":
-            dependent = bf_dependent
-        else:
-            dependent = bh_dependent and bf_dependent
-        results.append(ChannelPairResult(
-            input=cin, output=cout, n_delays=n, ks=ks,
-            log_odds=log_bf, q_value=q, dependent=dependent, insufficient_data=False,
-        ))
-    return results
+    tested, p_value, log_odds = tested.ravel(), p_value.ravel(), log_odds.ravel()
+    q_value = np.full(tested.size, np.nan)
+    bh_dependent = np.zeros(tested.size, dtype=bool)
+    if tested.any():
+        selection = bh_select(p_value[tested], config.alpha)
+        q_value[tested] = selection.q_values
+        bh_dependent[np.flatnonzero(tested)[list(selection.rejected_indices)]] = True
+    bf_dependent = tested & (log_odds >= LOG_BF_THRESHOLD)
+    dependent = {"ks": bh_dependent, "log_odds": bf_dependent,
+                 "both": bh_dependent & bf_dependent}[config.method]
+    return PairTable(inputs=inputs, outputs=outputs, n_delays=n_delays.ravel(),
+                     statistic=statistic.ravel(), p_value=p_value, log_odds=log_odds,
+                     q_value=q_value, dependent=dependent, tested=tested)
 
 
 @dataclass(frozen=True)
@@ -186,9 +183,7 @@ class DependencyGraph:
     edges: dict[tuple[str, str, str], EdgeEvidence]  # (from, to, service)
 
 
-def build_graph(
-    per_host: Sequence[tuple[str, Sequence[ChannelPairResult]]]
-) -> DependencyGraph:
+def build_graph(per_host: Sequence[tuple[str, PairTable]]) -> DependencyGraph:
     """Merge per-host dependent pairs into one graph.
 
     A dependent pair with input remote x (service s_in) and output remote y
@@ -208,15 +203,17 @@ def build_graph(
         if kept is None or ev.q_value < kept.q_value:
             edges[key] = ev
 
-    for host, results in per_host:
-        for r in results:
-            if not r.dependent:
-                continue
-            nodes.update((host, r.input.remote, r.output.remote))
-            stat = r.ks.statistic if r.ks is not None else float("nan")
-            ev = EdgeEvidence(q_value=r.q_value, n_delays=r.n_delays, statistic=stat)
-            add_edge((r.input.remote, host, r.input.service), ev)
-            add_edge((host, r.output.remote, r.output.service), ev)
+    for host, table in per_host:
+        hits = np.flatnonzero(table.dependent)
+        evidence = zip(hits.tolist(), table.q_value[hits].tolist(),
+                       table.n_delays[hits].tolist(), table.statistic[hits].tolist())
+        for pair, q, n, stat in evidence:
+            i, j = divmod(pair, len(table.outputs))
+            cin, cout = table.inputs[i], table.outputs[j]
+            nodes.update((host, cin.remote, cout.remote))
+            ev = EdgeEvidence(q_value=q, n_delays=n, statistic=stat)
+            add_edge((cin.remote, host, cin.service), ev)
+            add_edge((host, cout.remote, cout.service), ev)
     return DependencyGraph(nodes=frozenset(nodes), edges=edges)
 
 

@@ -2,13 +2,15 @@
 
 Watchdogs probe machines each tick and report OK / Warning / Error.  The
 device manager holds a machine in error as soon as any watchdog reports
-Error; Warning never counts against a machine.  A machine in error moves to
-the Failure state and is assigned a recovery action (Reboot, ReImage,
-Replace or DoNothing) by the active policy; when the action's latency has
-elapsed and the reports are clean it returns to Healthy.  A repair that
-elapses while the error persists escalates: the policy is consulted again
-with the grown repair history, which is how a persistent fault walks up the
-Reboot -> ReImage -> Replace ladder.
+Error; Warning never counts against a machine.  ``error_predicate`` is that
+rule, over an array of status codes: the simulator runs it on each block's
+reports, and the log miner on a log's status matrix.  A machine in error
+moves to the Failure state and is assigned a recovery action (Reboot,
+ReImage, Replace or DoNothing) by the active policy; when the action's
+latency has elapsed and the reports are clean it returns to Healthy.  A
+repair that elapses while the error persists escalates: the policy is
+consulted again with the grown repair history, which is how a persistent
+fault walks up the Reboot -> ReImage -> Replace ladder.
 
 Per tick and machine the simulator logs reports, assigned state and any
 action issued; the true fault status is kept in a separate ground-truth
@@ -36,7 +38,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -47,7 +48,6 @@ __all__ = [
     "WatchdogStatus",
     "RepairAction",
     "MachineHealth",
-    "WatchdogReport",
     "STATES",
     "ACTIONS",
     "STATUSES",
@@ -58,7 +58,6 @@ __all__ = [
     "MachineState",
     "WatchdogSpec",
     "FaultModel",
-    "LogEntry",
     "FaultTruth",
     "RepairLog",
     "CostModel",
@@ -113,14 +112,6 @@ _STATE_BY_VALUE = {s.value: k for k, s in enumerate(STATES)}
 _ACTION_BY_VALUE = {a.value: k for k, a in enumerate(ACTIONS)}
 _STATUS_BY_VALUE = {s.value: k for k, s in enumerate(STATUSES)}
 _TRUTH_CODE = {t: k for k, t in enumerate(TRUTHS)}
-
-
-@dataclass(frozen=True)
-class WatchdogReport:
-    time: int
-    watchdog: str
-    machine: str
-    status: WatchdogStatus
 
 
 @dataclass(frozen=True)
@@ -191,15 +182,6 @@ class FaultModel:
                 raise ValueError("repair latencies must be >= 1 tick")
 
 
-@dataclass(frozen=True)
-class LogEntry:
-    tick: int
-    machine: str
-    reports: tuple[WatchdogReport, ...]
-    state: MachineHealth
-    action: RepairAction | None  # action issued this tick, if any
-
-
 @dataclass(frozen=True, eq=False)
 class FaultTruth:
     """Simulator-only ground truth: one row per (tick, machine) key, sorted by
@@ -232,33 +214,24 @@ class RepairLog:
     watchdogs: tuple[str, ...]
     truth: FaultTruth | None = None
 
-    @cached_property
-    def entries(self) -> tuple[LogEntry, ...]:
-        """The rows as objects, built on first use; for interop only."""
-        out = []
-        for t, m, s, a, row in zip(self.tick.tolist(), self.machine.tolist(),
-                                   self.state.tolist(), self.action.tolist(),
-                                   self.status.tolist()):
-            mid = self.machines[m]
-            reports = tuple(WatchdogReport(t, w, mid, STATUSES[c])
-                            for w, c in zip(self.watchdogs, row) if c != ABSENT)
-            out.append(LogEntry(t, mid, reports, STATES[s],
-                                None if a == NO_ACTION else ACTIONS[a]))
-        return tuple(out)
-
 
 Policy = Callable[[Sequence[tuple[int, RepairAction]], bool], RepairAction]
 
 
-def error_predicate(reports: Sequence[WatchdogReport]) -> bool:
-    """True iff any watchdog reports Error.  All OK/Warning (or no reports at
-    all) means the machine is not in error."""
-    if reports:
-        first = reports[0]
-        for r in reports:
-            if r.machine != first.machine or r.time != first.time:
-                raise ValueError("reports must share one machine and tick")
-    return any(r.status is WatchdogStatus.ERROR for r in reports)
+def error_predicate(status: np.ndarray) -> np.ndarray:
+    """Whether a machine is in error: True where any watchdog reports Error.
+
+    ``status`` holds STATUSES codes (or ABSENT) with the watchdogs on its last
+    axis, as ``RepairLog.status`` does; the result drops that axis.  OK,
+    Warning and absent reports, or no watchdog at all, read False.  An OR of
+    the few watchdog columns: numpy reduces a short last axis an order of
+    magnitude slower.
+    """
+    status = np.asarray(status)
+    out = np.zeros(status.shape[:-1], dtype=bool)
+    for k in range(status.shape[-1]):
+        out |= status[..., k] == _ERROR
+    return out
 
 
 def escalation_policy(
@@ -337,15 +310,6 @@ def device_manager_step(
 _BLOCK_ROLLS = 1 << 16
 
 
-def _any_watchdog(flags: np.ndarray) -> np.ndarray:
-    """``flags.any(axis=-1)`` over the watchdog axis, as an OR of its few
-    columns: numpy reduces a short last axis an order of magnitude slower."""
-    out = flags[..., 0].copy()
-    for k in range(1, flags.shape[-1]):
-        out |= flags[..., k]
-    return out
-
-
 def _machine_ids(fleet: int) -> list[str]:
     width = max(2, len(str(max(fleet - 1, 0))))
     return [f"m{i:0{width}d}" for i in range(fleet)]
@@ -398,11 +362,14 @@ def simulate(
         rows = slice(first, first + size)
         u = rng_faults.random((size, fleet, 2))
         transient, arrival = u[..., 0] < model.transient_rate, u[..., 1] < model.persistent_rate
+        # Each report's status if the machine is faulty on the tick, and if not.
         v = rng_reports.random((size, fleet, n_wd, 2))
-        error_if_faulty, error_if_ok = v[..., 0] >= fn, v[..., 0] < fp
-        any_if_faulty = _any_watchdog(error_if_faulty)
+        quiet = np.where(v[..., 1] < model.warning_rate, np.int8(_WARNING), np.int8(_OK))
+        if_faulty = np.where(v[..., 0] >= fn, np.int8(_ERROR), quiet)
+        if_ok = np.where(v[..., 0] < fp, np.int8(_ERROR), quiet)
+        any_if_faulty = error_predicate(if_faulty)
         # Without a persistent fault a machine is faulty on its transient ticks.
-        any_if_clear = np.where(transient, any_if_faulty, _any_watchdog(error_if_ok))
+        any_if_clear = np.where(transient, any_if_faulty, error_predicate(if_ok))
         truth[rows] = transient
         # Per machine-tick: bit 0 a persistent-fault arrival, bit 1 an Error
         # report if the machine holds a persistent fault, bit 2 one if not.
@@ -450,9 +417,7 @@ def simulate(
         truth[rows].reshape(-1)[faulty] = _TRUTH_CODE["persistent"]
         state[rows].reshape(-1)[failed] = _FAILURE
         action[rows].reshape(-1)[issued] = issued_codes
-        errors = np.where(truth[rows, :, None] > 0, error_if_faulty, error_if_ok)
-        status[rows] = np.where(
-            errors, _ERROR, np.where(v[..., 1] < model.warning_rate, _WARNING, _OK))
+        status[rows] = np.where(truth[rows, :, None] > 0, if_faulty, if_ok)
 
     ticks = np.repeat(np.arange(horizon, dtype=np.int64), fleet)
     codes = np.tile(np.arange(fleet), horizon)
@@ -570,7 +535,7 @@ def estimate_watchdog_fpr(
     starts, stops = starts[calm], stops[calm]
     quick = tick[stops] - tick[starts] <= lookahead
     starts, stops = starts[quick], stops[quick]
-    error_rows = np.concatenate([[0], np.cumsum(errors.any(axis=1))])
+    error_rows = np.concatenate([[0], np.cumsum(error_predicate(status))])
     later_errors = (error_rows[np.searchsorted(key, key[stops], side="right")]
                     - error_rows[np.searchsorted(key, key[starts], side="right")])
     suspected = errors[starts[later_errors == 0]].sum(axis=0).tolist()

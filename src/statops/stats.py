@@ -2,7 +2,7 @@
 
 Implements:
 - empirical CDFs and the exact two-sample Kolmogorov-Smirnov statistic
-- the asymptotic Smirnov p-value plus a permutation oracle to validate it
+- the asymptotic Smirnov p-value
 - Benjamini-Hochberg step-up selection with adjusted q-values
 - expected-false-positive arithmetic for naive thresholding across many tests
 - a known-variance mean-difference test with a practical-significance gate
@@ -30,7 +30,6 @@ __all__ = [
     "empirical_cdf",
     "ks_statistic",
     "ks_p_value",
-    "permutation_p_value",
     "bh_select",
     "expected_false_positives",
     "mean_difference_test",
@@ -120,20 +119,28 @@ def _segment_ids(counts: np.ndarray) -> np.ndarray:
     return np.repeat(np.arange(counts.size), counts)
 
 
-def _ks_numerators(a: np.ndarray, a_counts: np.ndarray,
-                   b: np.ndarray, b_counts: np.ndarray) -> np.ndarray:
-    """Per segment j, max |n_b * count_a(x) - n_a * count_b(x)| over the
-    union of its sample points, where segment j is the next a_counts[j]
-    values of ``a`` and the next b_counts[j] values of ``b``.
-    Integer-exact so that lattice ties compare reliably;
-    D = numerator / (n_a * n_b).  Every count must be >= 1.
+def ks_statistic_segments(a: np.ndarray, a_counts: Sequence[int] | np.ndarray,
+                          b: np.ndarray, b_counts: Sequence[int] | np.ndarray) -> np.ndarray:
+    """ks_statistic of many sample pairs at once.
 
-    Sorting by (segment, value) merges each segment's two samples; a
-    running sum of +n_b per a-point and -n_a per b-point is then the
-    numerator's signed argument, read after the last point of each tie run
-    (right-continuous CDFs).  Each segment's steps sum to zero, so one
-    running sum serves all segments.
+    Pair j holds the next a_counts[j] values of ``a`` against the next
+    b_counts[j] values of ``b`` (ragged segments laid end to end, in any
+    order within a segment).  Every count must be >= 1.
+
+    D_j is max |n_b * count_a(x) - n_a * count_b(x)| / (n_a * n_b) over the
+    union of pair j's sample points, with an integer-exact numerator so that
+    lattice ties compare reliably.  Sorting by (segment, value) merges each
+    pair's two samples; a running sum of +n_b per a-point and -n_a per
+    b-point is then the numerator's signed argument, read after the last
+    point of each tie run (right-continuous CDFs).  Each segment's steps sum
+    to zero, so one running sum serves all segments.
     """
+    a_counts = np.asarray(a_counts, dtype=np.int64)
+    b_counts = np.asarray(b_counts, dtype=np.int64)
+    if a_counts.size == 0:
+        return np.empty(0)
+    if a_counts.min() < 1 or b_counts.min() < 1:
+        raise ValueError("every segment needs at least one sample on each side")
     x = np.concatenate([a, b])
     seg = np.concatenate([_segment_ids(a_counts), _segment_ids(b_counts)])
     step = np.concatenate([np.repeat(b_counts, a_counts), -np.repeat(a_counts, b_counts)])
@@ -144,24 +151,7 @@ def _ks_numerators(a: np.ndarray, a_counts: np.ndarray,
     height = np.abs(np.cumsum(step[order]))
     height[:-1][(x[:-1] == x[1:]) & (seg[:-1] == seg[1:])] = 0
     starts = np.concatenate([[0], np.cumsum(a_counts + b_counts)[:-1]])
-    return np.maximum.reduceat(height, starts)
-
-
-def ks_statistic_segments(a: np.ndarray, a_counts: Sequence[int] | np.ndarray,
-                          b: np.ndarray, b_counts: Sequence[int] | np.ndarray) -> np.ndarray:
-    """ks_statistic of many sample pairs at once.
-
-    Pair j holds the next a_counts[j] values of ``a`` against the next
-    b_counts[j] values of ``b`` (ragged segments laid end to end, in any
-    order within a segment).  Every count must be >= 1.
-    """
-    a_counts = np.asarray(a_counts, dtype=np.int64)
-    b_counts = np.asarray(b_counts, dtype=np.int64)
-    if a_counts.size == 0:
-        return np.empty(0)
-    if a_counts.min() < 1 or b_counts.min() < 1:
-        raise ValueError("every segment needs at least one sample on each side")
-    return _ks_numerators(a, a_counts, b, b_counts) / (a_counts * b_counts)
+    return np.maximum.reduceat(height, starts) / (a_counts * b_counts)
 
 
 def ks_statistic(a: EmpiricalCdf, b: EmpiricalCdf) -> float:
@@ -198,57 +188,6 @@ def ks_p_value(d: float, n: int, m: int) -> float:
         total += sign * term
         sign = -sign
     return min(1.0, max(0.0, 2.0 * total))
-
-
-def permutation_p_value(
-    a: Sequence[float] | np.ndarray,
-    b: Sequence[float] | np.ndarray,
-    n_perm: int,
-    rng_seed: int,
-) -> float:
-    """Permutation tail probability of the two-sample KS statistic.
-
-    Pools both samples, re-splits ``n_perm`` times at the original sizes and
-    recomputes the statistic; returns (1 + #{D_perm >= D_obs}) / (n_perm + 1).
-    Deterministic for a fixed seed.  This is the finite-sample oracle used to
-    validate :func:`ks_p_value`.
-    """
-    if n_perm < 1:
-        raise ValueError("n_perm must be >= 1")
-    xa = np.asarray(a, dtype=float)
-    xb = np.asarray(b, dtype=float)
-    if xa.size == 0 or xb.size == 0:
-        raise ValueError("both samples must be non-empty")
-    observed = int(_ks_numerators(xa, np.array([xa.size]), xb, np.array([xb.size]))[0])
-
-    n, m = int(xa.size), int(xb.size)
-    total = n + m
-    pooled = np.sort(np.concatenate([xa, xb]))
-    # The pooled multiset is permutation-invariant, so a split is fully
-    # described by which sorted positions belong to sample a.  D is then the
-    # max prefix discrepancy, evaluated at the last index of each tie run.
-    # Comparisons use the integer numerator m*count_a - n*count_b so that
-    # statistic ties (D lives on a 1/(n*m) lattice) are never split by
-    # floating-point rounding.
-    last_of_run = np.ones(total, dtype=bool)
-    last_of_run[:-1] = pooled[:-1] != pooled[1:]
-    positions = np.arange(1, total + 1)
-
-    rng = np.random.default_rng(rng_seed)
-    exceed = 0
-    chunk = max(1, min(n_perm, 4_000_000 // max(total, 1)))
-    done = 0
-    while done < n_perm:
-        rows = min(chunk, n_perm - done)
-        order = np.argsort(rng.random((rows, total)), axis=1)
-        member_a = np.zeros((rows, total), dtype=np.int64)
-        np.put_along_axis(member_a, order[:, :n], 1, axis=1)
-        cum_a = np.cumsum(member_a, axis=1)
-        disc = np.abs(m * cum_a - n * (positions - cum_a))
-        d_perm = disc[:, last_of_run].max(axis=1)
-        exceed += int(np.count_nonzero(d_perm >= observed))
-        done += rows
-    return (1 + exceed) / (n_perm + 1)
 
 
 def bh_select(p_values: Sequence[float] | np.ndarray, alpha: float) -> RejectionSet:

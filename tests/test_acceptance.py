@@ -15,6 +15,7 @@ import time
 import numpy as np
 import pytest
 
+from ks_oracle import permutation_p_value
 from statops import diagnosis, discovery, repairs, stats, traces
 from statops.cli import main
 
@@ -63,12 +64,11 @@ def test_criterion_02_fdr_control_on_null_host():
     fdps = []
     for seed in range(200):
         trace, _ = traces.synth_trace(_null_host_spec(seed))
-        results = discovery.local_dependencies(
+        table = discovery.local_dependencies(
             trace, discovery.DiscoveryConfig(alpha=0.05, seed=seed)
         )
-        tested = [r for r in results if not r.insufficient_data]
-        assert len(results) == 200
-        rejected = sum(r.dependent for r in tested)
+        assert len(table) == 200
+        rejected = int(table.dependent[table.tested].sum())
         fdps.append(1.0 if rejected else 0.0)  # every rejection is false here
     mean_fdp = float(np.mean(fdps))
     assert mean_fdp <= 0.08
@@ -93,23 +93,23 @@ def test_criterion_03_dependency_recovery():
         in_sizes = [trace.channels[c].times.size for c in trace.channels
                     if c.direction == "in"]
         assert min(in_sizes) >= 1000
-        results = discovery.local_dependencies(
+        table = discovery.local_dependencies(
             trace, discovery.DiscoveryConfig(alpha=0.05, seed=seed)
         )
-        assert len(results) >= 100
-        for r in results:
-            if (r.input, r.output) in truth:
+        assert len(table) >= 100
+        for pair, dependent in zip(table.pairs(), table.dependent.tolist()):
+            if pair in truth:
                 total += 1
-                detected += r.dependent
+                detected += dependent
     rate = detected / total
     assert rate >= 0.9
 
     # noise-free run: the exported graph holds exactly the planted edges
     trace, truth = traces.synth_trace(_planted_host_spec(seed=0))
-    results = discovery.local_dependencies(
+    table = discovery.local_dependencies(
         trace, discovery.DiscoveryConfig(alpha=0.05, seed=0)
     )
-    graph = discovery.build_graph([("h", results)])
+    graph = discovery.build_graph([("h", table)])
     payload = json.loads(discovery.export_graph(graph, "json"))
     edges = {(e["from"], e["to"], e["service"]) for e in payload["edges"]}
     expected = {(f"src{i:02d}", "h", "http") for i in range(10)}
@@ -130,14 +130,14 @@ def test_criterion_04_ks_asymptotic_vs_permutation():
         b = rng.normal(loc=shift, size=200)
         d = stats.ks_statistic(stats.empirical_cdf(a), stats.empirical_cdf(b))
         p_asym = stats.ks_p_value(d, 200, 200)
-        p_perm = stats.permutation_p_value(a, b, 1999, rng_seed=10_000 + case)
+        p_perm = permutation_p_value(a, b, 1999, rng_seed=10_000 + case)
         worst = max(worst, abs(p_asym - p_perm))
     assert worst <= 0.05
 
     # null permutation p-values are uniform on [0, 1]
     rng = np.random.default_rng(77)
     p_values = np.sort([
-        stats.permutation_p_value(
+        permutation_p_value(
             rng.normal(size=103), rng.normal(size=97), 99, rng_seed=50_000 + t
         )
         for t in range(1000)
@@ -189,8 +189,8 @@ def test_criterion_06_diagnosis_on_planted_causes():
     violation_idx = np.nonzero(labels)[0]
     every_epoch = diagnosis.signatures(model, dataset.metrics, dataset.timestamps)
     for i in range(dataset.n_epochs):
-        c = diagnosis.classify(model, dataset.metrics[i])
-        assert abs(every_epoch.attributions[i].sum() + log_prior - c.log_odds) <= 1e-9
+        log_odds = diagnosis.log_odds(model, dataset.metrics[i:i + 1])[0]
+        assert abs(every_epoch.attributions[i].sum() + log_prior - log_odds) <= 1e-9
     signatures = diagnosis.signatures(model, dataset.metrics[violation_idx],
                                       dataset.timestamps[violation_idx])
 
@@ -254,12 +254,31 @@ def test_criterion_08_repair_loop():
     for s1 in statuses:
         for s2 in statuses:
             for s3 in statuses:
-                reports = [
-                    repairs.WatchdogReport(0, f"wd{k}", "m", s)
-                    for k, s in enumerate((s1, s2, s3))
-                ]
+                status = np.array([repairs.STATUSES.index(s) for s in (s1, s2, s3)])
                 expected = repairs.WatchdogStatus.ERROR in (s1, s2, s3)
-                assert repairs.error_predicate(reports) == expected
+                assert repairs.error_predicate(status) == expected
+
+    # ... and it is the rule the simulator runs: a machine Healthy on its
+    # previous row (or starting out) is in Failure exactly where it holds
+    checked = 0
+    for policy in (repairs.escalation_policy, repairs.always_do_nothing,
+                   repairs.always_replace):
+        for n_watchdogs in (2, 4):
+            model = repairs.FaultModel(
+                transient_rate=0.01, persistent_rate=0.002, warning_rate=0.1,
+                watchdogs=tuple(repairs.WatchdogSpec(f"wd{k}", 0.005 * k, 0.1)
+                                for k in range(n_watchdogs)))
+            log = repairs.simulate(20, model, policy, horizon=1000, seed=n_watchdogs)
+            # rows run tick-major: row (t, m) is machine m's row after (t - 1, m)
+            failure = log.state.reshape(1000, 20) == repairs.STATES.index(
+                repairs.MachineHealth.FAILURE)
+            was_healthy = np.ones_like(failure)
+            was_healthy[1:] = ~failure[:-1]
+            in_error = repairs.error_predicate(log.status).reshape(1000, 20)
+            np.testing.assert_array_equal(failure[was_healthy], in_error[was_healthy])
+            assert in_error[was_healthy].any()
+            checked += int(was_healthy.sum())
+    assert checked >= 90_000
 
     # persistent fault is Replaced within the derived bound
     stubborn = repairs.FaultModel(
@@ -271,8 +290,8 @@ def test_criterion_08_repair_loop():
                          repairs.RepairAction.DO_NOTHING: 0.0},
     )
     log = repairs.simulate(1, stubborn, repairs.escalation_policy, horizon=30, seed=0)
-    first_replace = next(e.tick for e in log.entries
-                         if e.action is repairs.RepairAction.REPLACE)
+    first_replace = int(log.tick[log.action == repairs.ACTIONS.index(
+        repairs.RepairAction.REPLACE)][0])
     max_latency = max(stubborn.repair_latency.values())
     assert first_replace <= 3 * (max_latency + 1) + 100
 
@@ -303,7 +322,7 @@ def test_criterion_08_repair_loop():
                    repairs.WatchdogSpec("wd_c", 0.02, 0.0)),
     )
     log = repairs.simulate(25, noisy, repairs.always_do_nothing, horizon=500, seed=3)
-    assert sum(len(e.reports) for e in log.entries) >= 3 * 10_000
+    assert np.count_nonzero(log.status != repairs.ABSENT) >= 3 * 10_000
     rates = repairs.estimate_watchdog_fpr(log, lookahead=20)
     est = rates["wd_a"].estimated_fp_rate
     assert abs(est - 0.10) <= 0.02
@@ -312,7 +331,8 @@ def test_criterion_08_repair_loop():
     assert abs(rates["wd_c"].estimated_fp_rate - 0.02) <= 0.02
     elapsed = time.monotonic() - start
     assert elapsed < 120
-    print(f"\ncriterion 8: Replace by tick {first_replace}, policies ordered on "
+    print(f"\ncriterion 8: predicate is the simulator's rule on {checked} rows, "
+          f"Replace by tick {first_replace}, policies ordered on "
           f"20/20 paired seeds, FPR estimate {est:.4f} in {elapsed:.0f}s")
 
 

@@ -208,7 +208,7 @@ def test_discover_bad_horizon_exit_2_writes_nothing(horizon, empty, tmp_path, ca
     assert main(["discover", str(trace), "--horizon", horizon, "--method", "log-odds",
                  "--out", str(out)]) == 2
     assert capsys.readouterr().err == \
-        f"error: horizon must be a finite number > 0, got {float(horizon)}\n"
+        f"error: --horizon must be a finite number > 0, got {float(horizon)}\n"
     assert not out.exists()
 
 
@@ -428,6 +428,35 @@ def test_repair_sim_bad_flag_names_it_exit_2_writes_nothing(flag, value, message
     assert main(["repair-sim", flag, value, "--out", str(log)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not log.exists() and not (tmp_path / "x.log.truth").exists()
+
+
+@pytest.mark.parametrize("command,flag,value,message", [
+    ("repair-sim", "--transient-rate", "2", "--transient-rate must lie in [0, 1], got 2.0"),
+    ("repair-sim", "--persistent-rate", "-0.1",
+     "--persistent-rate must lie in [0, 1], got -0.1"),
+    ("repair-sim", "--warning-rate", "nan", "--warning-rate must lie in [0, 1], got nan"),
+    ("repair-sim", "--watchdog", "a:1.5:0",
+     "--watchdog FP must lie in [0, 1), got 1.5 in 'a:1.5:0'"),
+    ("repair-sim", "--watchdog", "a:0:1",
+     "--watchdog FN must lie in [0, 1), got 1.0 in 'a:0:1'"),
+    ("discover", "--min-samples", "0", "--min-samples must be >= 1, got 0"),
+    ("discover", "--alpha", "2", "--alpha must lie in (0, 1), got 2.0"),
+    ("discover", "--alpha", "0", "--alpha must lie in (0, 1), got 0.0"),
+    ("discover", "--horizon", "0", "--horizon must be a finite number > 0, got 0.0"),
+    ("discover", "--horizon", "nan", "--horizon must be a finite number > 0, got nan"),
+], ids=["transient-rate", "persistent-rate", "warning-rate", "watchdog-fp", "watchdog-fn",
+        "min-samples", "alpha-2", "alpha-0", "horizon-0", "horizon-nan"])
+def test_out_of_range_flag_names_it_exit_2_writes_nothing(command, flag, value, message,
+                                                          tmp_path, capsys):
+    out = tmp_path / "out"
+    inputs = []
+    if command == "discover":
+        inputs = [str(tmp_path / "host.trace")]
+        main(["gen-trace", str(_write_spec(tmp_path)), "--out", inputs[0]])
+        capsys.readouterr()
+    assert main([command, *inputs, flag, value, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() and not (tmp_path / "out.truth").exists()
 
 
 @pytest.mark.parametrize("spec,name", [("a;b:0:0", "a;b"), ("a b:0:0", "a b"), (":0:0", "")],

@@ -10,11 +10,11 @@ from statops.diagnosis import (
     SignatureCatalog,
     SloConfig,
     catalog_from_jsonl,
-    classify,
     cluster_signatures,
     fit_classifier,
     label_slo,
     load_metrics_csv,
+    log_odds,
     mcnemar_p_value,
     predict,
     retrieve,
@@ -92,24 +92,12 @@ def test_fit_requires_both_classes_and_features():
         fit_classifier(ds, y, feature_set=())
 
 
-def test_classify_posterior_normalized():
-    ds, y = _informative_noise(4)
-    model = fit_classifier(ds, y)
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        c = classify(model, rng.standard_normal(ds.n_metrics))
-        assert sum(c.posterior) == pytest.approx(1.0, abs=1e-12)
-        assert c.violation == (c.log_odds > 0)
-
-
 def test_classify_symmetric_model_midpoint():
     # equal priors, mirrored conditionals: the midpoint carries no evidence
     y = np.array([False, False, True, True])
     x = np.array([[0.0], [2.0], [4.0], [6.0]])  # class means 1 and 5, equal var
     model = fit_classifier(_dataset(x, y), y)
-    c = classify(model, [3.0])
-    assert c.log_odds == pytest.approx(0.0, abs=1e-9)
-    assert c.posterior[1] == pytest.approx(0.5, abs=1e-9)
+    assert log_odds(model, [[3.0]])[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_classify_hand_computed_two_feature_case():
@@ -118,19 +106,12 @@ def test_classify_hand_computed_two_feature_case():
     y = np.array([False, False, True, True])
     x = np.array([[-1.0, -1.0], [1.0, 1.0], [1.0, 1.0], [3.0, 3.0]])
     model = fit_classifier(_dataset(x, y), y)
-    c = classify(model, [2.0, 2.0])
+    lo = log_odds(model, [[2.0, 2.0]])[0]
     expected = (
         (-0.5 * math.log(2 * math.pi) - 0.0) - (-0.5 * math.log(2 * math.pi) - 2.0)
     ) * 2
-    assert c.log_odds == pytest.approx(expected, abs=1e-9)
-    assert c.log_odds == pytest.approx(4.0, abs=1e-9)
-
-
-def test_classify_missing_value_names_metric():
-    ds, y = _informative_noise(6, k=3)
-    model = fit_classifier(ds, y)
-    with pytest.raises(ValueError, match="m1"):
-        classify(model, [0.0, math.nan, 0.0])
+    assert lo == pytest.approx(expected, abs=1e-9)
+    assert lo == pytest.approx(4.0, abs=1e-9)
 
 
 def test_scale_invariance_of_predicted_class():
@@ -145,7 +126,7 @@ def test_scale_invariance_of_predicted_class():
         v = rng.standard_normal(4)
         v_scaled = v.copy()
         v_scaled[2] *= 1000.0
-        assert classify(model, v).violation == classify(model_scaled, v_scaled).violation
+        assert predict(model, v[None, :]) == predict(model_scaled, v_scaled[None, :])
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +151,9 @@ def test_signature_sum_identity():
     log_prior = math.log(model.prior[1]) - math.log(model.prior[0])
     for _ in range(100):
         v = rng.standard_normal(ds.n_metrics) * 3
-        c = classify(model, v)
         s = signatures(model, v[None, :], [0.0])
-        assert s.attributions[0].sum() + log_prior == pytest.approx(c.log_odds, abs=1e-9)
+        assert s.attributions[0].sum() + log_prior == pytest.approx(
+            log_odds(model, v[None, :])[0], abs=1e-9)
         np.testing.assert_array_equal(s.abnormal, s.attributions > 0)
 
 

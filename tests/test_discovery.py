@@ -7,9 +7,9 @@ import pytest
 
 from delay_oracle import delay_samples, virtual_random_delays
 from statops.discovery import (
-    ChannelPairResult,
     DependencyGraph,
     DiscoveryConfig,
+    PairTable,
     build_graph,
     export_graph,
     local_dependencies,
@@ -21,7 +21,6 @@ from statops.stats import (
     ks_statistic,
     log_odds_dependence,
 )
-from statops.stats import TestOutcome as KsOutcome
 from statops.traces import (
     ChannelId,
     ChannelSeries,
@@ -55,34 +54,52 @@ def null_host_spec(seed, n_in=10, n_out=20, duration=240.0):
 # ---------------------------------------------------------------------------
 
 
+def _columns(table):
+    return {name: getattr(table, name) for name in
+            ("n_delays", "statistic", "p_value", "log_odds", "q_value", "dependent", "tested")}
+
+
 def test_empty_trace_yields_empty_result():
-    assert local_dependencies(HostTrace("h", {}), DiscoveryConfig()) == []
+    table = local_dependencies(HostTrace("h", {}), DiscoveryConfig())
+    assert len(table) == 0 and table.pairs() == []
+    assert all(column.size == 0 for column in _columns(table).values())
 
 
 def test_planted_dependency_detected():
     trace, truth = synth_trace(planted_host_spec(seed=1, n_in=3, n_out=3, n_deps=1,
                                                  duration=300.0))
-    results = local_dependencies(trace, DiscoveryConfig(alpha=0.05, seed=1))
-    planted = [r for r in results if (r.input, r.output) in truth]
-    assert planted and all(r.dependent for r in planted)
+    table = local_dependencies(trace, DiscoveryConfig(alpha=0.05, seed=1))
+    planted = [k for k, pair in enumerate(table.pairs()) if pair in truth]
+    assert planted and table.dependent[planted].all()
 
 
-def test_dependent_implies_q_below_alpha():
+@pytest.mark.parametrize("method", ["ks", "log_odds", "both"])
+def test_dependent_implies_q_below_alpha(method):
+    # What "dependent" implies depends on the method; an untested pair is
+    # never dependent and has no statistic, p-value or q-value under any.
     trace, _ = synth_trace(planted_host_spec(seed=2, n_in=4, n_out=4, n_deps=2,
                                              duration=300.0))
-    config = DiscoveryConfig(alpha=0.05, seed=2)
-    for r in local_dependencies(trace, config):
-        if r.dependent:
-            assert r.q_value <= config.alpha
-        if r.insufficient_data:
-            assert not r.dependent and r.ks is None and math.isnan(r.q_value)
+    config = DiscoveryConfig(alpha=0.05, seed=2, method=method)
+    table = local_dependencies(trace, config)
+    dependent = table.dependent
+    assert dependent.any() and not (dependent & ~table.tested).any()
+    if method in ("ks", "both"):
+        assert (table.q_value[dependent] <= config.alpha).all()
+    if method in ("log_odds", "both"):
+        assert (table.log_odds[dependent] >= math.log(20.0)).all()
+    untested = ~table.tested
+    for column in (table.statistic, table.p_value, table.q_value):
+        assert np.isnan(column[untested]).all() and np.isfinite(column[table.tested]).all()
 
 
 def test_local_dependencies_deterministic():
     trace, _ = synth_trace(planted_host_spec(seed=3, n_in=3, n_out=3, n_deps=1,
                                              duration=200.0))
     config = DiscoveryConfig(alpha=0.05, seed=9)
-    assert local_dependencies(trace, config) == local_dependencies(trace, config)
+    first, second = local_dependencies(trace, config), local_dependencies(trace, config)
+    assert first.pairs() == second.pairs()
+    for name, column in _columns(first).items():
+        np.testing.assert_array_equal(column, getattr(second, name), err_msg=name)
 
 
 def test_insufficient_pairs_are_flagged_not_tested():
@@ -90,31 +107,27 @@ def test_insufficient_pairs_are_flagged_not_tested():
     ins = (ChannelSpec(ChannelId("in", "http", "src"), 2.0),)
     outs = (ChannelSpec(ChannelId("out", "sql", "dst"), 0.01),)
     trace, _ = synth_trace(SynthSpec("h", 100.0, ins + outs, (), seed=4))
-    results = local_dependencies(trace, DiscoveryConfig(min_samples=50, seed=0))
-    assert results and all(r.insufficient_data for r in results)
+    table = local_dependencies(trace, DiscoveryConfig(min_samples=50, seed=0))
+    assert len(table) and not table.tested.any()
 
 
 def test_method_log_odds_uses_bayes_threshold():
     trace, truth = synth_trace(planted_host_spec(seed=5, n_in=3, n_out=3, n_deps=1,
                                                  duration=300.0))
-    results = local_dependencies(trace, DiscoveryConfig(method="log_odds", seed=5))
-    for r in results:
-        if not r.insufficient_data:
-            assert r.dependent == (r.log_odds >= math.log(20.0))
-    assert any(r.dependent for r in results if (r.input, r.output) in truth)
+    table = local_dependencies(trace, DiscoveryConfig(method="log_odds", seed=5))
+    tested = table.tested
+    np.testing.assert_array_equal(table.dependent[tested],
+                                  table.log_odds[tested] >= math.log(20.0))
+    assert any(d for d, pair in zip(table.dependent, table.pairs()) if pair in truth)
 
 
 def test_method_both_requires_both_signals():
     trace, _ = synth_trace(planted_host_spec(seed=6, n_in=3, n_out=3, n_deps=1,
                                              duration=300.0))
-    ks = {(r.input, r.output): r.dependent
-          for r in local_dependencies(trace, DiscoveryConfig(method="ks", seed=6))}
-    bf = {(r.input, r.output): r.dependent
-          for r in local_dependencies(trace, DiscoveryConfig(method="log_odds", seed=6))}
-    both = {(r.input, r.output): r.dependent
-            for r in local_dependencies(trace, DiscoveryConfig(method="both", seed=6))}
-    for key, flag in both.items():
-        assert flag == (ks[key] and bf[key])
+    ks, bf, both = (local_dependencies(trace, DiscoveryConfig(method=method, seed=6))
+                    for method in ("ks", "log_odds", "both"))
+    assert both.pairs() == ks.pairs() == bf.pairs()
+    np.testing.assert_array_equal(both.dependent, ks.dependent & bf.dependent)
 
 
 def test_batched_pairs_match_single_pair_functions():
@@ -127,28 +140,27 @@ def test_batched_pairs_match_single_pair_functions():
     trace, _ = synth_trace(SynthSpec("h", 200.0, tuple(ins + outs), deps, seed=12))
     config = DiscoveryConfig(seed=12)
     model = LogOddsModel(config.horizon)
-    results = local_dependencies(trace, config)
+    table = local_dependencies(trace, config)
     # Every pair with min_samples real delays, in input-major pair order,
     # takes the next draws of one child of the seed's stream, also when its
     # virtual sample pairs nothing.
     rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
-    assert any(r.insufficient_data for r in results)
-    for r in results:
-        delays = delay_samples(trace.channels[r.input], trace.channels[r.output], config.horizon)
-        assert r.n_delays == delays.size
-        assert r.log_odds == log_odds_dependence(delays, model)
+    assert not table.tested.all()
+    for k, (cin, cout) in enumerate(table.pairs()):
+        delays = delay_samples(trace.channels[cin], trace.channels[cout], config.horizon)
+        assert table.n_delays[k] == delays.size
+        assert table.log_odds[k] == log_odds_dependence(delays, model)
         if delays.size < config.min_samples:
-            assert r.insufficient_data
+            assert not table.tested[k]
             continue
-        virtual = virtual_random_delays(trace.channels[r.input],
-                                        trace.channels[r.output].times.size,
+        virtual = virtual_random_delays(trace.channels[cin], trace.channels[cout].times.size,
                                         trace.window, config.horizon, rng)
-        assert r.insufficient_data == (virtual.size == 0)
-        if r.insufficient_data:
+        assert table.tested[k] == (virtual.size > 0)
+        if not table.tested[k]:
             continue
         d = ks_statistic(empirical_cdf(delays), empirical_cdf(virtual))
-        assert (r.ks.statistic, r.ks.n_b) == (d, virtual.size)
-        assert r.ks.p_value == ks_p_value(d, delays.size, virtual.size)
+        assert table.statistic[k] == d
+        assert table.p_value[k] == ks_p_value(d, delays.size, virtual.size)
 
 
 def _shifted(trace, offset):
@@ -166,14 +178,13 @@ def test_time_origin_does_not_change_the_answer(offset):
     config = DiscoveryConfig(alpha=0.05, seed=8)
     base = local_dependencies(trace, config)
     moved = local_dependencies(_shifted(trace, offset), config)
-    assert sum(not r.insufficient_data for r in base) == 16
-    assert [r.insufficient_data for r in moved] == [r.insufficient_data for r in base]
-    dependent = {(r.input, r.output) for r in base if r.dependent}
+    assert base.tested.sum() == 16
+    np.testing.assert_array_equal(moved.tested, base.tested)
+    dependent = {pair for pair, d in zip(base.pairs(), base.dependent) if d}
     assert truth <= dependent
-    assert {(r.input, r.output) for r in moved if r.dependent} == dependent
-    for a, b in zip(base, moved):
-        assert (a.input, a.output) == (b.input, b.output)
-        assert abs(a.q_value - b.q_value) <= 1e-6
+    assert {pair for pair, d in zip(moved.pairs(), moved.dependent) if d} == dependent
+    assert moved.pairs() == base.pairs()
+    assert np.abs(base.q_value - moved.q_value).max() <= 1e-6
 
 
 def test_sparse_planted_dependency_still_detected():
@@ -187,10 +198,11 @@ def test_sparse_planted_dependency_still_detected():
         dep = DependencySpec(ins[0].id, planted_out.id, mean_delay=0.05, response_prob=0.027)
         spec = SynthSpec("h", 500.0, tuple(ins + outs + [planted_out]), (dep,), seed)
         trace, truth = synth_trace(spec)
-        for r in local_dependencies(trace, DiscoveryConfig(alpha=0.05, seed=seed)):
-            if (r.input, r.output) in truth:
+        table = local_dependencies(trace, DiscoveryConfig(alpha=0.05, seed=seed))
+        for pair, dependent in zip(table.pairs(), table.dependent.tolist()):
+            if pair in truth:
                 total += 1
-                detected += r.dependent
+                detected += dependent
     assert total == 50
     assert detected / total >= 0.5
 
@@ -202,16 +214,27 @@ def test_sparse_planted_dependency_still_detected():
 
 def _result(in_remote, out_remote, q=0.001, dependent=True, in_service="http",
             out_service="sql", n=50, stat=0.5):
-    return ChannelPairResult(
-        input=ChannelId("in", in_service, in_remote),
-        output=ChannelId("out", out_service, out_remote),
-        n_delays=n,
-        ks=KsOutcome(statistic=stat, p_value=q / 10, n_a=n, n_b=n, significant=True),
-        log_odds=10.0,
-        q_value=q,
-        dependent=dependent,
-        insufficient_data=False,
-    )
+    return (ChannelId("in", in_service, in_remote), ChannelId("out", out_service, out_remote),
+            q, dependent, n, stat)
+
+
+def _table(results):
+    """A PairTable that tested the given pairs; the rest of its input x
+    output grid is untested."""
+    inputs = tuple(sorted({r[0] for r in results}))
+    outputs = tuple(sorted({r[1] for r in results}))
+    size = len(inputs) * len(outputs)
+    nan = np.full(size, np.nan)
+    table = PairTable(inputs, outputs, n_delays=np.zeros(size, dtype=np.int64),
+                      statistic=nan.copy(), p_value=nan.copy(), log_odds=np.zeros(size),
+                      q_value=nan.copy(), dependent=np.zeros(size, dtype=bool),
+                      tested=np.zeros(size, dtype=bool))
+    for cin, cout, q, dependent, n, stat in results:
+        k = inputs.index(cin) * len(outputs) + outputs.index(cout)
+        table.n_delays[k], table.statistic[k], table.p_value[k] = n, stat, q / 10
+        table.log_odds[k], table.q_value[k] = 10.0, q
+        table.dependent[k], table.tested[k] = dependent, True
+    return table
 
 
 def test_build_graph_empty():
@@ -220,22 +243,22 @@ def test_build_graph_empty():
 
 
 def test_build_graph_single_dependent_pair():
-    g = build_graph([("h", [_result("x", "y")])])
+    g = build_graph([("h", _table([_result("x", "y")]))])
     assert g.nodes == {"h", "x", "y"}
     assert set(g.edges) == {("x", "h", "http"), ("h", "y", "sql")}
 
 
 def test_build_graph_ignores_non_dependent():
-    g = build_graph([("h", [_result("x", "y", dependent=False)])])
+    g = build_graph([("h", _table([_result("x", "y", dependent=False)]))])
     assert g.nodes == frozenset() and g.edges == {}
 
 
 def test_build_graph_keeps_strongest_evidence_and_is_idempotent():
-    results = [_result("x", "y", q=0.01), _result("x", "z", q=0.002)]
+    results = _table([_result("x", "y", q=0.01), _result("x", "z", q=0.002)])
     g1 = build_graph([("h", results)])
     # edge x->h comes from both pairs; the smaller q wins
     assert g1.edges[("x", "h", "http")].q_value == 0.002
-    g2 = build_graph([("h", results), ("h2", [])])
+    g2 = build_graph([("h", results), ("h2", _table([]))])
     assert g1.edges == g2.edges
     # merging identical host results twice changes nothing
     with pytest.raises(ValueError):
@@ -263,7 +286,7 @@ def test_export_empty_dot():
 
 
 def test_export_dot_sorted_edges():
-    g = build_graph([("h", [_result("x", "y"), _result("a", "b", out_service="dns")])])
+    g = build_graph([("h", _table([_result("x", "y"), _result("a", "b", out_service="dns")]))])
     text = export_graph(g, "dot").decode()
     edge_lines = [l for l in text.splitlines() if "->" in l]
     assert len(edge_lines) == 4

