@@ -170,17 +170,17 @@ def _cmd_discover(args: argparse.Namespace) -> int:
 
     config = discovery.DiscoveryConfig(
         alpha=args.alpha, horizon=args.horizon, min_samples=args.min_samples,
-        method=args.method.replace("-", "_"), seed=args.seed,
+        method=args.method.replace("-", "_"),
     )
 
     def discover_host(path: str):
         trace = _load(Path(path), traces.parse_trace, "trace file")
         return trace.host, discovery.local_dependencies(trace, config)
 
-    # Hosts are independent (each draws its null sample from its own stream),
-    # so their traces can be discovered in any process.
+    # Hosts are independent, so their traces can be discovered in any process.
     per_host = _map_forked(discover_host, args.traces)
 
+    # --seed changes no result (the null is exact); it is echoed as given
     echo = {
         "alpha": args.alpha, "horizon": args.horizon, "method": args.method,
         "min_samples": args.min_samples, "seed": args.seed,
@@ -337,6 +337,8 @@ def _parse_watchdogs(specs: list[str]) -> tuple[repairs.WatchdogSpec, ...]:
         parts = raw.split(":")
         if len(parts) != 3:
             raise ValueError(f"--watchdog must be NAME:FP:FN, got '{raw}'")
+        if any(spec.name == parts[0] for spec in out):
+            raise ValueError(f"--watchdog names must be distinct, '{parts[0]}' repeats")
         try:
             rates = float(parts[1]), float(parts[2])
         except ValueError:

@@ -1,10 +1,11 @@
 """Per-host dependence testing over channel pairs and dependency-graph assembly.
 
 Every (input channel, output channel) pair on a host is tested by comparing
-the empirical CDF of its real input->output delays against the CDF of delays
-to a virtual random output channel.  KS p-values for all tested pairs on a
-host are then pushed through Benjamini-Hochberg selection, which is what
-keeps a host with thousands of channel pairs from drowning in false edges.
+the empirical CDF of its real input->output delays against F0, the exact
+delay CDF of an output independent of the input, built from the input's
+gaps.  KS p-values for all tested pairs on a host are then pushed through
+Benjamini-Hochberg selection, which is what keeps a host with thousands of
+channel pairs from drowning in false edges.
 
 A host's results are one PairTable: a column per statistic over all of its
 pairs, filled batch by batch, with no Python object per pair.  The graph
@@ -23,11 +24,11 @@ import numpy as np
 from statops.stats import (
     LogOddsModel,
     bh_select,
-    ks_p_value,
-    ks_statistic_segments,
+    kolmogorov_sf,
+    ks_uniform_segments,
     log_odds_segments,
 )
-from statops.traces import ChannelId, HostTrace, pair_delays, virtual_departures
+from statops.traces import ChannelId, HostTrace, null_delay_cdf, pair_delays
 
 __all__ = [
     "DiscoveryConfig",
@@ -52,7 +53,6 @@ class DiscoveryConfig:
     horizon: float = 1.0
     min_samples: int = 10
     method: str = "ks"  # ks | log_odds | both
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -70,17 +70,18 @@ class PairTable:
 
     Pair k is ``(inputs[k // len(outputs)], outputs[k % len(outputs)])``:
     pairs run input-major over the host's sorted channels, and ``len(table)``
-    counts them.  A pair with fewer than min_samples paired delays (or no
-    usable virtual sample) is not tested: ``tested`` is False, ``statistic``,
-    ``p_value`` and ``q_value`` are NaN, and it is never ``dependent``.
+    counts them.  A pair with fewer than min_samples paired delays, or whose
+    input has no null (traces.null_delay_cdf is None), is not tested:
+    ``tested`` is False, ``statistic``, ``p_value`` and ``q_value`` are NaN,
+    and it is never ``dependent``.
     """
 
     inputs: tuple[ChannelId, ...]
     outputs: tuple[ChannelId, ...]
     n_delays: np.ndarray  # int, paired delays within the horizon
-    statistic: np.ndarray  # KS D against the virtual channel
-    p_value: np.ndarray  # ks_p_value of the statistic
-    log_odds: np.ndarray  # log Bayes factor, for every pair
+    statistic: np.ndarray  # one-sample KS D against F0
+    p_value: np.ndarray  # kolmogorov_sf of D * sqrt(n_delays)
+    log_odds: np.ndarray  # log Bayes factor; 0 where the input has no null
     q_value: np.ndarray  # BH-adjusted p-value over the host's tested pairs
     dependent: np.ndarray  # bool
     tested: np.ndarray  # bool
@@ -96,64 +97,57 @@ class PairTable:
 def local_dependencies(trace: HostTrace, config: DiscoveryConfig) -> PairTable:
     """Test every input x output channel pair on one host.
 
-    KS p-values of all tested pairs go through bh_select at config.alpha;
-    a pair is dependent when its q-value clears alpha (method "ks"), when its
-    log Bayes factor clears LOG_BF_THRESHOLD (method "log_odds"), or both
-    (method "both").  Deterministic per (trace, config).
+    Each pair's delays are tested against F0, the delay CDF that an output
+    independent of the input would have (traces.null_delay_cdf): a
+    one-sample KS test with Kolmogorov's limiting p-value, and a log Bayes
+    factor whose null bins have F0's probabilities.  KS p-values of all
+    tested pairs go through bh_select at config.alpha; a pair is dependent
+    when its q-value clears alpha (method "ks"), when its log Bayes factor
+    clears LOG_BF_THRESHOLD (method "log_odds"), or both (method "both").
+    Deterministic per (trace, config).
 
     Pairs are tested in batches, one per input channel: all output
     channels' times are paired with the input at once, and each statistic
-    is computed for every pair of the batch in one segmented pass.  The
-    virtual channels of all the host's pairs are drawn in one call, from
-    one generator, in input-major pair order.
+    is computed for every pair of the batch in one segmented pass.
     """
     model = LogOddsModel(config.horizon)  # checks the horizon, also for an empty trace
     inputs = tuple(sorted(c for c in trace.channels if c.direction == "in"))
     outputs = tuple(sorted(c for c in trace.channels if c.direction == "out"))
     shape = (len(inputs), len(outputs))
     n_delays = np.zeros(shape, dtype=np.int64)
-    statistic, p_value = np.full(shape, np.nan), np.full(shape, np.nan)
+    statistic = np.full(shape, np.nan)
     log_odds = np.zeros(shape)
     tested = np.zeros(shape, dtype=bool)
     if inputs and outputs:
-        window = trace.window
-        out_sizes = np.array([trace.channels[c].times.size for c in outputs])
+        end = trace.window[1]
         out_times = np.concatenate([trace.channels[c].times for c in outputs])
-        out_pair = np.repeat(np.arange(len(outputs)), out_sizes)
-
-        # Real delays of every pair, one batch per input, and the output each
-        # delay belongs to.
-        real = []
+        out_pair = np.repeat(np.arange(len(outputs)),
+                             [trace.channels[c].times.size for c in outputs])
+        edges = np.append(np.arange(model.bins) * (config.horizon / model.bins), config.horizon)
         for i, cin in enumerate(inputs):
-            delays, kept = pair_delays(trace.channels[cin].times, out_times, config.horizon)
-            real.append((delays, out_pair[kept]))
-            n_delays[i] = np.bincount(out_pair[kept], minlength=len(outputs))
+            in_times = trace.channels[cin].times
+            delays, kept = pair_delays(in_times, out_times, config.horizon)
+            pair_of = out_pair[kept]
+            n_delays[i] = np.bincount(pair_of, minlength=len(outputs))
+            f0 = null_delay_cdf(in_times, end, config.horizon)
+            if f0 is None:
+                continue
+            with np.errstate(divide="ignore"):  # an empty null bin: log 0
+                log_p = np.log(np.diff(f0(edges)))
+            log_odds[i] = log_odds_segments(delays, n_delays[i], model, log_p)
 
-        # Virtual-channel null sample for every pair with enough real delays,
-        # split into one run of departures per input.
-        enough = (n_delays >= config.min_samples) & (window[1] > window[0])
-        # A spawned child: default_rng(seed) would replay gen-trace's draws for an equal seed.
-        rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
-        departures = np.split(virtual_departures(out_sizes[np.nonzero(enough)[1]], window, rng),
-                              np.cumsum((enough * out_sizes).sum(axis=1))[:-1])
+            tested[i] = n_delays[i] >= config.min_samples
+            sizes = n_delays[i, tested[i]]
+            sample = delays[tested[i, pair_of]]
+            bounds = np.cumsum(sizes).tolist()
+            for start, stop in zip([0] + bounds, bounds):
+                sample[start:stop].sort()
+            statistic[i, tested[i]] = ks_uniform_segments(f0(sample), sizes)
 
-        for i, cin in enumerate(inputs):
-            delays, pair_of = real[i]
-            log_odds[i] = log_odds_segments(delays, n_delays[i], model)
-            drawn = np.flatnonzero(enough[i])
-            virtual, v_kept = pair_delays(trace.channels[cin].times, departures[i], config.horizon)
-            n_virtual = np.bincount(np.repeat(np.arange(drawn.size), out_sizes[drawn])[v_kept],
-                                    minlength=drawn.size)
-            cols, n_virtual = drawn[n_virtual > 0], n_virtual[n_virtual > 0]
-            tested[i, cols] = True
-            statistic[i, cols] = ks_statistic_segments(
-                delays[tested[i, pair_of]], n_delays[i, cols], virtual, n_virtual)
-            # One series per pair: math.exp keeps the p-value's bits, which
-            # np.exp over a batch would not.
-            p_value[i, cols] = [ks_p_value(d, n_a, n_b) for d, n_a, n_b in zip(
-                statistic[i, cols].tolist(), n_delays[i, cols].tolist(), n_virtual.tolist())]
-
-    tested, p_value, log_odds = tested.ravel(), p_value.ravel(), log_odds.ravel()
+    tested, statistic, log_odds = tested.ravel(), statistic.ravel(), log_odds.ravel()
+    n_delays = n_delays.ravel()
+    p_value = np.full(tested.size, np.nan)
+    p_value[tested] = kolmogorov_sf(statistic[tested] * np.sqrt(n_delays[tested]))
     q_value = np.full(tested.size, np.nan)
     bh_dependent = np.zeros(tested.size, dtype=bool)
     if tested.any():
@@ -163,8 +157,8 @@ def local_dependencies(trace: HostTrace, config: DiscoveryConfig) -> PairTable:
     bf_dependent = tested & (log_odds >= LOG_BF_THRESHOLD)
     dependent = {"ks": bh_dependent, "log_odds": bf_dependent,
                  "both": bh_dependent & bf_dependent}[config.method]
-    return PairTable(inputs=inputs, outputs=outputs, n_delays=n_delays.ravel(),
-                     statistic=statistic.ravel(), p_value=p_value, log_odds=log_odds,
+    return PairTable(inputs=inputs, outputs=outputs, n_delays=n_delays,
+                     statistic=statistic, p_value=p_value, log_odds=log_odds,
                      q_value=q_value, dependent=dependent, tested=tested)
 
 

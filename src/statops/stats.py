@@ -2,15 +2,16 @@
 
 Implements:
 - empirical CDFs and the exact two-sample Kolmogorov-Smirnov statistic
-- the asymptotic Smirnov p-value
+- a segmented one-sample KS statistic against any continuous CDF
+- Kolmogorov's limiting p-value, one vector pass for many statistics
 - Benjamini-Hochberg step-up selection with adjusted q-values
 - expected-false-positive arithmetic for naive thresholding across many tests
 - a known-variance mean-difference test with a practical-significance gate
-- a closed-form log-odds dependence test (uniform vs. Dirichlet-multinomial
-  over binned delays) that needs no sampling-based inference; its uniform
-  null is not that of independent channels (see log_odds_dependence)
+- a closed-form log-odds dependence test (given bin probabilities vs.
+  Dirichlet-multinomial over binned delays) that needs no sampling-based
+  inference
 
-All functions are pure in (inputs, seed); there is no shared state, so many
+All functions are pure in their inputs; there is no shared state, so many
 tests can be evaluated in parallel with identical results.
 """
 
@@ -34,12 +35,12 @@ __all__ = [
     "expected_false_positives",
     "mean_difference_test",
     "log_odds_dependence",
-    "ks_statistic_segments",
+    "ks_uniform_segments",
+    "kolmogorov_sf",
     "log_odds_segments",
 ]
 
 _SERIES_TOL = 1e-12
-_SERIES_MAX_TERMS = 100_000
 # Below this value the Smirnov tail is 1 to well past double precision
 # (survival mass < 1e-200), and the alternating series converges too slowly.
 _LAMBDA_FLOOR = 0.05
@@ -115,79 +116,70 @@ def empirical_cdf(samples: Sequence[float] | np.ndarray) -> EmpiricalCdf:
     return EmpiricalCdf(sorted_samples=out, n=int(out.size))
 
 
-def _segment_ids(counts: np.ndarray) -> np.ndarray:
-    return np.repeat(np.arange(counts.size), counts)
-
-
-def ks_statistic_segments(a: np.ndarray, a_counts: Sequence[int] | np.ndarray,
-                          b: np.ndarray, b_counts: Sequence[int] | np.ndarray) -> np.ndarray:
-    """ks_statistic of many sample pairs at once.
-
-    Pair j holds the next a_counts[j] values of ``a`` against the next
-    b_counts[j] values of ``b`` (ragged segments laid end to end, in any
-    order within a segment).  Every count must be >= 1.
-
-    D_j is max |n_b * count_a(x) - n_a * count_b(x)| / (n_a * n_b) over the
-    union of pair j's sample points, with an integer-exact numerator so that
-    lattice ties compare reliably.  Sorting by (segment, value) merges each
-    pair's two samples; a running sum of +n_b per a-point and -n_a per
-    b-point is then the numerator's signed argument, read after the last
-    point of each tie run (right-continuous CDFs).  Each segment's steps sum
-    to zero, so one running sum serves all segments.
-    """
-    a_counts = np.asarray(a_counts, dtype=np.int64)
-    b_counts = np.asarray(b_counts, dtype=np.int64)
-    if a_counts.size == 0:
-        return np.empty(0)
-    if a_counts.min() < 1 or b_counts.min() < 1:
-        raise ValueError("every segment needs at least one sample on each side")
-    x = np.concatenate([a, b])
-    seg = np.concatenate([_segment_ids(a_counts), _segment_ids(b_counts)])
-    step = np.concatenate([np.repeat(b_counts, a_counts), -np.repeat(a_counts, b_counts)])
-    order = np.argsort(x)
-    # A stable sort on the narrowest integer type is a radix sort.
-    order = order[np.argsort(seg[order].astype(np.min_scalar_type(a_counts.size)), kind="stable")]
-    x, seg = x[order], seg[order]
-    height = np.abs(np.cumsum(step[order]))
-    height[:-1][(x[:-1] == x[1:]) & (seg[:-1] == seg[1:])] = 0
-    starts = np.concatenate([[0], np.cumsum(a_counts + b_counts)[:-1]])
-    return np.maximum.reduceat(height, starts) / (a_counts * b_counts)
-
-
 def ks_statistic(a: EmpiricalCdf, b: EmpiricalCdf) -> float:
     """Exact sup-distance between two empirical CDFs.
 
-    Evaluated over the union of both sample points (right-continuous
-    convention handles ties), so the supremum is attained exactly.
+    Evaluated over the union of both sample points, where both CDFs are
+    right-continuous, so the supremum is attained exactly.  The numerator
+    max |n_b * count_a(x) - n_a * count_b(x)| is an integer, so that
+    lattice ties compare reliably.
     """
-    return float(ks_statistic_segments(a.sorted_samples, [a.n], b.sorted_samples, [b.n])[0])
+    x = np.concatenate([a.sorted_samples, b.sorted_samples])
+    count_a = np.searchsorted(a.sorted_samples, x, side="right")
+    count_b = np.searchsorted(b.sorted_samples, x, side="right")
+    return float(np.abs(b.n * count_a - a.n * count_b).max() / (a.n * b.n))
+
+
+def ks_uniform_segments(u: np.ndarray, counts: Sequence[int] | np.ndarray) -> np.ndarray:
+    """One-sample KS statistic of many samples at once, each against the
+    uniform CDF on [0, 1]: segment j is the next counts[j] values of ``u``,
+    sorted ascending within the segment.  Every count must be >= 1.
+
+    Pass u = F0(x) to test a sample x against a continuous CDF F0.  With
+    u_(1) <= ... <= u_(n), D = max_i max(i/n - u_(i), u_(i) - (i-1)/n), the
+    form scipy.stats.kstest evaluates.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    if (counts < 1).any():
+        raise ValueError("every segment needs at least one value")
+    starts = np.cumsum(counts) - counts
+    n = np.repeat(counts, counts)
+    rank = np.arange(u.size) - np.repeat(starts, counts)  # i - 1
+    return np.maximum.reduceat(np.maximum((rank + 1) / n - u, u - rank / n), starts)
+
+
+def kolmogorov_sf(lam: Sequence[float] | np.ndarray) -> np.ndarray:
+    """Kolmogorov's limiting KS tail Q(lambda), elementwise.
+
+    Q(lambda) = 2 * sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lambda^2), summed left to
+    right over the terms of at least 1e-12 and clamped to [0, 1].  Below
+    lambda = 0.05, Q is 1.  For a one-sample test of n values, lambda is
+    D * sqrt(n).
+    """
+    lam = np.asarray(lam, dtype=float)
+    q = np.ones(lam.shape)
+    live = lam >= _LAMBDA_FLOOR
+    if live.any():
+        x = lam[live]
+        # exp(-2 j^2 x^2) < tol once j > sqrt(log(1/tol) / 2) / x
+        j = np.arange(1, int(math.sqrt(-math.log(_SERIES_TOL) / 2.0) / x.min()) + 2)
+        terms = np.exp(-2.0 * np.outer(x * x, j * j))
+        terms[terms < _SERIES_TOL] = 0.0
+        terms[:, 1::2] *= -1.0
+        q[live] = np.clip(2.0 * np.cumsum(terms, axis=1)[:, -1], 0.0, 1.0)
+    return q
 
 
 def ks_p_value(d: float, n: int, m: int) -> float:
-    """Asymptotic two-sample Smirnov p-value for statistic ``d``.
-
-    Q(lambda) = 2 * sum_{j>=1} (-1)^(j-1) exp(-2 j^2 lambda^2) with
-    lambda = d * sqrt(n*m/(n+m)); the series is truncated once terms drop
-    below 1e-12 and the result is clamped to [0, 1].
-    """
+    """Asymptotic two-sample Smirnov p-value for statistic ``d``: the
+    kolmogorov_sf of lambda = d * sqrt(n*m/(n+m))."""
     if not math.isfinite(d):
         raise ValueError(f"statistic must be finite, got {d}")
     if not 0.0 <= d <= 1.0:
         raise ValueError(f"statistic must lie in [0, 1], got {d}")
     if n < 1 or m < 1:
         raise ValueError("sample counts must be >= 1")
-    lam = d * math.sqrt(n * m / (n + m))
-    if lam < _LAMBDA_FLOOR:
-        return 1.0
-    total = 0.0
-    sign = 1.0
-    for j in range(1, _SERIES_MAX_TERMS + 1):
-        term = math.exp(-2.0 * j * j * lam * lam)
-        if term < _SERIES_TOL:
-            break
-        total += sign * term
-        sign = -sign
-    return min(1.0, max(0.0, 2.0 * total))
+    return float(kolmogorov_sf([d * math.sqrt(n * m / (n + m))])[0])
 
 
 def bh_select(p_values: Sequence[float] | np.ndarray, alpha: float) -> RejectionSet:
@@ -272,22 +264,14 @@ def mean_difference_test(
 
 
 def log_odds_dependence(delays: Sequence[float] | np.ndarray, model: LogOddsModel) -> float:
-    """Closed-form log Bayes factor for delay dependence.
-
-    Bins delays into K equal-width bins over [0, horizon] and compares a
-    uniform-delay null against a Dirichlet-multinomial alternative:
+    """Closed-form log Bayes factor for delay dependence against a uniform
+    delay: log_odds_segments of one sample with p_k = 1/K, which is
 
         log BF = lgamma(K*a) - lgamma(n + K*a)
                  + sum_k [lgamma(c_k + a) - lgamma(a)] + n * log K
 
-    Positive values favor dependence.  Conjugacy keeps this exact and cheap,
-    with no simulation-based inference in the loop.
-
-    The uniform null is not the null of independent channels.  An output at
-    a random time pairs with the latest input before it, so under
-    independence its delay follows the input's gaps: for a Poisson input of
-    rate r, an exponential of rate r cut at the horizon.  On a busy input
-    the log BF of an unrelated pair therefore grows with its delay count.
+    The uniform null is not the null of independent channels; discovery
+    passes the input's own bin probabilities (see traces.null_delay_cdf).
     """
     if model.bins < 2:
         raise ValueError(f"need at least 2 bins, got {model.bins}")
@@ -295,29 +279,42 @@ def log_odds_dependence(delays: Sequence[float] | np.ndarray, model: LogOddsMode
     if np.any(x < 0) or np.any(x > model.horizon):
         bad = x[(x < 0) | (x > model.horizon)][0]
         raise ValueError(f"delay {bad} outside [0, {model.horizon}]")
-    return float(log_odds_segments(x, [x.size], model)[0])
+    uniform = np.full(model.bins, -math.log(model.bins))
+    return float(log_odds_segments(x, [x.size], model, uniform)[0])
 
 
 def log_odds_segments(delays: np.ndarray, counts: Sequence[int] | np.ndarray,
-                      model: LogOddsModel) -> np.ndarray:
-    """log_odds_dependence of many delay samples at once: segment j is the
-    next counts[j] values of ``delays``, all within [0, horizon].  An empty
-    segment scores 0.
+                      model: LogOddsModel, log_p: np.ndarray) -> np.ndarray:
+    """Closed-form log Bayes factors of many delay samples at once: segment j
+    is the next counts[j] values of ``delays``, all within [0, horizon].  An
+    empty segment scores 0.
+
+    Delays fall into K equal-width bins over [0, horizon], with counts c_k.
+    The null gives bin k the probability p_k (``log_p``, broadcast to one
+    row of K per segment); the alternative is Dirichlet-multinomial:
+
+        log BF = lgamma(K*a) - lgamma(n + K*a)
+                 + sum_k [lgamma(c_k + a) - lgamma(a) - c_k log p_k]
+
+    with 0 log 0 read as 0, so a count in a bin of p_k = 0 scores +inf.
+    Positive values favor dependence.  Conjugacy keeps this exact and cheap,
+    with no simulation-based inference in the loop.
 
     One bincount over (segment * K + bin) yields every segment's bin
-    counts.  Each segment's lgamma(c_k + a) terms are added left to right,
-    bin by bin, by a cumulative sum, so the result does not depend on how
-    many segments share the call.
+    counts.  Each segment's terms are added left to right, bin by bin, by a
+    cumulative sum, so the result does not depend on how many segments
+    share the call.
     """
     k, a = model.bins, model.dirichlet_alpha
     counts = np.asarray(counts, dtype=np.int64)
     width = model.horizon / k
     bins = np.minimum((delays / width).astype(int), k - 1)
-    hist = np.bincount(_segment_ids(counts) * k + bins, minlength=counts.size * k)
+    hist = np.bincount(np.repeat(np.arange(counts.size), counts) * k + bins,
+                       minlength=counts.size * k).reshape(counts.size, k)
     values, where = np.unique(hist, return_inverse=True)
-    terms = np.array([math.lgamma(c + a) for c in values.tolist()])[where]
-    bin_sums = np.cumsum(terms.reshape(counts.size, k), axis=1)[:, -1]
+    terms = np.array([math.lgamma(c + a) for c in values.tolist()])[where.reshape(hist.shape)]
+    terms -= hist * np.where(hist > 0, log_p, 0.0)
     head = np.array([math.lgamma(k * a) - math.lgamma(n + k * a) - k * math.lgamma(a)
                      for n in counts.tolist()])
-    log_bf = head + bin_sums + counts * math.log(k)
+    log_bf = head + np.cumsum(terms, axis=1)[:, -1]
     return np.where(counts > 0, log_bf, 0.0)

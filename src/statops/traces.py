@@ -3,8 +3,9 @@
 A channel groups one host's packet events by direction, protocol/service
 label and remote endpoint.  Dependence between an input channel and an output
 channel is judged from the delays between each output event and the latest
-preceding input event, compared against the same pairing applied to a virtual
-output channel with uniformly random departure times.
+preceding input event (``pair_delays``), compared against the exact delay
+distribution the same pairing gives an output independent of the input
+(``null_delay_cdf``, built from the input's gaps).
 
 Trace files hold one record per line in the shared ``key=value`` syntax of
 ``statops.records`` (UTF-8, any whitespace, CRLF and blank lines accepted):
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -37,7 +38,7 @@ __all__ = [
     "parse_trace",
     "serialize_trace",
     "pair_delays",
-    "virtual_departures",
+    "null_delay_cdf",
     "synth_trace",
     "parse_synth_spec",
     "serialize_ground_truth",
@@ -192,30 +193,30 @@ def pair_delays(
     return delays[kept], kept
 
 
-def virtual_departures(n_out: Sequence[int] | np.ndarray, window: tuple[float, float],
-                       rng: np.random.Generator) -> np.ndarray:
-    """Departure times of virtual output channels, laid end to end: segment
-    j holds ``n_out[j]`` i.i.d. Uniform(t_min, t_max) draws over the
-    observation ``window``, sorted.
+def null_delay_cdf(in_times: np.ndarray, end: float,
+                   horizon: float) -> Callable[[np.ndarray], np.ndarray] | None:
+    """The delay CDF F0 that pair_delays gives an output independent of the
+    input: one uniform over the observation window that ends at ``end``.
 
-    The segments take consecutive draws from ``rng``: segment j is
-    ``t_min + (t_max - t_min) * np.sort(rng.random(n_out[j]))`` after the
-    segments before it, bit for bit.
+    With gaps g_i between the ascending input times (the last gap runs to
+    ``end``), such an output has delay at most d with probability
+    proportional to G(d) = sum_i min(g_i, d), and pair_delays keeps it when
+    d <= horizon.  So F0(d) = G(d) / G(horizon) for d in [0, horizon].
+    G comes from the sorted gaps and their prefix sums: with k gaps at most
+    d, G(d) = (sum of those k) + (n - k) * d.
 
-    Paired with an input channel, a segment gives the dependence test's
-    null sample.  Drawing over the observed window, not from time 0, keeps
-    the test invariant to the time origin."""
-    bounds = np.cumsum(n_out).tolist()
-    out = rng.random(bounds[-1] if bounds else 0)
-    start = 0
-    for end in bounds:
-        out[start:end].sort()
-        start = end
-    # Scaling is monotone for t_min <= t_max, so the segments stay sorted.
-    t_min, t_max = window
-    out *= t_max - t_min
-    out += t_min
-    return out
+    Returns F0 as a function of an array of delays, or None when G(horizon)
+    is 0 (the only input event ends the window), where no delay is likely.
+    """
+    gaps = np.sort(np.diff(in_times, append=end))
+    below = np.concatenate([[0.0], np.cumsum(gaps)])
+
+    def mass(d):
+        k = np.searchsorted(gaps, d, side="right")
+        return below[k] + (gaps.size - k) * d
+
+    total = float(mass(horizon))
+    return None if total == 0 else lambda d: mass(d) / total
 
 
 @dataclass(frozen=True)

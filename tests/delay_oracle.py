@@ -1,5 +1,5 @@
-"""Per-pair delay pairing and virtual channel, written independently of the
-batched kernels in ``statops.traces`` so the tests can check those against it.
+"""Per-pair delay pairing, written independently of the batched kernel in
+``statops.traces`` so the tests can check it against this.
 """
 
 from __future__ import annotations
@@ -24,12 +24,3 @@ def delay_samples(input: ChannelSeries, output: ChannelSeries, horizon: float) -
     """Delays from each output event back to the latest input event at or
     before it, in output order, dropping pairs farther apart than ``horizon``."""
     return _pair(input.times.tolist(), output.times.tolist(), horizon)
-
-
-def virtual_random_delays(input: ChannelSeries, n_out: int, window: tuple[float, float],
-                          horizon: float, rng: np.random.Generator) -> np.ndarray:
-    """Delays of ``input`` against ``n_out`` sorted Uniform(window) departures,
-    the next ``n_out`` draws of ``rng``."""
-    lo, hi = window
-    departures = lo + (hi - lo) * np.sort(rng.random(n_out))
-    return _pair(input.times.tolist(), departures.tolist(), horizon)

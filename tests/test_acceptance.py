@@ -65,7 +65,7 @@ def test_criterion_02_fdr_control_on_null_host():
     for seed in range(200):
         trace, _ = traces.synth_trace(_null_host_spec(seed))
         table = discovery.local_dependencies(
-            trace, discovery.DiscoveryConfig(alpha=0.05, seed=seed)
+            trace, discovery.DiscoveryConfig(alpha=0.05)
         )
         assert len(table) == 200
         rejected = int(table.dependent[table.tested].sum())
@@ -94,7 +94,7 @@ def test_criterion_03_dependency_recovery():
                     if c.direction == "in"]
         assert min(in_sizes) >= 1000
         table = discovery.local_dependencies(
-            trace, discovery.DiscoveryConfig(alpha=0.05, seed=seed)
+            trace, discovery.DiscoveryConfig(alpha=0.05)
         )
         assert len(table) >= 100
         for pair, dependent in zip(table.pairs(), table.dependent.tolist()):
@@ -107,7 +107,7 @@ def test_criterion_03_dependency_recovery():
     # noise-free run: the exported graph holds exactly the planted edges
     trace, truth = traces.synth_trace(_planted_host_spec(seed=0))
     table = discovery.local_dependencies(
-        trace, discovery.DiscoveryConfig(alpha=0.05, seed=0)
+        trace, discovery.DiscoveryConfig(alpha=0.05)
     )
     graph = discovery.build_graph([("h", table)])
     payload = json.loads(discovery.export_graph(graph, "json"))

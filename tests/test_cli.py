@@ -126,6 +126,21 @@ def test_discover_finds_planted_edges(tmp_path):
     assert pairs.startswith("#") and "seed=5" in pairs.splitlines()[0]
 
 
+def test_discover_seed_changes_only_its_echo(tmp_path):
+    # the null is exact, so discover draws nothing: --seed is echoed, no more
+    spec = _write_spec(tmp_path)
+    trace = tmp_path / "host.trace"
+    main(["gen-trace", str(spec), "--out", str(trace)])
+    reports = []
+    for seed in ("0", "7"):
+        out = tmp_path / f"report{seed}"
+        assert main(["discover", str(trace), "--out", str(out), "--seed", seed]) == 0
+        first, *rest = (out / "pairs.csv").read_text().splitlines()
+        assert f"seed={seed}" in first
+        reports.append(rest)
+    assert reports[0] == reports[1] and len(reports[0]) > 1
+
+
 def test_discover_epoch_timestamps_tests_every_pair(tmp_path):
     spec = _write_spec(tmp_path)
     trace = tmp_path / "host.trace"
@@ -417,15 +432,16 @@ def test_repair_sim_bad_watchdog_spec_exit_2(tmp_path, capsys):
                  str(tmp_path / "x.log")]) == 2
 
 
-@pytest.mark.parametrize("flag,value,message", [
-    ("--machines", "0", "--machines must be >= 1, got 0"),
-    ("--ticks", "-1", "--ticks must be >= 1, got -1"),
-    ("--watchdog", "a:x:0", "--watchdog FP and FN must be numbers, got 'a:x:0'"),
-], ids=["machines", "ticks", "watchdog"])
-def test_repair_sim_bad_flag_names_it_exit_2_writes_nothing(flag, value, message, tmp_path,
-                                                            capsys):
+@pytest.mark.parametrize("flags,message", [
+    (["--machines", "0"], "--machines must be >= 1, got 0"),
+    (["--ticks", "-1"], "--ticks must be >= 1, got -1"),
+    (["--watchdog", "a:x:0"], "--watchdog FP and FN must be numbers, got 'a:x:0'"),
+    (["--watchdog", "a:0:0", "--watchdog", "a:0.1:0"],
+     "--watchdog names must be distinct, 'a' repeats"),
+], ids=["machines", "ticks", "watchdog", "watchdog-repeat"])
+def test_repair_sim_bad_flag_names_it_exit_2_writes_nothing(flags, message, tmp_path, capsys):
     log = tmp_path / "x.log"
-    assert main(["repair-sim", flag, value, "--out", str(log)]) == 2
+    assert main(["repair-sim", *flags, "--out", str(log)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not log.exists() and not (tmp_path / "x.log.truth").exists()
 

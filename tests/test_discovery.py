@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from delay_oracle import delay_samples, virtual_random_delays
+from delay_oracle import delay_samples
 from statops.discovery import (
     DependencyGraph,
     DiscoveryConfig,
@@ -16,10 +16,8 @@ from statops.discovery import (
 )
 from statops.stats import (
     LogOddsModel,
-    empirical_cdf,
-    ks_p_value,
-    ks_statistic,
-    log_odds_dependence,
+    kolmogorov_sf,
+    ks_uniform_segments,
 )
 from statops.traces import (
     ChannelId,
@@ -28,6 +26,7 @@ from statops.traces import (
     DependencySpec,
     HostTrace,
     SynthSpec,
+    null_delay_cdf,
     synth_trace,
 )
 
@@ -68,7 +67,7 @@ def test_empty_trace_yields_empty_result():
 def test_planted_dependency_detected():
     trace, truth = synth_trace(planted_host_spec(seed=1, n_in=3, n_out=3, n_deps=1,
                                                  duration=300.0))
-    table = local_dependencies(trace, DiscoveryConfig(alpha=0.05, seed=1))
+    table = local_dependencies(trace, DiscoveryConfig(alpha=0.05))
     planted = [k for k, pair in enumerate(table.pairs()) if pair in truth]
     assert planted and table.dependent[planted].all()
 
@@ -79,7 +78,7 @@ def test_dependent_implies_q_below_alpha(method):
     # never dependent and has no statistic, p-value or q-value under any.
     trace, _ = synth_trace(planted_host_spec(seed=2, n_in=4, n_out=4, n_deps=2,
                                              duration=300.0))
-    config = DiscoveryConfig(alpha=0.05, seed=2, method=method)
+    config = DiscoveryConfig(alpha=0.05, method=method)
     table = local_dependencies(trace, config)
     dependent = table.dependent
     assert dependent.any() and not (dependent & ~table.tested).any()
@@ -95,7 +94,7 @@ def test_dependent_implies_q_below_alpha(method):
 def test_local_dependencies_deterministic():
     trace, _ = synth_trace(planted_host_spec(seed=3, n_in=3, n_out=3, n_deps=1,
                                              duration=200.0))
-    config = DiscoveryConfig(alpha=0.05, seed=9)
+    config = DiscoveryConfig(alpha=0.05)
     first, second = local_dependencies(trace, config), local_dependencies(trace, config)
     assert first.pairs() == second.pairs()
     for name, column in _columns(first).items():
@@ -107,27 +106,60 @@ def test_insufficient_pairs_are_flagged_not_tested():
     ins = (ChannelSpec(ChannelId("in", "http", "src"), 2.0),)
     outs = (ChannelSpec(ChannelId("out", "sql", "dst"), 0.01),)
     trace, _ = synth_trace(SynthSpec("h", 100.0, ins + outs, (), seed=4))
-    table = local_dependencies(trace, DiscoveryConfig(min_samples=50, seed=0))
+    table = local_dependencies(trace, DiscoveryConfig(min_samples=50))
     assert len(table) and not table.tested.any()
+
+
+def test_input_without_null_mass_is_not_tested():
+    # The input's only event ends the window, so no output can follow it by
+    # a positive delay: its pairs have no null and are not tested.
+    inp, out = ChannelId("in", "http", "src"), ChannelId("out", "sql", "dst")
+    trace = HostTrace("h", {inp: ChannelSeries(inp, np.array([10.0])),
+                            out: ChannelSeries(out, np.arange(1.0, 11.0))})
+    table = local_dependencies(trace, DiscoveryConfig(min_samples=1))
+    assert table.n_delays.tolist() == [1] and not table.tested.any()
+    assert table.log_odds.tolist() == [0.0] and np.isnan(table.p_value).all()
 
 
 def test_method_log_odds_uses_bayes_threshold():
     trace, truth = synth_trace(planted_host_spec(seed=5, n_in=3, n_out=3, n_deps=1,
                                                  duration=300.0))
-    table = local_dependencies(trace, DiscoveryConfig(method="log_odds", seed=5))
+    table = local_dependencies(trace, DiscoveryConfig(method="log_odds"))
     tested = table.tested
     np.testing.assert_array_equal(table.dependent[tested],
                                   table.log_odds[tested] >= math.log(20.0))
     assert any(d for d, pair in zip(table.dependent, table.pairs()) if pair in truth)
 
 
+def test_log_odds_flags_few_pairs_on_null_hosts():
+    # 50 hosts without dependencies, 200 pairs each; under an exact null
+    # E[BF] = 1, so Markov's inequality caps each pair's P(BF >= 20) at 5%
+    flagged = tested = 0
+    for seed in range(50):
+        trace, _ = synth_trace(null_host_spec(seed))
+        table = local_dependencies(trace, DiscoveryConfig(method="log_odds"))
+        flagged += int(table.dependent.sum())
+        tested += int(table.tested.sum())
+    assert tested >= 9000
+    assert flagged / tested <= 0.05
+
+
 def test_method_both_requires_both_signals():
     trace, _ = synth_trace(planted_host_spec(seed=6, n_in=3, n_out=3, n_deps=1,
                                              duration=300.0))
-    ks, bf, both = (local_dependencies(trace, DiscoveryConfig(method=method, seed=6))
+    ks, bf, both = (local_dependencies(trace, DiscoveryConfig(method=method))
                     for method in ("ks", "log_odds", "both"))
     assert both.pairs() == ks.pairs() == bf.pairs()
     np.testing.assert_array_equal(both.dependent, ks.dependent & bf.dependent)
+
+
+def _closed_form_log_odds(delays, model, p):
+    """The log Bayes factor's closed form for bin probabilities p, term by term."""
+    k, a = model.bins, model.dirichlet_alpha
+    c = np.bincount(np.minimum((delays / (model.horizon / k)).astype(int), k - 1), minlength=k)
+    return (math.lgamma(k * a) - math.lgamma(delays.size + k * a)
+            + sum(math.lgamma(ck + a) - math.lgamma(a) - (ck * math.log(pk) if ck else 0.0)
+                  for ck, pk in zip(c.tolist(), p.tolist())))
 
 
 def test_batched_pairs_match_single_pair_functions():
@@ -138,29 +170,23 @@ def test_batched_pairs_match_single_pair_functions():
     outs = [ChannelSpec(ChannelId("out", "sql", f"dst{j}"), r) for j, r in enumerate(rates)]
     deps = (DependencySpec(ins[1].id, outs[0].id, 0.05, 0.9),)
     trace, _ = synth_trace(SynthSpec("h", 200.0, tuple(ins + outs), deps, seed=12))
-    config = DiscoveryConfig(seed=12)
+    config = DiscoveryConfig()
     model = LogOddsModel(config.horizon)
+    edges = np.append(np.arange(model.bins) * (config.horizon / model.bins), config.horizon)
     table = local_dependencies(trace, config)
-    # Every pair with min_samples real delays, in input-major pair order,
-    # takes the next draws of one child of the seed's stream, also when its
-    # virtual sample pairs nothing.
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     assert not table.tested.all()
     for k, (cin, cout) in enumerate(table.pairs()):
         delays = delay_samples(trace.channels[cin], trace.channels[cout], config.horizon)
+        f0 = null_delay_cdf(trace.channels[cin].times, trace.window[1], config.horizon)
         assert table.n_delays[k] == delays.size
-        assert table.log_odds[k] == log_odds_dependence(delays, model)
-        if delays.size < config.min_samples:
-            assert not table.tested[k]
-            continue
-        virtual = virtual_random_delays(trace.channels[cin], trace.channels[cout].times.size,
-                                        trace.window, config.horizon, rng)
-        assert table.tested[k] == (virtual.size > 0)
+        assert table.log_odds[k] == pytest.approx(
+            _closed_form_log_odds(delays, model, np.diff(f0(edges))), rel=1e-12, abs=1e-9)
+        assert table.tested[k] == (delays.size >= config.min_samples)
         if not table.tested[k]:
             continue
-        d = ks_statistic(empirical_cdf(delays), empirical_cdf(virtual))
+        d = ks_uniform_segments(f0(np.sort(delays)), [delays.size])[0]
         assert table.statistic[k] == d
-        assert table.p_value[k] == ks_p_value(d, delays.size, virtual.size)
+        assert table.p_value[k] == kolmogorov_sf([d * math.sqrt(delays.size)])[0]
 
 
 def _shifted(trace, offset):
@@ -170,12 +196,15 @@ def _shifted(trace, offset):
 
 @pytest.mark.parametrize("offset", [250.0, 1000.0, 1.7e9])
 def test_time_origin_does_not_change_the_answer(offset):
-    # The virtual channel is drawn over the observed window, so moving every
-    # timestamp (say, to Unix epoch time) leaves every pair tested and the
-    # answer unchanged, up to the rounding of the shifted timestamps.
+    # The null depends only on the input's gaps and the window's end, so
+    # moving every timestamp (say, to Unix epoch time) leaves every pair
+    # tested and the answer unchanged, up to the rounding of the shifted
+    # timestamps.  The statistic reads the delays' values, not only their
+    # ranks, so a rounding error of one spacing of doubles at the offset
+    # reaches the q-values scaled by F0's density, sqrt(n_delays) and BH.
     trace, truth = synth_trace(planted_host_spec(seed=8, n_in=4, n_out=4, n_deps=2,
                                                  duration=300.0))
-    config = DiscoveryConfig(alpha=0.05, seed=8)
+    config = DiscoveryConfig(alpha=0.05)
     base = local_dependencies(trace, config)
     moved = local_dependencies(_shifted(trace, offset), config)
     assert base.tested.sum() == 16
@@ -184,7 +213,7 @@ def test_time_origin_does_not_change_the_answer(offset):
     assert truth <= dependent
     assert {pair for pair, d in zip(moved.pairs(), moved.dependent) if d} == dependent
     assert moved.pairs() == base.pairs()
-    assert np.abs(base.q_value - moved.q_value).max() <= 1e-6
+    assert np.abs(base.q_value - moved.q_value).max() <= 1e-6 + 200 * np.spacing(offset)
 
 
 def test_sparse_planted_dependency_still_detected():
@@ -198,7 +227,7 @@ def test_sparse_planted_dependency_still_detected():
         dep = DependencySpec(ins[0].id, planted_out.id, mean_delay=0.05, response_prob=0.027)
         spec = SynthSpec("h", 500.0, tuple(ins + outs + [planted_out]), (dep,), seed)
         trace, truth = synth_trace(spec)
-        table = local_dependencies(trace, DiscoveryConfig(alpha=0.05, seed=seed))
+        table = local_dependencies(trace, DiscoveryConfig(alpha=0.05))
         for pair, dependent in zip(table.pairs(), table.dependent.tolist()):
             if pair in truth:
                 total += 1
@@ -271,7 +300,7 @@ def test_constellation_shape_from_desktop_trace():
     outs = [ChannelSpec(ChannelId("out", f"rsvc{i}", f"backend{i}"), 1.0) for i in range(5)]
     deps = tuple(DependencySpec(ins[i].id, outs[i].id, 0.05, 0.9) for i in range(5))
     trace, truth = synth_trace(SynthSpec("desktop", 400.0, tuple(ins + outs), deps, seed=7))
-    results = local_dependencies(trace, DiscoveryConfig(alpha=0.05, seed=7))
+    results = local_dependencies(trace, DiscoveryConfig(alpha=0.05))
     g = build_graph([("desktop", results)])
     assert "desktop" in g.nodes
     assert all("desktop" in (src, dst) for src, dst, _ in g.edges)

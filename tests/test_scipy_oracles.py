@@ -1,6 +1,7 @@
 """The testing core against scipy as an independent oracle (tests only:
 scipy is not a runtime dependency), including the batched kernels'
-per-pair outputs on random ragged segments and the diagnosis attributions."""
+per-pair outputs on random ragged segments, discovery's one-sample KS
+against the gap null, and the diagnosis attributions."""
 
 from __future__ import annotations
 
@@ -17,15 +18,23 @@ from statops.diagnosis import (
     signatures,
     synth_metrics,
 )
+from statops.discovery import DiscoveryConfig, local_dependencies
 from statops.stats import (
     LogOddsModel,
     bh_select,
     empirical_cdf,
     ks_p_value,
     ks_statistic,
-    ks_statistic_segments,
     log_odds_dependence,
     log_odds_segments,
+)
+from statops.traces import (
+    ChannelId,
+    ChannelSpec,
+    SynthSpec,
+    null_delay_cdf,
+    pair_delays,
+    synth_trace,
 )
 
 scipy_stats = pytest.importorskip("scipy.stats")
@@ -60,13 +69,13 @@ def test_ks_statistic_matches_ks_2samp(seed, lattice):
 @pytest.mark.parametrize("seed", range(5))
 @pytest.mark.parametrize("lattice", [None, 10])
 def test_batched_ks_matches_ks_2samp_per_segment(seed, lattice):
+    # ks_statistic over many ragged sample sizes, with and without ties
     rng = np.random.default_rng(100 + seed)
     a_counts, a = _ragged(rng, 40, 1, 80, lattice)
     b_counts, b = _ragged(rng, 40, 1, 300, lattice)
-    batched = ks_statistic_segments(a, a_counts, b, b_counts)
-    for d, xa, xb in zip(batched, _split(a, a_counts), _split(b, b_counts)):
+    for xa, xb in zip(_split(a, a_counts), _split(b, b_counts)):
+        d = ks_statistic(empirical_cdf(xa), empirical_cdf(xb))
         assert abs(d - scipy_stats.ks_2samp(xa, xb).statistic) <= 1e-12
-        assert d == ks_statistic(empirical_cdf(xa), empirical_cdf(xb))
         lam = d * math.sqrt(xa.size * xb.size / (xa.size + xb.size))
         assert abs(ks_p_value(d, xa.size, xb.size) - scipy_stats.kstwobign.sf(lam)) <= 1e-10
 
@@ -86,6 +95,30 @@ def test_ks_p_value_matches_kstwobign_sf(lam, n, m):
     assert abs(ks_p_value(d, n, m) - scipy_stats.kstwobign.sf(exact_lam)) <= 1e-10
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_discovery_ks_matches_kstest_against_gap_null(seed):
+    # every tested pair's D is scipy's one-sample KS of its delays against
+    # F0, and its p-value the Kolmogorov limit at D * sqrt(n)
+    ins = [ChannelSpec(ChannelId("in", "http", f"src{i}"), r)
+           for i, r in enumerate((0.5, 2.0, 8.0))]
+    outs = [ChannelSpec(ChannelId("out", "dns", f"dst{j}"), r)
+            for j, r in enumerate((0.3, 1.0, 4.0))]
+    trace, _ = synth_trace(SynthSpec("h", 300.0, tuple(ins + outs), (), seed=400 + seed))
+    config = DiscoveryConfig()
+    table = local_dependencies(trace, config)
+    assert table.tested.sum() >= 7
+    for k, (cin, cout) in enumerate(table.pairs()):
+        if not table.tested[k]:
+            continue
+        in_times = trace.channels[cin].times
+        delays = pair_delays(in_times, trace.channels[cout].times, config.horizon)[0]
+        f0 = null_delay_cdf(in_times, trace.window[1], config.horizon)
+        expected = scipy_stats.kstest(delays, f0)
+        assert abs(table.statistic[k] - expected.statistic) <= 1e-12
+        lam = table.statistic[k] * math.sqrt(delays.size)
+        assert abs(table.p_value[k] - scipy_stats.kstwobign.sf(lam)) <= 1e-10
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_bh_q_values_match_false_discovery_control(seed):
     rng = np.random.default_rng(200 + seed)
@@ -102,7 +135,7 @@ def test_batched_log_odds_matches_gammaln_closed_form(seed, bins, alpha):
     rng = np.random.default_rng(300 + seed)
     counts = rng.integers(0, 200, 30)
     delays = rng.beta(0.5, 3.0, counts.sum())
-    batched = log_odds_segments(delays, counts, model)
+    batched = log_odds_segments(delays, counts, model, np.full(bins, -math.log(bins)))
     for value, x in zip(batched, _split(delays, counts)):
         assert value == log_odds_dependence(x, model)
         c = np.bincount(np.minimum((x / (1.0 / bins)).astype(int), bins - 1), minlength=bins)

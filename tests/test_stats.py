@@ -11,9 +11,12 @@ from statops.stats import (
     bh_select,
     empirical_cdf,
     expected_false_positives,
+    kolmogorov_sf,
     ks_p_value,
     ks_statistic,
+    ks_uniform_segments,
     log_odds_dependence,
+    log_odds_segments,
     mean_difference_test,
 )
 
@@ -110,6 +113,23 @@ def test_ks_p_value_worked_example():
     )
     assert ks_p_value(0.5, 100, 100) == pytest.approx(expected, rel=1e-9)
     assert ks_p_value(0.5, 100, 100) == pytest.approx(2.8e-11, rel=0.02)
+
+
+def test_kolmogorov_sf_batch_matches_one_element_calls():
+    lam = np.array([0.0, 0.04, 0.05, 0.3, 1.0, 1.36, 2.5, 40.0])
+    batch = kolmogorov_sf(lam)
+    assert batch.tolist() == [kolmogorov_sf([x])[0] for x in lam.tolist()]
+    assert batch[:2].tolist() == [1.0, 1.0] and batch[-1] == 0.0
+    assert ks_p_value(0.5, 100, 100) == kolmogorov_sf([0.5 * math.sqrt(50)])[0]
+
+
+def test_ks_uniform_segments_by_hand():
+    # sample {0.1, 0.2, 0.9}: D = max(1/3 - 0.1, 2/3 - 0.2, 0.9 - 2/3, 1 - 0.9) = 7/15
+    u = np.array([0.1, 0.2, 0.9, 0.5])
+    np.testing.assert_allclose(ks_uniform_segments(u, [3, 1]), [7 / 15, 0.5], rtol=1e-15)
+    assert ks_uniform_segments(np.empty(0), []).size == 0
+    with pytest.raises(ValueError):
+        ks_uniform_segments(u, [4, 0])
 
 
 def test_ks_p_value_rejects_bad_statistic():
@@ -323,3 +343,12 @@ def test_log_odds_uniform_null_not_favored():
 def test_log_odds_delay_at_horizon_lands_in_last_bin():
     m = LogOddsModel(horizon=2.0, bins=4)
     assert math.isfinite(log_odds_dependence([2.0, 0.0, 1.0], m))
+
+
+def test_log_odds_null_bins_with_zero_probability():
+    # 0 log 0 is 0; a count in a bin the null cannot reach is decisive
+    m = LogOddsModel(horizon=1.0, bins=2, dirichlet_alpha=1.0)
+    log_p = np.array([0.0, -np.inf])  # every null delay falls in [0, 0.5)
+    empty_bin, reached = log_odds_segments(np.array([0.1, 0.2, 0.1, 0.7]), [2, 2], m, log_p)
+    assert empty_bin == pytest.approx(math.log(1 / 3), abs=1e-12)  # G(2) G(3) / G(4) = 2/6
+    assert reached == math.inf

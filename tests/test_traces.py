@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from delay_oracle import delay_samples, virtual_random_delays
-from statops.stats import empirical_cdf, ks_p_value, ks_statistic
+from delay_oracle import delay_samples
+from statops.stats import kolmogorov_sf, ks_uniform_segments
 from statops.traces import (
     ChannelId,
     ChannelSeries,
@@ -19,8 +19,8 @@ from statops.traces import (
     parse_trace,
     serialize_ground_truth,
     serialize_trace,
+    null_delay_cdf,
     synth_trace,
-    virtual_departures,
 )
 
 
@@ -155,34 +155,37 @@ def test_delay_pairing_horizon_nesting_and_bounds():
     assert np.all(d1 >= 0) and np.all(d1 <= 0.3)
 
 
-def _virtual_delays(in_times, n_out, window, horizon, rng):
-    return pair_delays(np.sort(in_times), virtual_departures([n_out], window, rng), horizon)[0]
+def test_null_delay_cdf_worked_example():
+    # gaps 1.0, 4.5 and (to the window's end) 2.5; G(d) = sum min(gap, d)
+    f0 = null_delay_cdf(np.array([2.0, 3.0, 7.5]), 10.0, 2.0)
+    np.testing.assert_allclose(f0(np.array([0.0, 0.5, 1.5, 2.0])), [0.0, 1.5 / 5, 4.0 / 5, 1.0],
+                               rtol=0, atol=1e-15)
 
 
-def test_virtual_delays_empty_and_deterministic():
-    inp = [1.0, 2.0, 3.0]
-    assert _virtual_delays(inp, 0, (0.0, 10.0), 1.0, np.random.default_rng(1)).size == 0
-    a = _virtual_delays(inp, 50, (0.0, 10.0), 1.0, np.random.default_rng(42))
-    b = _virtual_delays(inp, 50, (0.0, 10.0), 1.0, np.random.default_rng(42))
-    np.testing.assert_array_equal(a, b)
+def test_null_delay_cdf_none_without_mass():
+    # a lone input that ends the window leaves no room for a delay
+    assert null_delay_cdf(np.array([10.0]), 10.0, 1.0) is None
+    assert null_delay_cdf(np.array([9.0]), 10.0, 1.0) is not None
 
 
-def test_virtual_delays_dense_input_mostly_paired():
-    rng = np.random.default_rng(8)
-    inp = np.sort(rng.uniform(0, 100, 1000))  # rate 10/s
-    virtual = _virtual_delays(inp, 1000, (0.0, 100.0), 1.0, np.random.default_rng(9))
-    assert virtual.size >= 990
-
-
-@pytest.mark.parametrize("window", [(0.0, 10.0), (0.0, 1e-300), (3.5, 3.5),
-                                    (1.7e9 + 0.123, 1.7e9 + 600.7)])
-def test_virtual_departures_take_consecutive_draws(window):
-    sizes = [0, 1, *np.random.default_rng(20).integers(0, 60, 50).tolist()]
-    got = virtual_departures(sizes, window, np.random.default_rng(7))
-    rng = np.random.default_rng(7)
-    want = [window[0] + (window[1] - window[0]) * np.sort(rng.random(n)) for n in sizes]
-    assert got.tobytes() == np.concatenate(want).tobytes()
-    assert virtual_departures([], window, rng).size == 0
+def test_null_delay_cdf_and_bins_match_uniform_outputs():
+    # F0 and the log-odds bins' p_k against many outputs drawn uniformly
+    # over the window, paired with the same input
+    rng = np.random.default_rng(31)
+    inp = np.sort(np.concatenate([rng.uniform(5.0, 45.0, 100), rng.uniform(60.0, 95.0, 50)]))
+    horizon, bins = 1.0, 20
+    delays = pair_delays(inp, rng.uniform(0.0, 100.0, 400_000), horizon)[0]
+    assert delays.size > 150_000
+    f0 = null_delay_cdf(inp, 100.0, horizon)
+    grid = np.linspace(0.0, horizon, 41)
+    observed = np.searchsorted(np.sort(delays), grid, side="right") / delays.size
+    assert np.abs(observed - f0(grid)).max() <= 0.005
+    edges = np.append(np.arange(bins) * (horizon / bins), horizon)
+    p = np.diff(f0(edges))
+    frequency = np.bincount(np.minimum((delays / (horizon / bins)).astype(int), bins - 1),
+                            minlength=bins) / delays.size
+    assert p.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.abs(frequency - p).max() <= 0.004
 
 
 # ---------------------------------------------------------------------------
@@ -214,28 +217,22 @@ def test_synth_trace_zero_duration_is_empty():
 
 
 def test_synth_trace_independent_pairs_look_null():
-    # with no planted dependencies, KS p-values across pairs are roughly
-    # uniform: the naive 5% rejection rate stays near 5%
+    # with no planted dependencies, one-sample KS p-values against the gap
+    # null F0 are roughly uniform: the naive 5% rejection rate stays near 5%
     rejections = 0
     total = 0
-    rng = np.random.default_rng(1000)
     for seed in range(10):
         trace, _ = synth_trace(_null_spec(seed))
         ins = [c for c in trace.channels if c.direction == "in"]
         outs = [c for c in trace.channels if c.direction == "out"]
-        for i, cin in enumerate(sorted(ins)):
-            for j, cout in enumerate(sorted(outs)):
+        for cin in sorted(ins):
+            f0 = null_delay_cdf(trace.channels[cin].times, trace.window[1], 1.0)
+            for cout in sorted(outs):
                 delays = delay_samples(trace.channels[cin], trace.channels[cout], 1.0)
                 if delays.size < 10:
                     continue
-                virtual = virtual_random_delays(
-                    trace.channels[cin], trace.channels[cout].times.size,
-                    trace.window, 1.0, rng,
-                )
-                p = ks_p_value(
-                    ks_statistic(empirical_cdf(delays), empirical_cdf(virtual)),
-                    delays.size, virtual.size,
-                )
+                d = ks_uniform_segments(f0(np.sort(delays)), [delays.size])
+                p = kolmogorov_sf(d * np.sqrt(delays.size))[0]
                 total += 1
                 rejections += p <= 0.05
     assert total >= 60
