@@ -144,7 +144,7 @@ def ks_uniform_segments(u: np.ndarray, counts: Sequence[int] | np.ndarray) -> np
         raise ValueError("every segment needs at least one value")
     starts = np.cumsum(counts) - counts
     n = np.repeat(counts, counts)
-    rank = np.arange(u.size) - np.repeat(starts, counts)  # i - 1
+    rank = np.arange(u.size) - np.repeat(starts, counts)  # i - 1 within the segment
     return np.maximum.reduceat(np.maximum((rank + 1) / n - u, u - rank / n), starts)
 
 

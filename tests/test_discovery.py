@@ -144,6 +144,19 @@ def test_log_odds_flags_few_pairs_on_null_hosts():
     assert flagged / tested <= 0.05
 
 
+def test_log_odds_recovers_planted_pairs():
+    detected = total = 0
+    for seed in range(20):
+        trace, truth = synth_trace(planted_host_spec(seed, duration=300.0))
+        table = local_dependencies(trace, DiscoveryConfig(method="log_odds"))
+        for pair, dependent in zip(table.pairs(), table.dependent.tolist()):
+            if pair in truth:
+                total += 1
+                detected += dependent
+    assert total == 200
+    assert detected / total >= 0.9
+
+
 def test_method_both_requires_both_signals():
     trace, _ = synth_trace(planted_host_spec(seed=6, n_in=3, n_out=3, n_deps=1,
                                              duration=300.0))
