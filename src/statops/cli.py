@@ -210,6 +210,8 @@ def _cmd_discover(args: argparse.Namespace) -> int:
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     # the flags are checked before the metrics log is read, and every
     # precondition before the first report is written
+    if not (math.isfinite(args.slo_threshold) and args.slo_threshold > 0):
+        return _fail(f"--slo-threshold must be a finite number > 0, got {args.slo_threshold}")
     actions = [a.strip() for a in args.actions.split(",") if a.strip()]
     if not actions:
         return _fail(f"--actions must name at least one action, got '{args.actions}'")
@@ -237,6 +239,11 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     dataset = _value(dataset)
     labels = diagnosis.label_slo(dataset, diagnosis.SloConfig(args.slo_threshold))
     violation_idx = np.flatnonzero(labels)
+    if violation_idx.size in (0, dataset.n_epochs):
+        missing, which = (("a violation", "no") if violation_idx.size == 0 else
+                          ("compliant", "every"))
+        return _fail(f"need both classes, but no epoch is {missing}: {which} art_ms exceeds "
+                     f"--slo-threshold {args.slo_threshold}")
     if "cluster" in actions and not 1 <= args.clusters <= violation_idx.size:
         return _fail(f"--clusters must lie in [1, {violation_idx.size}], the number of "
                      f"violations, got {args.clusters}")
@@ -254,7 +261,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
         payload = {
             "accuracy": float(np.mean(pred == labels)),
             "prior": {"compliant": model.prior[0], "violation": model.prior[1]},
-            "feature_set": list(model.feature_set),
+            "feature_set": list(range(dataset.n_metrics)),
             "metric_names": list(model.metric_names),
             "n_epochs": dataset.n_epochs,
         }

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import re
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -95,13 +94,12 @@ def label_slo(dataset: MetricDataset, config: SloConfig) -> np.ndarray:
 
 @dataclass(eq=False)
 class DiagnosisModel:
-    """Gaussian naive Bayes over a feature subset.
+    """Gaussian naive Bayes over every metric.
 
-    prior is (P(compliant), P(violation)); per-feature arrays are aligned
-    with feature_set order.
+    prior is (P(compliant), P(violation)); the per-metric arrays are aligned
+    with metric_names.
     """
 
-    feature_set: tuple[int, ...]
     prior: tuple[float, float]
     mean_compliant: np.ndarray
     var_compliant: np.ndarray
@@ -110,11 +108,7 @@ class DiagnosisModel:
     metric_names: tuple[str, ...]
 
 
-def fit_classifier(
-    dataset: MetricDataset,
-    labels: np.ndarray,
-    feature_set: Sequence[int] | None = None,
-) -> DiagnosisModel:
+def fit_classifier(dataset: MetricDataset, labels: np.ndarray) -> DiagnosisModel:
     """Maximum-likelihood Gaussian naive Bayes with a variance floor.
 
     ``labels`` is the boolean violation vector; both classes must be present.
@@ -124,19 +118,8 @@ def fit_classifier(
         raise ValueError("labels must align with the dataset")
     if y.all() or not y.any():
         raise ValueError("need both classes")
-    if feature_set is None:
-        features = tuple(range(dataset.n_metrics))
-    else:
-        features = tuple(sorted(set(int(i) for i in feature_set)))
-    if not features:
-        raise ValueError("feature set must be non-empty")
-    if features[0] < 0 or features[-1] >= dataset.n_metrics:
-        raise ValueError("feature index out of range")
-
-    cols = dataset.metrics[:, features]
-    viol, comp = cols[y], cols[~y]
+    viol, comp = dataset.metrics[y], dataset.metrics[~y]
     return DiagnosisModel(
-        feature_set=features,
         prior=(float((~y).mean()), float(y.mean())),
         mean_compliant=comp.mean(axis=0),
         var_compliant=np.maximum(comp.var(axis=0), VARIANCE_FLOOR),
@@ -147,16 +130,13 @@ def fit_classifier(
 
 
 def _attribution_matrix(model: DiagnosisModel, rows: np.ndarray) -> np.ndarray:
-    """Per-metric log-likelihood difference toward the violation class,
-    expanded to full metric width (zeros off the feature set)."""
-    x = rows[:, model.feature_set]
+    """Per-metric log-likelihood difference toward the violation class, one
+    row per row of the (n, k) metric matrix."""
     log_v = -0.5 * (np.log(2 * math.pi * model.var_violation)
-                    + (x - model.mean_violation) ** 2 / model.var_violation)
+                    + (rows - model.mean_violation) ** 2 / model.var_violation)
     log_c = -0.5 * (np.log(2 * math.pi * model.var_compliant)
-                    + (x - model.mean_compliant) ** 2 / model.var_compliant)
-    out = np.zeros((rows.shape[0], len(model.metric_names)))
-    out[:, model.feature_set] = log_v - log_c
-    return out
+                    + (rows - model.mean_compliant) ** 2 / model.var_compliant)
+    return log_v - log_c
 
 
 def log_odds(model: DiagnosisModel, rows: np.ndarray) -> np.ndarray:
@@ -234,8 +214,7 @@ class SignatureCatalog:
     """Signatures of violations, one row each, searchable by similarity.
 
     attributions[i, j] > 0 means metric j pushed epoch i toward the violation
-    class; ``abnormal`` flags those metrics.  Metrics outside the model's
-    feature set carry attribution 0.
+    class; ``abnormal`` flags those metrics.
     """
 
     attributions: np.ndarray  # (n, k)
@@ -278,62 +257,30 @@ class SignatureCatalog:
         return "".join(lines)
 
 
-# "}, {" inside one line, as where one catalog entry ends and the next begins
-_TWO_ENTRIES = re.compile(r"\}[ \t]*,[ \t]*\{")
 # the types json.loads gives a JSON number; a bool is not one, though numpy
 # would take [true, 1.5] as [1.0, 1.5]
 _NUMBER_TYPES = frozenset((int, float))
 
 
 def catalog_from_jsonl(text: str) -> SignatureCatalog:
-    """Parse a JSON-lines catalog.  ``abnormal`` is ignored: it is derived
-    from the attributions.  ``ts`` and each attribution must be a finite
-    JSON number, not a string or a bool, and ``annotation`` a string.
-    Errors read ``line N: ...``, N counting blank lines too.
-
-    A well-formed catalog is decoded by one ``json.loads`` over its lines
-    joined into an array; anything else goes through the per-line reader,
-    which returns the same catalog or names the bad line.  The joined array
-    holds one object per line when it has as many objects as lines and no
-    line holds ``}, {``: an object that ran on past its line would need
-    such a line to make up the count.  A raw newline is not
-    allowed inside a JSON string, so the joining ",\\n" cannot hide in one.
-    """
-    lines = [line for line in text.splitlines() if line.strip()]
-    joined = "[" + ",\n".join(lines) + "]"
-    try:
-        objs = json.loads(joined)
-        if len(objs) == len(lines) and not _TWO_ENTRIES.search(joined):
-            ts = [obj["ts"] for obj in objs]
-            rows = [obj["attributions"] for obj in objs]
-            annotations = [obj["annotation"] for obj in objs]
-            # chain raises on a number in place of the attribution list
-            typed = (_NUMBER_TYPES.issuperset(map(type, ts))
-                     and _NUMBER_TYPES.issuperset(map(type, itertools.chain.from_iterable(rows)))
-                     and all(type(a) is str for a in annotations))
-            epochs, attributions = np.array(ts), np.array(rows)
-            # isfinite raises on the object array of an int too large for a float
-            if (typed and epochs.ndim == 1 and attributions.ndim == 2
-                    and np.isfinite(epochs).all() and np.isfinite(attributions).all()):
-                return SignatureCatalog(attributions, epochs, annotations)
-    except (ValueError, KeyError, TypeError, RecursionError):
-        pass  # the per-line reader below names what is wrong
-    return _catalog_per_line(text)
-
-
-def _catalog_per_line(text: str) -> SignatureCatalog:
-    """The line-checked reader behind catalog_from_jsonl."""
-    line_nos, entries = [], []
+    """Parse a JSON-lines catalog, one entry per non-blank line.  ``abnormal``
+    is ignored: it is derived from the attributions.  ``ts`` and each
+    attribution must be a finite JSON number, not a string or a bool, and
+    ``annotation`` a string.  Errors read ``line N: ...``, N counting blank
+    lines too."""
+    line_nos, epochs, rows, annotations = [], [], [], []
     for n, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
             attr, ts, annotation = obj["attributions"], obj["ts"], obj["annotation"]
-            if not (type(ts) in _NUMBER_TYPES and type(attr) is list
-                    and _NUMBER_TYPES.issuperset(map(type, attr))):
+            types = set(map(type, attr))
+            if not (type(ts) in _NUMBER_TYPES and type(attr) is list and types <= _NUMBER_TYPES):
                 raise TypeError
-            entries.append((float(ts), [float(a) for a in attr], annotation))
+            if int in types:  # an int beyond float range raises here, on its line
+                attr = [float(a) for a in attr]
+            ts = float(ts)
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {n}: bad JSON: {exc.msg}") from None
         except KeyError as exc:
@@ -343,11 +290,13 @@ def _catalog_per_line(text: str) -> SignatureCatalog:
                              "numeric attributions") from None
         if type(annotation) is not str:
             raise ValueError(f"line {n}: annotation must be a string, got {json.dumps(annotation)}")
-        if len(attr) != len(entries[0][1]):
+        if rows and len(attr) != len(rows[0]):
             raise ValueError(f"line {n}: {len(attr)} attributions, the first entry has "
-                             f"{len(entries[0][1])}")
+                             f"{len(rows[0])}")
         line_nos.append(n)
-    epochs, rows, annotations = zip(*entries) if entries else ((), (), ())
+        epochs.append(ts)
+        rows.append(attr)
+        annotations.append(annotation)
     attributions = np.array(rows, dtype=float).reshape(len(rows), len(rows[0]) if rows else 0)
     finite = np.isfinite(attributions).all(axis=1) & np.isfinite(epochs)
     if not finite.all():
@@ -397,14 +346,10 @@ def load_metrics_csv(text: str) -> MetricDataset:
     body = lines[1:]
     if not body:
         raise ValueError("metrics file has no data rows")
-    rows = None
-    # a '_' (a digit separator to float(), not to loadtxt) or a '#' (which no
-    # number holds) fails the loadtxt pass: such a body skips it
-    if not any("#" in line or "_" in line for line in body):
-        try:
-            rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
-        except ValueError:
-            pass
+    try:
+        rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
+        rows = None
     if rows is None or rows.shape != (len(body), len(header)) or not np.isfinite(rows).all():
         rows = _metrics_per_cell(text, header)
     return MetricDataset(rows[:, 0], rows[:, 2:], rows[:, 1], tuple(header[2:]))

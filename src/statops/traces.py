@@ -167,12 +167,10 @@ def serialize_trace(trace: HostTrace) -> str:
     """Render a HostTrace in the trace file format, deterministically sorted."""
     lines = []
     for cid in sorted(trace.channels):
-        for t in trace.channels[cid].times:
-            lines.append(
-                f"ts={float(t)!r} host={trace.host} remote={cid.remote} "
-                f"service={cid.service} dir={cid.direction}"
-            )
-    return "".join(line + "\n" for line in lines)
+        suffix = (f" host={trace.host} remote={cid.remote} service={cid.service} "
+                  f"dir={cid.direction}\n")
+        lines += [f"ts={t!r}{suffix}" for t in trace.channels[cid].times.tolist()]
+    return "".join(lines)
 
 
 def pair_delays(

@@ -274,6 +274,24 @@ def test_diagnose_single_class_exit_2(tmp_path, capsys):
     assert "both classes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threshold,actions,message", [
+    ("1e9", "cluster,train", "no epoch is a violation: no art_ms exceeds "
+                             "--slo-threshold 1000000000.0"),
+    ("1e9", "train", "no epoch is a violation: no art_ms exceeds --slo-threshold 1000000000.0"),
+    ("0.001", "cluster,train", "no epoch is compliant: every art_ms exceeds "
+                               "--slo-threshold 0.001"),
+], ids=["none-violate-cluster", "none-violate-train", "all-violate-cluster"])
+def test_diagnose_single_class_names_the_missing_class(threshold, actions, message, tmp_path,
+                                                       capsys):
+    # the class check comes before --clusters, which would otherwise read [1, 0]
+    metrics = _metrics_file(tmp_path, seed=1, n_epochs=100)
+    out = tmp_path / "d"
+    assert main(["diagnose", str(metrics), "--slo-threshold", threshold, "--actions", actions,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: need both classes, but {message}\n"
+    assert not out.exists()
+
+
 def test_diagnose_retrieve_round_trip(tmp_path):
     metrics = _metrics_file(tmp_path, seed=4)
     out = tmp_path / "diag"
@@ -392,8 +410,13 @@ def test_diagnose_bad_input_exit_2_writes_nothing(case, tmp_path, capsys):
      "--query-epoch must be a finite number, got inf"),
     (["--actions", "retrieve", "--catalog", "c.jsonl", "--query-epoch", "5", "--top-k", "0"],
      "--top-k must be >= 1"),
+    (["--slo-threshold", "0"], "--slo-threshold must be a finite number > 0, got 0.0"),
+    (["--slo-threshold", "-5"], "--slo-threshold must be a finite number > 0, got -5.0"),
+    (["--slo-threshold", "inf"], "--slo-threshold must be a finite number > 0, got inf"),
+    (["--slo-threshold", "nan"], "--slo-threshold must be a finite number > 0, got nan"),
 ], ids=["comma-actions", "empty-actions", "unknown-action", "no-catalog", "no-query-epoch",
-        "inf-query-epoch", "zero-top-k"])
+        "inf-query-epoch", "zero-top-k", "zero-slo-threshold", "negative-slo-threshold",
+        "inf-slo-threshold", "nan-slo-threshold"])
 def test_diagnose_bad_flag_fails_before_reading_metrics(flags, message, tmp_path, capsys):
     # the metrics path does not exist: the flag error must come first
     out = tmp_path / "out"

@@ -148,13 +148,12 @@ def test_batched_log_odds_matches_gammaln_closed_form(seed, bins, alpha):
 def test_attributions_and_log_odds_match_normal_logpdf():
     ds, _, _ = synth_metrics(n_epochs=400, n_metrics=8, cause_metric_sets=((0, 1), (5,)),
                              seed=17)
-    model = fit_classifier(ds, label_slo(ds, SloConfig(200.0)), feature_set=(0, 1, 2, 5, 7))
+    model = fit_classifier(ds, label_slo(ds, SloConfig(200.0)))
     rows = ds.metrics * np.random.default_rng(18).uniform(0.8, 1.2, ds.metrics.shape)
-    x = rows[:, model.feature_set]
-    want = (scipy_stats.norm.logpdf(x, model.mean_violation, np.sqrt(model.var_violation))
-            - scipy_stats.norm.logpdf(x, model.mean_compliant, np.sqrt(model.var_compliant)))
+    want = (scipy_stats.norm.logpdf(rows, model.mean_violation, np.sqrt(model.var_violation))
+            - scipy_stats.norm.logpdf(rows, model.mean_compliant, np.sqrt(model.var_compliant)))
     got = signatures(model, rows, ds.timestamps).attributions
-    np.testing.assert_allclose(got[:, model.feature_set], want, rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9)
     np.testing.assert_allclose(
         log_odds(model, rows),
         math.log(model.prior[1] / model.prior[0]) + want.sum(axis=1), rtol=1e-9, atol=1e-9)
