@@ -83,8 +83,8 @@ class SloConfig:
     threshold: float  # milliseconds
 
     def __post_init__(self) -> None:
-        if not self.threshold > 0:
-            raise ValueError(f"threshold must be > 0, got {self.threshold}")
+        if not 0 < self.threshold < math.inf:
+            raise ValueError(f"threshold must be a finite number > 0, got {self.threshold}")
 
 
 def label_slo(dataset: MetricDataset, config: SloConfig) -> np.ndarray:
@@ -329,14 +329,14 @@ def load_metrics_csv(text: str) -> MetricDataset:
     """Parse the metric log format (header ts,art_ms,<names...> then rows).
 
     Blank lines and lines starting with '#' are skipped.  A ragged row, a
-    cell that is not a number and a nan or inf cell fail with
-    ``line N: ...``, N counting every line of the text.
+    cell that is not a number, a nan or inf cell and a ts below the previous
+    row's fail with ``line N: ...``, N counting every line of the text.
 
     A well-formed body is read by one ``np.loadtxt`` pass, which parses a
-    cell to the bits ``float()`` gives.  Anything that pass rejects goes
-    through the per-cell reader, which names the bad cell or, for the few
-    spellings only ``float()`` reads (digit separators, full-width digits),
-    returns its values."""
+    cell to the bits ``float()`` gives.  Anything that pass rejects, and a ts
+    going back, goes through the per-cell reader, which names the bad line
+    or, for the few spellings only ``float()`` reads (digit separators,
+    full-width digits), returns its values."""
     lines = [line for line in text.splitlines() if line.strip() and not line.startswith("#")]
     if not lines:
         raise ValueError("empty metrics file")
@@ -350,7 +350,8 @@ def load_metrics_csv(text: str) -> MetricDataset:
         rows = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
     except ValueError:
         rows = None
-    if rows is None or rows.shape != (len(body), len(header)) or not np.isfinite(rows).all():
+    if (rows is None or rows.shape != (len(body), len(header)) or not np.isfinite(rows).all()
+            or (rows[1:, 0] < rows[:-1, 0]).any()):
         rows = _metrics_per_cell(text, header)
     return MetricDataset(rows[:, 0], rows[:, 2:], rows[:, 1], tuple(header[2:]))
 
@@ -383,6 +384,10 @@ def _metrics_per_cell(text: str, header: list[str]) -> np.ndarray:
                 if not finite:
                     raise ValueError(f"line {n}: {cell.strip()!r} in column '{name}' is not "
                                      "a finite number")
+    ts = values[::width].tolist()
+    for (n, _), previous, now in zip(numbered[1:], ts, ts[1:]):
+        if now < previous:
+            raise ValueError(f"line {n}: ts {now!r} is below the previous row's {previous!r}")
     return values.reshape(len(body), width)
 
 

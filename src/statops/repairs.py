@@ -642,12 +642,6 @@ def serialize_fault_truth(log: RepairLog) -> str:
                     zip(truth.tick.tolist(), truth.machine.tolist(), truth.code.tolist())])
 
 
-# A line's fields after the tick, as the serializers write them.
-_LOG_RE = re.compile(rf"machine=\S+ state=(?:{'|'.join(_STATE_BY_VALUE)}) "
-                     rf"action=(?:{'|'.join(_ACTION_BY_VALUE)}|-) reports=\S+")
-_TRUTH_RE = re.compile(rf"machine=\S+ truth=(?:{'|'.join(TRUTHS)})")
-
-
 def _tick(raw: str) -> int:
     tick = int(raw)
     if not -2**63 <= tick < 2**63:
@@ -660,10 +654,10 @@ _LOG_FIELDS = (("tick", _tick), ("machine", str), ("state", _STATE_BY_VALUE.__ge
 _TRUTH_FIELDS = (("tick", _tick), ("machine", str), ("truth", _TRUTH_CODE.__getitem__))
 
 
-def _decode_log_rest(line_no: int, rest: str) -> tuple[int, int, list[tuple[str, int]]]:
+def _decode_log_rest(line_no: int, values: tuple) -> tuple[int, int, list[tuple[str, int]]]:
     """(state code, action code, [(watchdog, status code)]) of a log line's
-    rest after the machine, whose state and action are valid."""
-    state, action, reports = (token.split("=", 1)[1] for token in rest.split(" "))
+    values after the machine."""
+    state, action, reports = values
     pairs: dict[str, int] = {}
     for item in reports.split(";") if reports != "-" else ():
         watchdog, _, status = item.partition(":")
@@ -672,25 +666,26 @@ def _decode_log_rest(line_no: int, rest: str) -> tuple[int, int, list[tuple[str,
         if watchdog in pairs:
             raise RecordError(line_no, f"duplicate watchdog '{watchdog}'")
         pairs[watchdog] = _STATUS_BY_VALUE[status]
-    return _STATE_BY_VALUE[state], _ACTION_BY_VALUE.get(action, NO_ACTION), list(pairs.items())
+    return state, action, list(pairs.items())
 
 
-def _read_rows(text: str, fields, rest_form: re.Pattern, decode: Callable):
+def _read_rows(text: str, fields, decode: Callable):
     """Columns of a ``tick=<int> machine=<id> <rest>`` file: (tick, machine
     code, machine names, rest code, decoded rests).  Lines share few distinct
-    rests, so each is decoded once, by ``decode(line_no, rest)``."""
+    rests, so each is decoded once, by ``decode(line_no, values)`` of the
+    rest's values."""
     machines: dict[str, int] = {}
-    rests: dict[str, int] = {}
+    rests: dict[tuple, int] = {}
     decoded: list = []
 
-    def split(line_no: int, key: str) -> tuple[int, int]:
-        machine, rest = key.split(" ", 1)
+    def split(line_no: int, values: list) -> tuple[int, int]:
+        machine, rest = values[0], tuple(values[1:])
         if rest not in rests:
             rests[rest] = len(decoded)
             decoded.append(decode(line_no, rest))
-        return machines.setdefault(machine[len("machine="):], len(machines)), rests[rest]
+        return machines.setdefault(machine, len(machines)), rests[rest]
 
-    tick, codes, keys = read_columns(text, fields, rest_form, split, int, -2**63, 2**63)
+    tick, codes, keys = read_columns(text, fields, split, int, -2**63, 2**63)
     key_codes = np.array(keys, dtype=np.intp).reshape(-1, 2)
     return tick, key_codes[codes, 0], tuple(machines), key_codes[codes, 1], decoded
 
@@ -703,8 +698,7 @@ def parse_repair_log(text: str) -> RepairLog:
     report on a line are ABSENT there.  The first malformed line raises
     RecordError('line N: ...').
     """
-    tick, machine, machines, rest_of, rests = _read_rows(
-        text, _LOG_FIELDS, _LOG_RE, _decode_log_rest)
+    tick, machine, machines, rest_of, rests = _read_rows(text, _LOG_FIELDS, _decode_log_rest)
     watchdogs = sorted({w for _, _, pairs in rests for w, _ in pairs})
     column = {w: k for k, w in enumerate(watchdogs)}
     table = np.full((len(rests), len(watchdogs)), ABSENT, dtype=np.int8)
@@ -723,8 +717,8 @@ def parse_fault_truth(text: str) -> FaultTruth:
     """Parse a ground-truth sidecar.  A later line for the same (tick, machine)
     overrides an earlier one; the first malformed line raises
     RecordError('line N: ...')."""
-    tick, machine, names, rest_of, rests = _read_rows(
-        text, _TRUTH_FIELDS, _TRUTH_RE, lambda _, rest: _TRUTH_CODE[rest[len("truth="):]])
+    tick, machine, names, rest_of, rests = _read_rows(text, _TRUTH_FIELDS,
+                                                      lambda _, rest: rest[0])
     rank = np.empty(len(names), dtype=np.intp)
     rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
     order = np.lexsort((rank[machine], tick))

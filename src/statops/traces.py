@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .records import BadValue, RecordError, read_columns, split_lines, tokenize
+from .records import BadValue, RecordError, read_columns, tokenize
 
 __all__ = [
     "TraceFormatError",
@@ -45,11 +45,8 @@ __all__ = [
     "parse_ground_truth",
 ]
 
-_ID = r"[A-Za-z0-9._-]+"
-_ID_RE = re.compile(_ID + r"\Z")
+_ID_RE = re.compile(r"[A-Za-z0-9._-]+\Z")
 _DIRECTIONS = ("in", "out")
-# A trace record's fields after ts, as serialize_trace writes them.
-_REST_RE = re.compile(rf"host={_ID} remote={_ID} service={_ID} dir=(?:in|out)")
 
 # Malformed trace, spec or ground-truth file; carries the 1-based line number.
 TraceFormatError = RecordError
@@ -134,20 +131,19 @@ _TRACE_FIELDS = (("ts", _timestamp), ("host", _identifier), ("remote", _identifi
                  ("service", _identifier), ("dir", _direction))
 
 
-def parse_trace(source) -> HostTrace:
-    """Parse a trace stream into a HostTrace.
+def parse_trace(text: str) -> HostTrace:
+    """Parse a trace's text into a HostTrace.
 
-    Accepts bytes, str, a file-like object, or an iterable of lines, in the
-    record syntax of ``statops.records``.  All records must share one host
-    id; per-channel duplicate timestamps are coalesced.  The first malformed
-    line raises TraceFormatError with its 1-based line number.
+    Accepts the record syntax of ``statops.records``; all records must share
+    one host id, and per-channel duplicate timestamps are coalesced.  The
+    first malformed line raises TraceFormatError with its 1-based line number.
     """
     hosts: list[str] = []
 
     # The host rules hold per channel key, so they are checked at each key's
     # first line, which is the first line that can break them.
-    def channel(line_no: int, key: str) -> ChannelId:
-        host, remote, service, direction = (token.split("=", 1)[1] for token in key.split(" "))
+    def channel(line_no: int, values: list) -> ChannelId:
+        host, remote, service, direction = values
         if host == remote:
             raise TraceFormatError(line_no, f"host equals remote '{host}'")
         if hosts and host != hosts[0]:
@@ -155,8 +151,7 @@ def parse_trace(source) -> HostTrace:
         hosts.append(host)
         return ChannelId(direction, service, remote)
 
-    times, codes, ids = read_columns(source, _TRACE_FIELDS, _REST_RE, channel,
-                                     float, 0.0, np.inf)
+    times, codes, ids = read_columns(text, _TRACE_FIELDS, channel, float, 0.0, np.inf)
     by_channel = np.split(times[np.argsort(codes, kind="stable")],
                           np.cumsum(np.bincount(codes, minlength=len(ids)))[:-1])
     channels = {cid: ChannelSeries(cid, ts) for cid, ts in zip(ids, by_channel)}
@@ -330,7 +325,7 @@ _SPEC_FIELDS = {
 _TRUTH_FIELDS = (("kind", {"dep": "dep"}.__getitem__), *_DEP_IDS)  # kind=dep records only
 
 
-def parse_synth_spec(source) -> SynthSpec:
+def parse_synth_spec(text: str) -> SynthSpec:
     """Parse a generator spec file.
 
     The record syntax of traces, one record per line, ``#`` comments allowed:
@@ -347,7 +342,7 @@ def parse_synth_spec(source) -> SynthSpec:
     trace = None
     channels: list[tuple[int, ChannelSpec]] = []
     deps: list[tuple[int, DependencySpec]] = []
-    for line_no, line in enumerate(split_lines(source), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
         if not tokens or tokens[0].startswith("#"):
             continue
@@ -393,10 +388,10 @@ def serialize_ground_truth(truth: frozenset[tuple[ChannelId, ChannelId]]) -> str
     return "".join(line + "\n" for line in lines)
 
 
-def parse_ground_truth(source) -> frozenset[tuple[ChannelId, ChannelId]]:
+def parse_ground_truth(text: str) -> frozenset[tuple[ChannelId, ChannelId]]:
     """Parse a sidecar of planted dependencies, as serialize_ground_truth writes it."""
     pairs = set()
-    for line_no, line in enumerate(split_lines(source), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         values = tokenize(line_no, line, _TRUTH_FIELDS)
         if values is not None:
             _, in_service, in_remote, out_service, out_remote = values

@@ -353,6 +353,12 @@ def _bad_diagnose_input(case, tmp_path):
         lines[4] = lines[4].rsplit(",", 1)[0]
         metrics.write_text("\n".join(lines) + "\n")
         return argv, f"error: {metrics}: line 5: 10 fields, the header has 11\n"
+    if case == "unsorted-ts":
+        lines[9], lines[10] = lines[10], lines[9]
+        metrics.write_text("\n".join(lines) + "\n")
+        ts = [line.split(",", 1)[0] for line in lines[9:11]]
+        return argv, (f"error: {metrics}: line 11: ts {float(ts[1])!r} is below the previous "
+                      f"row's {float(ts[0])!r}\n")
     if case == "nan-cell":
         cells = lines[6].split(",")
         lines[6] = ",".join(cells[:3] + ["nan"] + cells[4:])
@@ -388,7 +394,7 @@ def _bad_diagnose_input(case, tmp_path):
 
 
 @pytest.mark.parametrize("case", [
-    "ragged-row", "nan-cell", "too-many-clusters", "zero-clusters", "no-catalog",
+    "ragged-row", "unsorted-ts", "nan-cell", "too-many-clusters", "zero-clusters", "no-catalog",
     "no-query-epoch", "nan-query-epoch", "inf-query-epoch", "missing-catalog",
     "bad-catalog-json", "catalog-width",
 ])

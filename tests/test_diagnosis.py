@@ -53,6 +53,13 @@ def test_label_slo_strict_threshold():
     assert not label_slo(ds_lo, SloConfig(200.0)).any()
 
 
+@pytest.mark.parametrize("threshold", [0.0, -5.0, math.nan, math.inf])
+def test_slo_config_rejects_threshold_that_is_not_finite_and_positive(threshold):
+    message = f"^threshold must be a finite number > 0, got {threshold}$"
+    with pytest.raises(ValueError, match=message):
+        SloConfig(threshold)
+
+
 def test_label_slo_monotone_in_art():
     rng = np.random.default_rng(0)
     art = rng.uniform(0, 400, 50)
@@ -292,3 +299,12 @@ def test_metrics_csv_round_trip():
 def test_metrics_csv_rejects_bad_header():
     with pytest.raises(ValueError, match="header"):
         load_metrics_csv("time,art,m0\n1,2,3\n")
+
+
+@pytest.mark.parametrize("text", [
+    "ts,art_ms,m0\n1,2,3\n\n# note\n0.5,2,3\n",
+    "ts,art_ms,m0\n1,2,3\n\n# note\n0.5,2,1_0\n",  # read cell by cell
+])
+def test_metrics_csv_names_line_whose_ts_goes_back(text):
+    with pytest.raises(ValueError, match=r"^line 5: ts 0\.5 is below the previous row's 1\.0$"):
+        load_metrics_csv(text)

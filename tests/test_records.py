@@ -1,13 +1,12 @@
-"""The shared record reader's two paths: str and bytes in the written form
-are read a block at a time, and anything else goes through the
-line-checked loop.  Both must give the same columns, or the same
-``line N: ...`` error, as a plain loop that tokenizes every line, for
-traces, repair logs and truth sidecars."""
+"""The shared record reader's two paths: text in the written form is read a
+block at a time, with each distinct key checked by the field list, and
+anything else goes through the line loop.  Both must give the same columns,
+or the same ``line N: ...`` error, as a plain loop that tokenizes every
+line, for traces, repair logs and truth sidecars."""
 
 from __future__ import annotations
 
 import dataclasses
-import re
 import tracemalloc
 from unittest import mock
 
@@ -83,18 +82,18 @@ def record_text(rnd, fields) -> tuple[str, list[str]]:
     return text, lines
 
 
-def _every_line_tokenized(source, fields, rest_form, decode, number, low, high):
+def _every_line_tokenized(text, fields, decode, number, low, high):
     """``records.read_columns`` as a plain loop that tokenizes every line."""
     codes: dict[str, int] = {}
     keys, numbers, code_of = [], [], []
-    for line_no, line in enumerate(records.split_lines(source), start=1):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         values = records.tokenize(line_no, line, fields)
         if values is None:
             continue
         key = " ".join(line.split()[1:])
         if key not in codes:
             codes[key] = len(keys)
-            keys.append(decode(line_no, key))
+            keys.append(decode(line_no, values[1:]))
         numbers.append(values[0])
         code_of.append(codes[key])
     return np.array(numbers, dtype=np.dtype(number)), np.array(code_of, dtype=np.intp), keys
@@ -129,14 +128,14 @@ def test_block_path_matches_line_path(rnd, fmt):
     with mock.patch.object(traces, "read_columns", _every_line_tokenized), \
             mock.patch.object(repairs, "read_columns", _every_line_tokenized):
         expected = _outcome(parse, text)
-    assert _outcome(parse, text.splitlines()) == expected  # an iterable takes the line loop
+    with mock.patch.object(records, "_written_columns", lambda *args: None):
+        assert _outcome(parse, text) == expected  # the line loop alone
     with mock.patch.object(records, "_BLOCK_BYTES", block):
         assert _outcome(parse, text) == expected
-        assert _outcome(parse, text.encode()) == expected
 
 
-# The layout checks alone must send these to the line loop: the rest form
-# below lets any byte but a space into a value.
+# The layout checks alone must send these to the line loop, whatever the
+# check of each rest (its form) would make of them.
 @pytest.mark.parametrize("text", [
     "num=1 a=x b=y\u2028z\n", "num=1 a=x b=y\x85z\n", "num=1 a=x b=y\x0bz\n",
     "num=1 a=x\tq=1 b=y\n", "num=1 a=x b=y\r\n", "nmu=1 a=x b=y\n", "num= a=x b=y\n",
@@ -146,25 +145,36 @@ def test_block_path_matches_line_path(rnd, fmt):
 def test_layout_checks_do_not_lean_on_rest_form(text):
     fields = (("num", int), ("a", str), ("b", str))
 
-    def read(source, reader=records.read_columns):
+    def read(reader):
         try:
-            numbers, codes, keys = reader(source, fields, re.compile("a=[^ ]* b=[^ ]*"),
-                                          lambda line_no, key: key, int, 0, 100)
+            numbers, codes, keys = reader(text, fields, lambda line_no, values: values,
+                                          int, 0, 100)
         except RecordError as exc:
             return str(exc)
         return numbers.tolist(), codes.tolist(), keys
 
-    expected = read(text, _every_line_tokenized)
-    assert read(text) == read(text.encode()) == read(text.splitlines()) == expected
+    assert read(records.read_columns) == read(_every_line_tokenized)
+    with mock.patch.object(records, "tokenize", lambda line_no, rest, fields: [rest]):
+        assert records._written_columns(text, fields, int, 0, 100) is None
 
 
 def test_written_form_skips_line_loop():
-    log = "tick=1 machine=m0 state=Healthy action=- reports=a:OK\n" * 3
+    block_path = records._written_columns
+
+    def no_line_loop(*args):
+        found = block_path(*args)
+        assert found is not None, "line loop"
+        return found
+
+    log = "tick=1 machine=m0 state=Healthy action=- reports=a:OK\n" * 3 \
+        + "tick=2 machine= state=Failure action=Reboot reports=a:Error\n"
     trace = "ts=1.5 host=h remote=x service=http dir=in\nts=2 host=h remote=y service=dns dir=out"
     with mock.patch.object(records, "_BLOCK_BYTES", 40), \
-            mock.patch.object(records, "tokenize", side_effect=AssertionError("line loop")):
-        assert parse_repair_log(log).tick.tolist() == [1, 1, 1]
-        assert parse_fault_truth(b"tick=2 machine=m0 truth=ok\n").tick.tolist() == [2]
+            mock.patch.object(records, "_written_columns", no_line_loop):
+        parsed = parse_repair_log(log)
+        assert (parsed.tick.tolist(), parsed.machines) == ([1, 1, 1, 2], ("m0", ""))
+        truth = parse_fault_truth("tick=2 machine=m0 truth=ok\ntick=3 machine= truth=ok\n")
+        assert (truth.tick.tolist(), truth.machines) == ([2, 3], ("m0", ""))
         assert len(parse_trace(trace).channels) == 2
 
 

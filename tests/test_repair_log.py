@@ -119,6 +119,9 @@ TRUTH_ERRORS = [
      "line 1: expected field 'truth', got 'status=ok'"),
     ("bad-truth", "tick=0 machine=m truth=ok\ntick=0 machine=m truth=weird\n",
      "line 2: bad truth 'weird'"),
+    # the written form's gaps, with no value after the tick
+    ("tick-and-spaces", "tick=0 machine=m truth=ok\ntick=1  \n",
+     "line 2: expected 3 fields, got 1"),
 ]
 
 

@@ -103,8 +103,6 @@ ACCEPTED = [
     ("crlf", OK + "\r\n" + OK2 + "\r\n"),
     ("blank-lines", "\n" + OK + "\n\n \t \n" + OK2),
     ("no-final-newline", OK + "\n" + OK2),
-    ("bytes", CANONICAL.encode()),
-    ("iterable-of-lines", [OK + "\n", OK2 + "\n"]),
 ]
 
 

@@ -87,16 +87,6 @@ def test_parse_coalesces_duplicate_timestamps():
     assert list(trace.channels[ChannelId("in", "http", "x")].times) == [0.5, 1.0]
 
 
-def test_parse_accepts_bytes_and_file_objects():
-    raw = b"ts=1.0 host=h remote=x service=http dir=in\n"
-    from_bytes = parse_trace(raw)
-    import io
-
-    from_file = parse_trace(io.StringIO(raw.decode()))
-    assert from_bytes == from_file
-    assert from_bytes.host == "h"
-
-
 def test_serialize_parse_round_trip():
     rng = np.random.default_rng(0)
     channels = {}
