@@ -50,7 +50,7 @@ def _load(path: Path, parse, what: str):
     if not path.is_file():
         raise ValueError(f"{what} not found: {path}")
     try:
-        return parse(path.read_text(encoding="utf-8"))
+        return parse(path.read_text(encoding="utf-8-sig"))  # a leading BOM is dropped
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -353,7 +353,10 @@ def _parse_watchdogs(specs: list[str]) -> tuple[repairs.WatchdogSpec, ...]:
         for what, rate in zip(("FP", "FN"), rates):
             if not 0 <= rate < 1:
                 raise ValueError(f"--watchdog {what} must lie in [0, 1), got {rate} in '{raw}'")
-        out.append(repairs.WatchdogSpec(parts[0], *rates))
+        try:
+            out.append(repairs.WatchdogSpec(parts[0], *rates))
+        except ValueError as exc:  # the rates are checked above: the name
+            raise ValueError(f"--watchdog: {exc}") from None
     return tuple(out)
 
 
@@ -446,7 +449,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             "expected_false_positives": expected_fp,
             "expected_false_proportion": expected_fp / naive if naive else None,
         }
-    elif args.which == "ks":
+    else:  # ks
         lines = [l for l in text.splitlines() if l.strip()]
         if len(lines) != 2:
             return _fail("stats ks expects two lines on stdin: sample a, sample b")
@@ -454,8 +457,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         d = stats.ks_statistic(stats.empirical_cdf(a), stats.empirical_cdf(b))
         p = stats.ks_p_value(d, len(a), len(b))
         payload = {"statistic": d, "p_value": p, "n_a": len(a), "n_b": len(b)}
-    else:
-        return _fail(f"unknown stats subcommand '{args.which}'")
     out = _json_report(payload, {"alpha": args.alpha})
     if args.out:
         _write(Path(args.out), out)

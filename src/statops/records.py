@@ -2,24 +2,20 @@
 and their truth sidecars.
 
 A record is one line of whitespace-separated ``key=value`` fields in a fixed
-order.  Lines end at every boundary ``str.splitlines`` knows, CRLF included,
-and count from 1, blank ones included; a blank line holds no record.  This
-module writes every error of the syntax: ``line N: expected K fields, got
-M``, ``line N: expected field 'k', got 't'`` and ``line N: bad k 'v'``.
-
-A format is described once, by its field list.  ``read_columns`` reads
-traces, repair logs and truth sidecars from ``str``.  Text in the written
-form (ASCII, ``\\n`` line ends, single spaces) is read a block at a time
-with numpy, and each distinct key is checked with the field list at its
-first line; any other text goes through a loop that tokenizes every line,
-which gives the same values and raises every error.
+order; no value holds an ASCII control character (0x00-0x1f).  Lines end at
+every boundary ``str.splitlines`` knows and count from 1, blank ones
+included; a blank line holds no record.  This module writes every error of
+the syntax: ``line N: expected K fields, got M``, ``line N: expected field
+'k', got 't'`` and ``line N: bad k 'v'``.  A format is described once, by
+its field list; ``read_columns`` reads traces, repair logs and truth
+sidecars from ``str``.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from itertools import islice
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -27,9 +23,9 @@ import numpy as np
 # or rejects it with ValueError or LookupError.
 Field = tuple[str, Callable[[str], object]]
 
-# Text per block of the written-form reader: numpy's per-call cost stays
-# small next to a block, and a block's masks and tokens (about 4x its size)
-# stay small next to the rest of a command's memory.
+# Characters per block of the block reader: numpy's per-call cost stays small
+# next to a block, and a block's masks and tokens (about 4x its size) stay
+# small next to the rest of a command's memory.
 _BLOCK_BYTES = 1 << 17
 
 
@@ -46,6 +42,25 @@ class BadValue(ValueError):
     reads ``bad k <message>``."""
 
 
+class Number(NamedTuple):
+    """Converter of a number field: an ASCII spelling of ``kind`` (float or
+    int) in [low, high).  With ``low >= 0``, a finite x < 0 is 'negative'."""
+
+    kind: type
+    low: float
+    high: float
+
+    def __call__(self, raw: str):
+        if not raw.isascii():
+            raise ValueError(raw)
+        x = self.kind(raw)
+        if self.low <= x < self.high:
+            return x
+        if -np.inf < x < 0 <= self.low:
+            raise BadValue(f"'{x}': negative")
+        raise ValueError(raw)
+
+
 def tokenize(line_no: int, line: str, fields: Sequence[Field]) -> list | None:
     """The converted values of ``line``'s fields, or None for a blank line.
 
@@ -57,12 +72,15 @@ def tokenize(line_no: int, line: str, fields: Sequence[Field]) -> list | None:
         return None
     if len(tokens) != len(fields):
         raise RecordError(line_no, f"expected {len(fields)} fields, got {len(tokens)}")
+    control = not line.isprintable()  # a value may hold a control character
     values = []
     for token, (key, convert) in zip(tokens, fields):
-        if not token.startswith(key + "="):
+        name, equals, raw = token.partition("=")
+        if name != key or not equals:
             raise RecordError(line_no, f"expected field '{key}', got '{token}'")
-        raw = token[len(key) + 1:]
         try:
+            if control and any(c < " " for c in raw):
+                raise ValueError(raw)
             values.append(convert(raw))
         except BadValue as exc:
             raise RecordError(line_no, f"bad {key} {exc}") from None
@@ -71,67 +89,67 @@ def tokenize(line_no: int, line: str, fields: Sequence[Field]) -> list | None:
     return values
 
 
-def read_columns(text: str, fields: Sequence[Field], decode: Callable[[int, list], object],
-                 number: Callable, low: float, high: float) -> tuple[np.ndarray, np.ndarray, list]:
-    """Columns of records whose first field is a number and whose other
-    fields form a key that many lines share.
+def read_columns(text: str, fields: Sequence[Field],
+                 decode: Callable[[int, list], object]) -> tuple[np.ndarray, np.ndarray, list]:
+    """Columns of records whose first field is a ``Number`` and whose other
+    fields form a key that many lines share: (numbers, codes, keys), where
+    record i's key is ``keys[codes[i]]``, the value of ``decode(line_no,
+    values)`` at the key's first line for its fields after the first.
 
-    Returns (numbers, codes, keys): ``numbers`` has the dtype of ``number``
-    (``float`` or ``int``), and line i's key is ``keys[codes[i]]``, the value
-    of ``decode(line_no, values)`` at the key's first line, where ``values``
-    are the converted fields after the first.  Text in the written form is
-    read a block at a time (``_written_columns``).  Any other text goes
-    through the line loop, which tokenizes every line in order, so the first
-    bad line's error is the one raised.
+    Only the block reader builds columns: from ASCII text as written, else
+    from the text normalized (each non-blank line's fields joined by single
+    spaces), with each record mapped back to its line.  If both fail,
+    ``_raise_first_error`` raises the first bad line's error.
     """
-    found = _written_columns(text, fields, number, low, high)
-    if found is not None:
-        numbers, code_of, firsts = found
-        return numbers, code_of, [decode(line_no, values) for line_no, values in firsts]
-    codes: dict[str, int] = {}
-    keys: list = []
-    numbers: list = []
-    code_of: list[int] = []
+    found = _block_columns(text, fields) if text.isascii() else None
+    line_of: Sequence[int] = range(1, len(text) + 2)  # as written, record k is line k + 1
+    if found is None:
+        lines = [" ".join(line.split()) for line in text.splitlines()]
+        line_of = [line_no for line_no, line in enumerate(lines, start=1) if line]
+        found = _block_columns("\n".join(filter(None, lines)), fields)
+    if found is None:
+        _raise_first_error(text, fields, decode)
+    numbers, code_of, firsts = found
+    return numbers, code_of, [decode(line_of[k], values) for k, values in firsts]
+
+
+def _raise_first_error(text: str, fields: Sequence[Field], decode: Callable) -> NoReturn:
+    """Tokenize every line of text that the block reader rejected, and decode
+    each key at its first line, in line order, so that the first bad line's
+    error is the one raised."""
+    keys: set[str] = set()
     for line_no, line in enumerate(text.splitlines(), start=1):
-        values = tokenize(line_no, line, fields)
-        if values is None:
-            continue
-        key = " ".join(line.split()[1:])
-        code = codes.get(key)
-        if code is None:
-            code = codes[key] = len(keys)
-            keys.append(decode(line_no, values[1:]))
-        numbers.append(values[0])
-        code_of.append(code)
-    return np.array(numbers, dtype=np.dtype(number)), np.array(code_of, dtype=np.intp), keys
+        values, key = tokenize(line_no, line, fields), " ".join(line.split()[1:])
+        if values is not None and key not in keys:
+            keys.add(key)
+            decode(line_no, values[1:])
+    raise RuntimeError("record reader bug: the block reader rejected text with no bad line")
 
 
-def _written_columns(text: str, fields: Sequence[Field], number: Callable,
-                     low: float, high: float):
-    """(numbers, codes, [(first line, values)]) of ``text`` if it is all in
-    the written form, else None: ASCII with ``\\n`` line ends and no other
-    control byte, each line ``<first key>=<number> <rest>`` with single
-    spaces between fields, ``number(...)`` in [low, high), and ``rest``
-    accepted by ``tokenize`` with the other fields, whose values are kept.
-    Blocks of about ``_BLOCK_BYTES``, cut at line ends, are checked with
-    numpy; each distinct rest is tokenized once, at its first line.
-    """
+def _block_columns(text: str, fields: Sequence[Field]):
+    """(numbers, codes, [(first record, values)]) of ``text`` if it is all
+    in the written form, else None: ``\\n`` line ends and no other byte at or
+    below a space, each line ``<first key>=<number> <rest>`` with single
+    spaces between fields, the number accepted by the first field's
+    ``Number`` and ``rest`` by ``tokenize``.  Blocks of about ``_BLOCK_BYTES``
+    characters, cut at line ends, are checked with numpy, and each distinct
+    rest is tokenized at its first record.  A byte check cannot see non-ASCII
+    whitespace, so the caller hands over no text that holds it."""
+    number = fields[0][1]
     prefix = np.frombuffer(f"{fields[0][0]}=".encode(), np.uint8)
     layout = np.array([32] * (len(fields) - 1) + [10], np.uint8)  # a line's gaps
     rows = text.count("\n") + 1  # at least the number of lines
-    numbers, code_of = np.empty(rows, np.dtype(number)), np.empty(rows, np.intp)
+    numbers, code_of = np.empty(rows, np.dtype(number.kind)), np.empty(rows, np.intp)
     codes: dict[bytes, int] = defaultdict()
     codes.default_factory = codes.__len__  # a new rest gets the next code
     firsts: list = []
-    line_no = start = 0
+    row = start = 0
     while start < len(text):
         end = text.rfind("\n", start, start + _BLOCK_BYTES) + 1
         if end <= start:  # a line longer than a block
             end = text.find("\n", start + _BLOCK_BYTES) + 1 or len(text)
         buf = bytearray(text[start:end].encode())
         start = end
-        if not buf.isascii():
-            return None
         if not buf.endswith(b"\n"):
             buf += b"\n"
         b = np.frombuffer(buf, np.uint8)
@@ -149,24 +167,24 @@ def _written_columns(text: str, fields: Sequence[Field], number: Callable,
         b[starts + prefix.size - 1] = b[gaps[:, 0]] = 10  # each line: key, number, rest
         tokens = bytes(buf).split(b"\n")
         n = len(gaps)
-        try:
-            x = np.fromiter(map(number, tokens[1::3]), numbers.dtype, n)
+        try:  # float() and int() of bytes read ASCII spellings only
+            x = np.fromiter(map(number.kind, tokens[1::3]), numbers.dtype, n)
         except (ValueError, OverflowError):
             return None
-        if not ((low <= x) & (x < high)).all():
+        if not ((number.low <= x) & (x < number.high)).all():
             return None
         known = len(codes)
         c = np.fromiter(map(codes.__getitem__, tokens[2::3]), np.intp, n)
         new = np.flatnonzero(c >= known)
-        first = line_no + 1 + new[np.unique(c[new], return_index=True)[1]]
-        for first_no, rest in zip(first.tolist(), islice(codes, known, None)):
+        first = row + new[np.unique(c[new], return_index=True)[1]]
+        for k, rest in zip(first.tolist(), islice(codes, known, None)):
             try:
-                values = tokenize(first_no, rest.decode(), fields[1:])
+                values = tokenize(k + 1, rest.decode(), fields[1:])
             except RecordError:
                 values = None
             if values is None:  # a rest of spaces alone
                 return None
-            firsts.append((first_no, values))
-        numbers[line_no:line_no + n], code_of[line_no:line_no + n] = x, c
-        line_no += n
-    return numbers[:line_no], code_of[:line_no], firsts
+            firsts.append((k, values))
+        numbers[row:row + n], code_of[row:row + n] = x, c
+        row += n
+    return numbers[:row], code_of[:row], firsts

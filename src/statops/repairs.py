@@ -25,12 +25,12 @@ for machines in Failure, with a persistent fault, or with a fault arrival or
 an Error report on the tick.
 
 Logs and their ground-truth sidecars hold one record per line in the shared
-``key=value`` syntax of ``statops.records``.  Log lines are
-``tick=<int> machine=<id> state=<Healthy|Failure> action=<action|->
-reports=<wd:status;...>``; the sidecar uses
-``tick=<int> machine=<id> truth=<ok|transient|persistent>``.  Both are read
-into columns by ``records.read_columns``, a block at a time when in the
-written form; each distinct rest of a line after its tick is decoded once.
+``key=value`` syntax of ``statops.records``, so no value, watchdog names
+included, holds a control character.  Log lines are ``tick=<int>
+machine=<id> state=<Healthy|Failure> action=<action|-> reports=<wd:status;...>``;
+the sidecar uses ``tick=<int> machine=<id> truth=<ok|transient|persistent>``.
+Both are read into columns by ``records.read_columns``, a block at a time;
+each distinct rest of a line after its tick is decoded once.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .records import RecordError, read_columns
+from .records import Number, RecordError, read_columns
 
 __all__ = [
     "WatchdogStatus",
@@ -122,9 +122,9 @@ class WatchdogSpec:
 
     def __post_init__(self) -> None:
         # the name must fit the log's reports=<wd:status;...> syntax
-        if not re.fullmatch(r"[^\s;:]+", self.name):
-            raise ValueError(f"watchdog name must be non-empty without whitespace, ';' or ':', "
-                             f"got {self.name!r}")
+        if not re.fullmatch(r"[^\s;:\x00-\x1f]+", self.name):
+            raise ValueError(f"watchdog name must be non-empty without whitespace, control "
+                             f"characters, ';' or ':', got {self.name!r}")
         for rate in (self.false_positive_rate, self.false_negative_rate):
             if not 0.0 <= rate < 1.0:
                 raise ValueError(f"watchdog rates must lie in [0, 1), got {rate}")
@@ -642,16 +642,10 @@ def serialize_fault_truth(log: RepairLog) -> str:
                     zip(truth.tick.tolist(), truth.machine.tolist(), truth.code.tolist())])
 
 
-def _tick(raw: str) -> int:
-    tick = int(raw)
-    if not -2**63 <= tick < 2**63:
-        raise ValueError(raw)
-    return tick
-
-
-_LOG_FIELDS = (("tick", _tick), ("machine", str), ("state", _STATE_BY_VALUE.__getitem__),
+_TICK = ("tick", Number(int, -2**63, 2**63))
+_LOG_FIELDS = (_TICK, ("machine", str), ("state", _STATE_BY_VALUE.__getitem__),
                ("action", {**_ACTION_BY_VALUE, "-": NO_ACTION}.__getitem__), ("reports", str))
-_TRUTH_FIELDS = (("tick", _tick), ("machine", str), ("truth", _TRUTH_CODE.__getitem__))
+_TRUTH_FIELDS = (_TICK, ("machine", str), ("truth", _TRUTH_CODE.__getitem__))
 
 
 def _decode_log_rest(line_no: int, values: tuple) -> tuple[int, int, list[tuple[str, int]]]:
@@ -685,7 +679,7 @@ def _read_rows(text: str, fields, decode: Callable):
             decoded.append(decode(line_no, rest))
         return machines.setdefault(machine, len(machines)), rests[rest]
 
-    tick, codes, keys = read_columns(text, fields, split, int, -2**63, 2**63)
+    tick, codes, keys = read_columns(text, fields, split)
     key_codes = np.array(keys, dtype=np.intp).reshape(-1, 2)
     return tick, key_codes[codes, 0], tuple(machines), key_codes[codes, 1], decoded
 

@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .records import BadValue, RecordError, read_columns, tokenize
+from .records import BadValue, Number, RecordError, read_columns, tokenize
 
 __all__ = [
     "TraceFormatError",
@@ -106,15 +106,6 @@ class HostTrace:
         return self.host == other.host and self.channels == other.channels
 
 
-def _timestamp(raw: str) -> float:
-    ts = float(raw)
-    if not np.isfinite(ts):
-        raise ValueError(raw)
-    if ts < 0:
-        raise BadValue(f"'{ts}': negative")
-    return ts
-
-
 def _identifier(raw: str) -> str:
     if not _ID_RE.match(raw):
         raise ValueError(raw)
@@ -127,8 +118,8 @@ def _direction(raw: str) -> str:
     return raw
 
 
-_TRACE_FIELDS = (("ts", _timestamp), ("host", _identifier), ("remote", _identifier),
-                 ("service", _identifier), ("dir", _direction))
+_TRACE_FIELDS = (("ts", Number(float, 0.0, np.inf)), ("host", _identifier),
+                 ("remote", _identifier), ("service", _identifier), ("dir", _direction))
 
 
 def parse_trace(text: str) -> HostTrace:
@@ -151,7 +142,7 @@ def parse_trace(text: str) -> HostTrace:
         hosts.append(host)
         return ChannelId(direction, service, remote)
 
-    times, codes, ids = read_columns(text, _TRACE_FIELDS, channel, float, 0.0, np.inf)
+    times, codes, ids = read_columns(text, _TRACE_FIELDS, channel)
     by_channel = np.split(times[np.argsort(codes, kind="stable")],
                           np.cumsum(np.bincount(codes, minlength=len(ids)))[:-1])
     channels = {cid: ChannelSeries(cid, ts) for cid, ts in zip(ids, by_channel)}
@@ -292,10 +283,10 @@ def synth_trace(spec: SynthSpec) -> tuple[HostTrace, frozenset[tuple[ChannelId, 
 
 
 def _number(rule: str, ok: Callable[[float], bool]) -> Callable[[str], float]:
-    """Converter to a finite float that ``ok`` accepts; the error says what
-    the value ``must be``."""
+    """Converter to a finite float, spelled in ASCII, that ``ok`` accepts;
+    the error says what the value ``must be``."""
     def convert(raw: str) -> float:
-        number = float(raw)
+        number = float(raw) if raw.isascii() else np.nan
         if not np.isfinite(number):
             raise ValueError(raw)
         if not ok(number):
@@ -379,13 +370,9 @@ def parse_synth_spec(text: str) -> SynthSpec:
 
 def serialize_ground_truth(truth: frozenset[tuple[ChannelId, ChannelId]]) -> str:
     """Sidecar format for planted dependencies, one pair per line."""
-    lines = []
-    for in_id, out_id in sorted(truth):
-        lines.append(
-            f"kind=dep in_service={in_id.service} in_remote={in_id.remote} "
-            f"out_service={out_id.service} out_remote={out_id.remote}"
-        )
-    return "".join(line + "\n" for line in lines)
+    return "".join(f"kind=dep in_service={in_id.service} in_remote={in_id.remote} "
+                   f"out_service={out_id.service} out_remote={out_id.remote}\n"
+                   for in_id, out_id in sorted(truth))
 
 
 def parse_ground_truth(text: str) -> frozenset[tuple[ChannelId, ChannelId]]:

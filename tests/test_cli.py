@@ -504,15 +504,16 @@ def test_out_of_range_flag_names_it_exit_2_writes_nothing(command, flag, value, 
     assert not out.exists() and not (tmp_path / "out.truth").exists()
 
 
-@pytest.mark.parametrize("spec,name", [("a;b:0:0", "a;b"), ("a b:0:0", "a b"), (":0:0", "")],
-                         ids=["semicolon", "space", "empty"])
+@pytest.mark.parametrize("spec,name", [("a;b:0:0", "a;b"), ("a b:0:0", "a b"), (":0:0", ""),
+                                       ("a\x01:0.1:0", "a\x01")],
+                         ids=["semicolon", "space", "empty", "control-character"])
 def test_repair_sim_watchdog_name_outside_log_syntax_exit_2(tmp_path, capsys, spec, name):
     log = tmp_path / "x.log"
     assert main(["repair-sim", "--watchdog", spec, "--out", str(log)]) == 2
     assert capsys.readouterr().err == (
-        "error: watchdog name must be non-empty without whitespace, ';' or ':', "
-        f"got {name!r}\n")
-    assert not log.exists()
+        "error: --watchdog: watchdog name must be non-empty without whitespace, control "
+        f"characters, ';' or ':', got {name!r}\n")
+    assert not log.exists() and not (tmp_path / "x.log.truth").exists()
 
 
 def test_repair_mine_missing_truth_file_exit_2(tmp_path, capsys):
@@ -668,3 +669,35 @@ def test_full_pipeline_reruns_byte_identical(tmp_path):
                      "--out", str(root / "mine")]) == 0
         runs.append(_tree_bytes(root))
     assert runs[0] == runs[1]
+
+
+def test_byte_order_mark_is_dropped_from_every_input(tmp_path):
+    """Inputs that start with a UTF-8 byte order mark, as some Windows tools
+    write them, give the same reports as the same files without it."""
+    spec = _write_spec(tmp_path)
+    metrics = _metrics_file(tmp_path, seed=4)
+    log = tmp_path / "repair.log"
+    assert main(["repair-sim", "--machines", "3", "--ticks", "40", "--persistent-rate", "0.02",
+                 "--out", str(log)]) == 0
+    assert main(["diagnose", str(metrics), "--slo-threshold", "200", "--actions", "signatures",
+                 "--out", str(tmp_path / "signatures")]) == 0
+    catalog = tmp_path / "signatures" / "signatures.jsonl"
+    query = str(json.loads(catalog.read_text().splitlines()[0])["ts"])
+    runs = []
+    for name, mark in (("plain", b""), ("marked", b"\xef\xbb\xbf")):
+        inputs = tmp_path / name
+        inputs.mkdir()
+        for path in (spec, metrics, log, tmp_path / "repair.log.truth", catalog):
+            (inputs / path.name).write_bytes(mark + path.read_bytes())
+        out = inputs / "out"
+        trace = inputs / "host.trace"
+        assert main(["gen-trace", str(inputs / spec.name), "--out", str(trace)]) == 0
+        trace.write_bytes(mark + trace.read_bytes())
+        assert main(["discover", str(trace), "--out", str(out / "discover")]) == 0
+        assert main(["diagnose", str(inputs / metrics.name), "--slo-threshold", "200",
+                     "--actions", "train,retrieve", "--catalog", str(inputs / catalog.name),
+                     "--query-epoch", query, "--out", str(out / "diagnose")]) == 0
+        assert main(["repair-mine", str(inputs / log.name), "--out", str(out / "mine")]) == 0
+        runs.append(_tree_bytes(out))
+    assert runs[0] == runs[1]
+    assert len(runs[0]) == 6  # pairs, graph, model, retrieval, watchdogs, policy

@@ -1,8 +1,8 @@
-"""The shared record reader's two paths: text in the written form is read a
-block at a time, with each distinct key checked by the field list, and
-anything else goes through the line loop.  Both must give the same columns,
-or the same ``line N: ...`` error, as a plain loop that tokenizes every
-line, for traces, repair logs and truth sidecars."""
+"""The shared record reader: its block reader reads text as written, then
+normalized text, and a loop over the lines only raises the first error.
+Together they must give the same columns, or the same ``line N: ...``
+error, as a plain loop that tokenizes every line, for traces, repair logs
+and truth sidecars."""
 
 from __future__ import annotations
 
@@ -39,7 +39,8 @@ _FORMATS = {
         ("machine", *_MACHINES),
         ("state", ["Healthy", "Failure"], [], ["Broken"]),
         ("action", ["-", "Reboot"], [], ["Pray"]),
-        ("reports", ["a:OK;b:Warning", "a:Error", "-"], ["b:OK;a:OK"], ["a:OK;a:OK", "a:Fine"]),
+        ("reports", ["a:OK;b:Warning", "a:Error", "-"], ["b:OK;a:OK", "é:OK"],
+         ["a:OK;a:OK", "a:Fine"]),
     ]),
     "truth": (parse_fault_truth, [
         ("tick", *_TICKS),
@@ -52,8 +53,9 @@ _FORMATS = {
 def record_text(rnd, fields) -> tuple[str, list[str]]:
     """(text, its lines): written lines, some with another spelling of a
     value; half the files also hold bad values, and half odd lines (tabs,
-    doubled or edge spaces, CRLF, blank lines, wrong field counts or keys,
-    control bytes)."""
+    doubled or edge spaces, non-ASCII spaces and line boundaries, CRLF,
+    blank lines, wrong field counts or keys, control bytes between or inside
+    fields)."""
     kinds = ["written"] * 3 + ["other"] + [kind for kind in ("bad", "odd") if rnd.random() < 0.5]
     lines = []
     for _ in range(rnd.randint(0, 12)):
@@ -72,7 +74,9 @@ def record_text(rnd, fields) -> tuple[str, list[str]]:
                 " ".join(tokens[:-1]), line + " x=1", first[1::-1] + first[2:] + " " + rest,
                 first.replace("=", "=\t", 1) + " " + rest,
                 *(first + c + " " + rest for c in "\t\x0b\x0c\x1c\x1f"),
-                *(first + c + rest for c in "\t\x0b\x1c"),
+                *(first + c + rest for c in "\t\x0b\x1c\xa0\u3000\x85\u2028"),
+                "\xa0".join(tokens), line + "\u3000", first + "\x01 " + rest,
+                " ".join([first, tokens[1] + "\x01", *tokens[2:]]),
             ])
             end = rnd.choice(["\n", "\r\n"])
         lines.append(line + end)
@@ -82,7 +86,7 @@ def record_text(rnd, fields) -> tuple[str, list[str]]:
     return text, lines
 
 
-def _every_line_tokenized(text, fields, decode, number, low, high):
+def _every_line_tokenized(text, fields, decode):
     """``records.read_columns`` as a plain loop that tokenizes every line."""
     codes: dict[str, int] = {}
     keys, numbers, code_of = [], [], []
@@ -96,7 +100,8 @@ def _every_line_tokenized(text, fields, decode, number, low, high):
             keys.append(decode(line_no, values[1:]))
         numbers.append(values[0])
         code_of.append(codes[key])
-    return np.array(numbers, dtype=np.dtype(number)), np.array(code_of, dtype=np.intp), keys
+    return (np.array(numbers, dtype=np.dtype(fields[0][1].kind)),
+            np.array(code_of, dtype=np.intp), keys)
 
 
 def _columns(parsed):
@@ -115,6 +120,23 @@ def _outcome(parse, source):
         return "error", str(exc)
 
 
+def _block_reads(monkeypatch) -> list[str]:
+    """The texts the block reader is handed from now on, in order."""
+    seen = []
+    block_columns = records._block_columns
+
+    def spy(text, fields):
+        seen.append(text)
+        return block_columns(text, fields)
+
+    monkeypatch.setattr(records, "_block_columns", spy)
+    return seen
+
+
+def _no_error_loop(*args):
+    raise AssertionError("the error loop ran")
+
+
 @pytest.mark.parametrize("fmt", sorted(_FORMATS))
 @settings(max_examples=300, deadline=None)
 @given(rnd=st.randoms())
@@ -128,54 +150,83 @@ def test_block_path_matches_line_path(rnd, fmt):
     with mock.patch.object(traces, "read_columns", _every_line_tokenized), \
             mock.patch.object(repairs, "read_columns", _every_line_tokenized):
         expected = _outcome(parse, text)
-    with mock.patch.object(records, "_written_columns", lambda *args: None):
-        assert _outcome(parse, text) == expected  # the line loop alone
+    with mock.patch.object(records, "_block_columns", lambda *args: None):  # the error loop alone
+        if expected[0] == "error":
+            assert _outcome(parse, text) == expected
+        else:
+            with pytest.raises(RuntimeError, match="^record reader bug"):
+                parse(text)
     with mock.patch.object(records, "_BLOCK_BYTES", block):
         assert _outcome(parse, text) == expected
 
 
-# The layout checks alone must send these to the line loop, whatever the
-# check of each rest (its form) would make of them.
+# The layout checks alone must keep these from the block reader as written,
+# whatever the check of each rest (its form) would make of them; non-ASCII
+# text never reaches it as written.
 @pytest.mark.parametrize("text", [
     "num=1 a=x b=y\u2028z\n", "num=1 a=x b=y\x85z\n", "num=1 a=x b=y\x0bz\n",
     "num=1 a=x\tq=1 b=y\n", "num=1 a=x b=y\r\n", "nmu=1 a=x b=y\n", "num= a=x b=y\n",
-    "num a=x b=y\n", "num=1 a=x b=y\n  ", "num=1\x0ba=x b=y\n",
+    "num a=x b=y\n", "num=1 a=x b=y\n  ", "num=1\x0ba=x b=y\n", "num=1 a=x b=y\xa0z\n",
 ], ids=["line-separator", "next-line", "vertical-tab", "tab", "crlf", "first-key",
-        "empty-number", "no-equals", "short-last-line", "vertical-tab-for-space"])
-def test_layout_checks_do_not_lean_on_rest_form(text):
-    fields = (("num", int), ("a", str), ("b", str))
+        "empty-number", "no-equals", "short-last-line", "vertical-tab-for-space",
+        "no-break-space"])
+def test_layout_checks_do_not_lean_on_rest_form(text, monkeypatch):
+    fields = (("num", records.Number(int, 0, 100)), ("a", str), ("b", str))
 
     def read(reader):
         try:
-            numbers, codes, keys = reader(text, fields, lambda line_no, values: values,
-                                          int, 0, 100)
+            numbers, codes, keys = reader(text, fields, lambda line_no, values: values)
         except RecordError as exc:
             return str(exc)
         return numbers.tolist(), codes.tolist(), keys
 
-    assert read(records.read_columns) == read(_every_line_tokenized)
+    expected = read(_every_line_tokenized)
+    seen = _block_reads(monkeypatch)
+    assert read(records.read_columns) == expected
+    if not text.isascii():
+        assert text not in seen
+        return
     with mock.patch.object(records, "tokenize", lambda line_no, rest, fields: [rest]):
-        assert records._written_columns(text, fields, int, 0, 100) is None
+        assert records._block_columns(text, fields) is None
 
 
-def test_written_form_skips_line_loop():
-    block_path = records._written_columns
-
-    def no_line_loop(*args):
-        found = block_path(*args)
-        assert found is not None, "line loop"
-        return found
-
+def test_written_form_skips_line_loop(monkeypatch):
     log = "tick=1 machine=m0 state=Healthy action=- reports=a:OK\n" * 3 \
         + "tick=2 machine= state=Failure action=Reboot reports=a:Error\n"
+    truth = "tick=2 machine=m0 truth=ok\ntick=3 machine= truth=ok\n"
     trace = "ts=1.5 host=h remote=x service=http dir=in\nts=2 host=h remote=y service=dns dir=out"
-    with mock.patch.object(records, "_BLOCK_BYTES", 40), \
-            mock.patch.object(records, "_written_columns", no_line_loop):
-        parsed = parse_repair_log(log)
-        assert (parsed.tick.tolist(), parsed.machines) == ([1, 1, 1, 2], ("m0", ""))
-        truth = parse_fault_truth("tick=2 machine=m0 truth=ok\ntick=3 machine= truth=ok\n")
-        assert (truth.tick.tolist(), truth.machines) == ([2, 3], ("m0", ""))
-        assert len(parse_trace(trace).channels) == 2
+    monkeypatch.setattr(records, "_BLOCK_BYTES", 40)
+    monkeypatch.setattr(records, "_raise_first_error", _no_error_loop)
+    seen = _block_reads(monkeypatch)
+    parsed = parse_repair_log(log)
+    assert (parsed.tick.tolist(), parsed.machines) == ([1, 1, 1, 2], ("m0", ""))
+    parsed = parse_fault_truth(truth)
+    assert (parsed.tick.tolist(), parsed.machines) == ([2, 3], ("m0", ""))
+    written = parse_trace(trace)
+    assert len(written.channels) == 2
+    assert seen == [log, truth, trace]  # as written, once each
+    seen.clear()
+    tabbed = trace.replace(" ", "\t")
+    assert parse_trace(tabbed) == written
+    assert seen == [tabbed, trace]  # as written, then normalized
+
+
+_LOG_OK = "tick=1 machine=m0 state=Healthy action=- reports=a:OK\n"
+
+
+@pytest.mark.parametrize("parse,text,message", [
+    (parse_trace, "\n  \nts=1 host=h remote=x service=http dir=in\n"
+     " ts=2\thost=h  remote=h service=http dir=in \r\n", "line 4: host equals remote 'h'"),
+    (parse_repair_log, "\t\n" + _LOG_OK + "\n\u3000tick=2  machine=m0 state=Healthy action=- "
+     "reports=a:OK;a:Error\n", "line 4: duplicate watchdog 'a'"),
+    (parse_repair_log, _LOG_OK * 2 + " \r\n\n" + _LOG_OK.replace(" ", "\xa0 ").replace(
+        "a:OK", "a:Oops"), "line 5: bad status 'Oops'"),
+], ids=["trace-host-equals-remote", "log-duplicate-watchdog", "log-bad-status"])
+def test_decode_error_after_blank_and_padded_lines_names_its_line(parse, text, message,
+                                                                 monkeypatch):
+    monkeypatch.setattr(records, "_raise_first_error", _no_error_loop)
+    with pytest.raises(RecordError, match=f"^{message}$"):
+        parse(text)
 
 
 def test_decode_error_in_later_block_keeps_its_line():

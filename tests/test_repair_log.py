@@ -63,6 +63,12 @@ LOG_ERRORS = [
      "line 1: bad tick '1.5'"),
     ("tick-beyond-int64", f"tick={2**63} machine=m state=Healthy action=- reports=-\n",
      f"line 1: bad tick '{2**63}'"),
+    ("full-width-tick", "tick=１ machine=m state=Healthy action=- reports=-\n",
+     "line 1: bad tick '１'"),
+    ("control-character-in-machine", "tick=0 machine=m\x01 state=Healthy action=- reports=-\n",
+     "line 1: bad machine 'm\x01'"),
+    ("control-character-in-reports", OK + "\ntick=1 machine=m state=Healthy action=- "
+     "reports=a:OK\x1b\n", "line 2: bad reports 'a:OK\x1b'"),
     ("wrong-machine-key", "tick=0 host=m state=Healthy action=- reports=-\n",
      "line 1: expected field 'machine', got 'host=m'"),
     ("bad-state", "tick=0 machine=m state=Broken action=- reports=-\n",
@@ -115,6 +121,8 @@ def test_parse_repair_log_error_message_and_line(text, message):
 TRUTH_ERRORS = [
     ("too-few-fields", "tick=0 machine=m\n", "line 1: expected 3 fields, got 2"),
     ("bad-tick", "tick=x machine=m truth=ok\n", "line 1: bad tick 'x'"),
+    ("control-character-in-machine", "tick=0 machine=\x00m truth=ok\n",
+     "line 1: bad machine '\x00m'"),
     ("wrong-key", "tick=0 machine=m status=ok\n",
      "line 1: expected field 'truth', got 'status=ok'"),
     ("bad-truth", "tick=0 machine=m truth=ok\ntick=0 machine=m truth=weird\n",

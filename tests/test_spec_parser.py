@@ -48,6 +48,8 @@ SPEC_ERRORS = [
     ("inf-duration", "kind=trace host=h duration=inf seed=0\n", 1, "line 1: bad duration 'inf'"),
     ("negative-duration", "kind=trace host=h duration=-1 seed=0\n", 1,
      "line 1: bad duration '-1': must be >= 0"),
+    ("full-width-duration", "kind=trace host=h duration=１ seed=0\n", 1,
+     "line 1: bad duration '１'"),
     ("bad-seed", "kind=trace host=h duration=10 seed=x\n", 1, "line 1: bad seed 'x'"),
     ("fractional-seed", "kind=trace host=h duration=10 seed=7.9\n", 1,
      "line 1: bad seed '7.9'"),

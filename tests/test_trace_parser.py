@@ -62,6 +62,9 @@ ERRORS = [
      "line 3: expected 5 fields, got 3"),
     ("unicode-line-separator", OK + "\u2028ts=abc host=h remote=x service=http dir=in\n", 2,
      "line 2: bad ts 'abc'"),
+    ("full-width-ts", "ts=１ host=h remote=x service=http dir=in\n", 1, "line 1: bad ts '１'"),
+    ("no-break-space-bad-dir", "ts=1.0\xa0host=h remote=x service=http dir=up\n", 1,
+     "line 1: bad dir 'up' (want in|out)"),
     # The first bad line wins, whichever check catches it.
     ("negative-before-malformed",
      OK + "\nts=-2.0 host=h remote=x service=http dir=in\nts=1.0 host=h\n", 2,
