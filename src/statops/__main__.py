@@ -1,3 +1,22 @@
-from statops.cli import entrypoint
+"""``python -m statops`` and the ``statops`` console script.
 
-entrypoint()
+Importing this module sets the process up for a command before numpy loads:
+one OpenBLAS thread (no kernel needs more, and commands run in parallel by
+forked process), unless the caller set ``OPENBLAS_NUM_THREADS``; and the
+cyclic GC off during the imports, then the import heap frozen out of its
+reach, as the gc docs advise for a process that forks.  Importing
+``statops`` or ``statops.cli`` changes neither.
+"""
+
+import gc
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+gc.disable()
+from statops.cli import entrypoint  # noqa: E402  (numpy loads after the line above)
+
+gc.freeze()
+gc.enable()
+
+if __name__ == "__main__":
+    entrypoint()

@@ -2,7 +2,8 @@
 and their truth sidecars.
 
 A record is one line of whitespace-separated ``key=value`` fields in a fixed
-order; no value holds an ASCII control character (0x00-0x1f).  Lines end at
+order; no value holds an ASCII control character (0x00-0x1f) or a lone
+surrogate (which only a library caller's ``str`` can hold).  Lines end at
 every boundary ``str.splitlines`` knows and count from 1, blank ones
 included; a blank line holds no record.  This module writes every error of
 the syntax: ``line N: expected K fields, got M``, ``line N: expected field
@@ -72,14 +73,14 @@ def tokenize(line_no: int, line: str, fields: Sequence[Field]) -> list | None:
         return None
     if len(tokens) != len(fields):
         raise RecordError(line_no, f"expected {len(fields)} fields, got {len(tokens)}")
-    control = not line.isprintable()  # a value may hold a control character
+    odd = not line.isprintable()  # a value may hold a control character or a surrogate
     values = []
     for token, (key, convert) in zip(tokens, fields):
         name, equals, raw = token.partition("=")
         if name != key or not equals:
             raise RecordError(line_no, f"expected field '{key}', got '{token}'")
         try:
-            if control and any(c < " " for c in raw):
+            if odd and any(c < " " or "\ud800" <= c <= "\udfff" for c in raw):
                 raise ValueError(raw)
             values.append(convert(raw))
         except BadValue as exc:
@@ -148,7 +149,10 @@ def _block_columns(text: str, fields: Sequence[Field]):
         end = text.rfind("\n", start, start + _BLOCK_BYTES) + 1
         if end <= start:  # a line longer than a block
             end = text.find("\n", start + _BLOCK_BYTES) + 1 or len(text)
-        buf = bytearray(text[start:end].encode())
+        try:
+            buf = bytearray(text[start:end].encode())
+        except UnicodeEncodeError:  # a lone surrogate: the line loop names its line
+            return None
         start = end
         if not buf.endswith(b"\n"):
             buf += b"\n"

@@ -10,7 +10,7 @@ def test_every_all_entry_resolves():
     # A stale __all__ entry (a name deleted from its module) makes
     # ``import *`` fail, so star-import every module and check each entry.
     names = ["statops"] + [f"statops.{m.name}" for m in pkgutil.iter_modules(statops.__path__)
-                           if m.name != "__main__"]  # __main__ runs the CLI
+                           if m.name != "__main__"]  # importing __main__ sets process state
     for name in names:
         module = importlib.import_module(name)
         namespace: dict = {}

@@ -55,7 +55,7 @@ def record_text(rnd, fields) -> tuple[str, list[str]]:
     value; half the files also hold bad values, and half odd lines (tabs,
     doubled or edge spaces, non-ASCII spaces and line boundaries, CRLF,
     blank lines, wrong field counts or keys, control bytes between or inside
-    fields)."""
+    fields, a lone surrogate inside a field)."""
     kinds = ["written"] * 3 + ["other"] + [kind for kind in ("bad", "odd") if rnd.random() < 0.5]
     lines = []
     for _ in range(rnd.randint(0, 12)):
@@ -77,6 +77,7 @@ def record_text(rnd, fields) -> tuple[str, list[str]]:
                 *(first + c + rest for c in "\t\x0b\x1c\xa0\u3000\x85\u2028"),
                 "\xa0".join(tokens), line + "\u3000", first + "\x01 " + rest,
                 " ".join([first, tokens[1] + "\x01", *tokens[2:]]),
+                " ".join([first, tokens[1] + "\ud800", *tokens[2:]]),
             ])
             end = rnd.choice(["\n", "\r\n"])
         lines.append(line + end)
@@ -145,7 +146,7 @@ def test_block_path_matches_line_path(rnd, fmt):
     text, lines = record_text(rnd, fields)
     # Put a block edge a few bytes either side of a line end, so that the
     # lines around it fall in different blocks.
-    edge = len("".join(lines[:rnd.randint(0, len(lines))]).encode())
+    edge = len("".join(lines[:rnd.randint(0, len(lines))]).encode(errors="surrogatepass"))
     block = max(1, edge + rnd.randint(-3, 3))
     with mock.patch.object(traces, "read_columns", _every_line_tokenized), \
             mock.patch.object(repairs, "read_columns", _every_line_tokenized):

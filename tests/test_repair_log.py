@@ -69,6 +69,8 @@ LOG_ERRORS = [
      "line 1: bad machine 'm\x01'"),
     ("control-character-in-reports", OK + "\ntick=1 machine=m state=Healthy action=- "
      "reports=a:OK\x1b\n", "line 2: bad reports 'a:OK\x1b'"),
+    ("lone-surrogate-in-machine", OK + "\ntick=1 machine=m\ud800 state=Healthy action=- "
+     "reports=-\n", "line 2: bad machine 'm\ud800'"),
     ("wrong-machine-key", "tick=0 host=m state=Healthy action=- reports=-\n",
      "line 1: expected field 'machine', got 'host=m'"),
     ("bad-state", "tick=0 machine=m state=Broken action=- reports=-\n",
@@ -123,6 +125,8 @@ TRUTH_ERRORS = [
     ("bad-tick", "tick=x machine=m truth=ok\n", "line 1: bad tick 'x'"),
     ("control-character-in-machine", "tick=0 machine=\x00m truth=ok\n",
      "line 1: bad machine '\x00m'"),
+    ("lone-surrogate-in-truth", "tick=0 machine=m truth=ok\ntick=1 machine=m truth=ok\udcff\n",
+     "line 2: bad truth 'ok\udcff'"),
     ("wrong-key", "tick=0 machine=m status=ok\n",
      "line 1: expected field 'truth', got 'status=ok'"),
     ("bad-truth", "tick=0 machine=m truth=ok\ntick=0 machine=m truth=weird\n",

@@ -1,0 +1,79 @@
+"""The ``python -m statops`` entry sets the process up before numpy loads.
+
+Each case imports a module in a fresh interpreter that notes
+``OPENBLAS_NUM_THREADS`` as numpy's import starts.  Importing
+``statops.__main__`` must ask for one OpenBLAS thread unless the caller
+chose a count, and must leave the cyclic GC on with the import heap frozen;
+importing ``statops.cli`` must change neither the environment nor the GC.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import statops
+
+SRC = str(Path(statops.__file__).resolve().parents[1])
+
+PROBE = """\
+import gc, json, os, sys
+
+class NumpyWatch:  # notes the environment as numpy's import starts
+    seen = []
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            self.seen.append(os.environ.get("OPENBLAS_NUM_THREADS"))
+        return None
+
+sys.meta_path.insert(0, NumpyWatch())
+import {module}
+task = "/proc/self/task"
+print(json.dumps({{
+    "at_numpy_import": NumpyWatch.seen,
+    "after": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "gc_enabled": gc.isenabled(),
+    "frozen": gc.get_freeze_count(),
+    "threads": len(os.listdir(task)) if os.path.isdir(task) else None,
+}}))
+"""
+
+
+def _probe(module: str, blas_threads: str | None) -> dict:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
+    proc = subprocess.run([sys.executable, "-c", PROBE.format(module=module)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_entry_sets_one_blas_thread_before_numpy_and_freezes_the_import_heap():
+    state = _probe("statops.__main__", None)
+    assert state["at_numpy_import"] == ["1"]
+    assert state["after"] == "1"
+    assert state["gc_enabled"] and state["frozen"] > 0
+    # no BLAS worker thread: a fork in _map_forked copies a one-thread process
+    assert state["threads"] in (1, None)
+
+
+def test_entry_keeps_a_blas_thread_count_the_caller_set():
+    state = _probe("statops.__main__", "4")
+    assert state["at_numpy_import"] == ["4"]
+    assert state["after"] == "4"
+
+
+@pytest.mark.parametrize("module", ["statops", "statops.cli"])
+def test_library_import_leaves_environment_and_gc_alone(module):
+    state = _probe(module, None)
+    assert state["at_numpy_import"] in ([], [None])  # ``import statops`` loads no numpy
+    assert state["after"] is None
+    assert state["gc_enabled"] and state["frozen"] == 0

@@ -63,6 +63,9 @@ ERRORS = [
     ("unicode-line-separator", OK + "\u2028ts=abc host=h remote=x service=http dir=in\n", 2,
      "line 2: bad ts 'abc'"),
     ("full-width-ts", "ts=１ host=h remote=x service=http dir=in\n", 1, "line 1: bad ts '１'"),
+    # only a library caller's str can hold a lone surrogate; UTF-8 cannot
+    ("lone-surrogate-in-service", OK + "\nts=2.0 host=h remote=x service=ht\ud800tp dir=in\n",
+     2, "line 2: bad service 'ht\ud800tp'"),
     ("no-break-space-bad-dir", "ts=1.0\xa0host=h remote=x service=http dir=up\n", 1,
      "line 1: bad dir 'up' (want in|out)"),
     # The first bad line wins, whichever check catches it.
