@@ -2,7 +2,8 @@
 
 Importing this module sets the process up for a command before numpy loads:
 one OpenBLAS thread (no kernel needs more, and commands run in parallel by
-forked process), unless the caller set ``OPENBLAS_NUM_THREADS``; and the
+forked process), unless the caller set ``OPENBLAS_NUM_THREADS`` to a
+non-empty value (OpenBLAS reads an empty one as unset); and the
 cyclic GC off during the imports, then the import heap frozen out of its
 reach, as the gc docs advise for a process that forks.  Importing
 ``statops`` or ``statops.cli`` changes neither.
@@ -11,7 +12,8 @@ reach, as the gc docs advise for a process that forks.  Importing
 import gc
 import os
 
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+if not os.environ.get("OPENBLAS_NUM_THREADS"):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 gc.disable()
 from statops.cli import entrypoint  # noqa: E402  (numpy loads after the line above)
 

@@ -30,7 +30,9 @@ included, holds a control character.  Log lines are ``tick=<int>
 machine=<id> state=<Healthy|Failure> action=<action|-> reports=<wd:status;...>``;
 the sidecar uses ``tick=<int> machine=<id> truth=<ok|transient|persistent>``.
 Both are read into columns by ``records.read_columns``, a block at a time;
-each distinct rest of a line after its tick is decoded once.
+each distinct rest of a line after its tick is decoded once.  The writers,
+likewise, format each distinct tick and line tail once and gather them into
+lines.
 """
 
 from __future__ import annotations
@@ -628,18 +630,28 @@ def serialize_repair_log(log: RepairLog) -> str:
         tails.append(f"state={STATES[log.state[row]].value} "
                      f"action={'-' if action == NO_ACTION else ACTIONS[action].value} "
                      f"reports={reports or '-'}")
-    machines = log.machines
-    return "".join([f"tick={t} machine={machines[m]} {tails[k]}\n" for t, m, k in
-                    zip(log.tick.tolist(), log.machine.tolist(), tail_of.ravel().tolist())])
+    return _join_lines(log.tick, log.machine, log.machines, tail_of.ravel(), tails)
 
 
 def serialize_fault_truth(log: RepairLog) -> str:
     truth = log.truth
     if truth is None:
         raise ValueError("log carries no ground-truth channel")
-    machines = truth.machines
-    return "".join([f"tick={t} machine={machines[m]} truth={TRUTHS[c]}\n" for t, m, c in
-                    zip(truth.tick.tolist(), truth.machine.tolist(), truth.code.tolist())])
+    return _join_lines(truth.tick, truth.machine, truth.machines, truth.code,
+                       [f"truth={t}" for t in TRUTHS])
+
+
+def _join_lines(tick: np.ndarray, machine: np.ndarray, machines: Sequence[str],
+                tail: np.ndarray, tails: Sequence[str]) -> str:
+    """One ``tick=<t> machine=<name> <tail>`` line per row, with each distinct
+    tick and tail formatted once and gathered into place."""
+    ticks, tick_of = np.unique(tick, return_inverse=True)
+    heads = np.array([f"tick={t} machine=" for t in ticks.tolist()], dtype=object)
+    pieces = np.empty((tick.size, 3), dtype=object)
+    pieces[:, 0] = heads[tick_of.ravel()]
+    pieces[:, 1] = np.array(machines, dtype=object)[machine]
+    pieces[:, 2] = np.array([f" {t}\n" for t in tails], dtype=object)[tail]
+    return "".join(pieces.ravel().tolist())
 
 
 _TICK = ("tick", Number(int, -2**63, 2**63))
@@ -657,6 +669,8 @@ def _decode_log_rest(line_no: int, values: tuple) -> tuple[int, int, list[tuple[
         watchdog, _, status = item.partition(":")
         if status not in _STATUS_BY_VALUE:
             raise RecordError(line_no, f"bad status '{status}'")
+        if not watchdog:
+            raise RecordError(line_no, "bad watchdog ''")
         if watchdog in pairs:
             raise RecordError(line_no, f"duplicate watchdog '{watchdog}'")
         pairs[watchdog] = _STATUS_BY_VALUE[status]

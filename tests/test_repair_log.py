@@ -4,9 +4,11 @@ serialize/parse round trips over simulated and hand-built logs."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from statops.records import RecordError
@@ -83,6 +85,8 @@ LOG_ERRORS = [
      "line 1: bad status ''"),
     ("empty-reports", "tick=0 machine=m state=Healthy action=- reports=\n",
      "line 1: bad status ''"),
+    ("empty-watchdog-name", OK + "\ntick=1 machine=m state=Failure action=- reports=:Error\n",
+     "line 2: bad watchdog ''"),
     ("duplicate-watchdog", "tick=0 machine=m state=Healthy action=- reports=wd:OK;wd:Error\n",
      "line 1: duplicate watchdog 'wd'"),
     ("bad-status-before-duplicate", OK + "\n"
@@ -205,6 +209,7 @@ def test_parse_fault_truth_later_line_overrides_and_rows_sort_by_key():
 _NAME = st.text(alphabet="abcxyzABZ019_.=-", min_size=1, max_size=5)
 _POLICIES = st.sampled_from((escalation_policy, always_do_nothing, always_replace))
 _RATE = st.sampled_from((0.0, 0.01, 0.1, 0.5, 1.0))
+_TICK = st.integers(-2**63, 2**63 - 1)  # every tick the readers accept
 
 
 @st.composite
@@ -254,7 +259,7 @@ def hand_built_logs(draw):
         st.lists(st.integers(ABSENT, len(STATUSES) - 1), min_size=len(watchdogs),
                  max_size=len(watchdogs)), min_size=n, max_size=n)), dtype=np.int8)
     return RepairLog(
-        tick=ints(-5, 10**12), machine=ints(0, len(machines) - 1), machines=machines,
+        tick=ints(-2**63, 2**63 - 1), machine=ints(0, len(machines) - 1), machines=machines,
         state=ints(0, len(STATES) - 1).astype(np.int8),
         action=ints(NO_ACTION, len(ACTIONS) - 1).astype(np.int8),
         status=status.reshape(n, len(watchdogs)), watchdogs=watchdogs,
@@ -268,3 +273,34 @@ def test_hand_built_log_round_trip(log):
     parsed = parse_repair_log(text)
     assert _rows(parsed) == _rows(log)
     assert serialize_repair_log(parsed) == text
+
+
+@st.composite
+def hand_built_truths(draw):
+    """Sidecar rows as ``parse_fault_truth`` returns them: unique and sorted
+    by (tick, machine name), over machine names in any order."""
+    machines = tuple(draw(st.lists(_NAME, min_size=1, max_size=4, unique=True)))
+    keys = draw(st.lists(st.tuples(_TICK, st.integers(0, len(machines) - 1)),
+                         max_size=30, unique=True))
+    keys.sort(key=lambda key: (key[0], machines[key[1]]))
+    codes = draw(st.lists(st.integers(0, len(TRUTHS) - 1), min_size=len(keys),
+                          max_size=len(keys)))
+    return FaultTruth(np.array([t for t, _ in keys], dtype=np.int64),
+                      np.array([m for _, m in keys], dtype=np.intp), machines,
+                      np.array(codes, dtype=np.int8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(hand_built_truths())
+@example(FaultTruth(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.intp), ("m",),
+                    np.zeros(0, dtype=np.int8)))
+@example(FaultTruth(np.array([-2**63, -2**63, 0, 2**63 - 1]), np.array([1, 0, 1, 0]),
+                    ("z", "a"), np.array([2, 0, 1, 2], dtype=np.int8)))
+def test_hand_built_truth_round_trip(truth):
+    empty = np.zeros(0, dtype=np.int8)
+    log = RepairLog(empty, empty, truth.machines, empty, empty, empty.reshape(0, 0), (),
+                    truth=truth)
+    text = serialize_fault_truth(log)
+    parsed = parse_fault_truth(text)
+    assert _truth_rows(parsed) == _truth_rows(truth)
+    assert serialize_fault_truth(replace(log, truth=parsed)) == text

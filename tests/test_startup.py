@@ -3,7 +3,8 @@
 Each case imports a module in a fresh interpreter that notes
 ``OPENBLAS_NUM_THREADS`` as numpy's import starts.  Importing
 ``statops.__main__`` must ask for one OpenBLAS thread unless the caller
-chose a count, and must leave the cyclic GC on with the import heap frozen;
+chose a count (an empty value chooses none), and must leave the cyclic GC
+on with the import heap frozen;
 importing ``statops.cli`` must change neither the environment nor the GC.
 """
 
@@ -57,12 +58,13 @@ def _probe(module: str, blas_threads: str | None) -> dict:
 
 
 def test_entry_sets_one_blas_thread_before_numpy_and_freezes_the_import_heap():
-    state = _probe("statops.__main__", None)
-    assert state["at_numpy_import"] == ["1"]
-    assert state["after"] == "1"
-    assert state["gc_enabled"] and state["frozen"] > 0
-    # no BLAS worker thread: a fork in _map_forked copies a one-thread process
-    assert state["threads"] in (1, None)
+    for blas_threads in (None, ""):  # OpenBLAS reads an empty value as unset
+        state = _probe("statops.__main__", blas_threads)
+        assert state["at_numpy_import"] == ["1"], blas_threads
+        assert state["after"] == "1"
+        assert state["gc_enabled"] and state["frozen"] > 0
+        # no BLAS worker thread: a fork in _map_forked copies a one-thread process
+        assert state["threads"] in (1, None)
 
 
 def test_entry_keeps_a_blas_thread_count_the_caller_set():
