@@ -9,6 +9,7 @@ is a pure function of (inputs, seed), so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -59,22 +60,25 @@ def _map_forked(fn, items: Sequence) -> list:
     """[fn(x) for x in items], run in contiguous chunks, one per usable CPU.
 
     The parent runs the first chunk; each other chunk runs in a forked child
-    that sends its results back pickled through a pipe.  A chunk whose child
-    raised or died is run again by the parent, so any error is the plain
-    loop's, raised in its order.  Every child ends in os._exit and is reaped
-    before this returns, killed first if the parent raises.  fn must write
-    nothing, and its results must pickle.
+    that sends its results back pickled through a pipe.  Chunk k's process is
+    pinned to the k-th CPU of the mask (the kernel tends to leave a fresh child
+    on its parent's CPU) until the join restores the parent's mask.  A chunk
+    whose child raised or died is run again by the parent, so any error is the
+    plain loop's, raised in its order.  Every child ends in os._exit and is
+    reaped before this returns, killed first if the parent raises.  fn must
+    write nothing, and its results must pickle.
     """
     items = list(items)
     # os.sched_getaffinity exists only where os.fork does; elsewhere: the plain loop
-    n = min(len(items), len(os.sched_getaffinity(0))) if hasattr(os, "sched_getaffinity") else 1
+    cpus = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+    n = min(len(items), len(cpus))
     if n <= 1:
         return [fn(x) for x in items]
     bounds = [len(items) * k // n for k in range(n + 1)]
     chunks = [items[a:b] for a, b in zip(bounds, bounds[1:])]
     children = []  # (pid, read end of its pipe) per chunk after the first; -1: none to reap
     try:
-        for chunk in chunks[1:]:
+        for cpu, chunk in zip(cpus[1:], chunks[1:]):
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -83,6 +87,7 @@ def _map_forked(fn, items: Sequence) -> list:
             if pid == 0:  # the child: never returns
                 status = 1
                 try:
+                    _pin({cpu})
                     with open(write, "wb") as pipe:
                         pickle.dump([fn(x) for x in chunk], pipe, pickle.HIGHEST_PROTOCOL)
                     status = 0
@@ -90,6 +95,7 @@ def _map_forked(fn, items: Sequence) -> list:
                     os._exit(status)
             os.close(write)
             children.append((pid, open(read, "rb")))
+        _pin({cpus[0]})
         results = [fn(x) for x in chunks[0]]
         for k, chunk in enumerate(chunks[1:]):
             pid, pipe = children[k]
@@ -107,6 +113,12 @@ def _map_forked(fn, items: Sequence) -> list:
 
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+        _pin(cpus)
+
+
+def _pin(cpus) -> None:
+    with contextlib.suppress(OSError):  # a CPU set the kernel refuses: left unpinned
+        os.sched_setaffinity(0, cpus)
 
 
 def _seed(raw: str) -> int:

@@ -1,8 +1,9 @@
 """The forked worker of ``discover`` and ``diagnose --actions retrieve``.
 
 ``cli._map_forked`` runs contiguous chunks of a job list in one process per
-usable CPU.  Whatever that count, the commands must write the bytes of the
-plain loop, fail with its error and exit code, and leave no child behind.
+usable CPU, each pinned to its own CPU of the mask.  Whatever that count, the
+commands must write the bytes of the plain loop, fail with its error and exit
+code, and leave no child behind and the caller's mask as it was.
 """
 
 from __future__ import annotations
@@ -18,11 +19,20 @@ from test_golden_discover import EDGE03, SRV01, SRV02
 from test_golden_diagnose import _write_metrics
 
 
+# Collected before any test runs, so a test's pins cannot change it.
+two_cpus = pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                              reason="needs an affinity mask of 2 or more CPUs")
+
+
 @pytest.fixture(autouse=True)
 def no_child_left():
+    mask = os.sched_getaffinity(0)
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    # _map_forked restores the mask it was shown; under _use_cpus that is a
+    # fake one, which the kernel narrows to the CPUs that exist
+    os.sched_setaffinity(0, mask)
 
 
 def _use_cpus(monkeypatch, n: int) -> None:
@@ -79,6 +89,65 @@ def test_map_forked_reruns_a_child_that_dies(monkeypatch):
         return {"x": x}
 
     assert cli._map_forked(job, range(7)) == [{"x": x} for x in range(7)]
+
+
+@two_cpus
+def test_map_forked_pins_each_chunk_to_its_own_cpu():
+    mask = os.sched_getaffinity(0)
+    first, second = cli._map_forked(lambda x: sorted(os.sched_getaffinity(0)), range(2))
+    assert len(first) == len(second) == 1 and first != second
+    assert {*first, *second} <= mask
+    assert os.sched_getaffinity(0) == mask
+
+
+@two_cpus
+@pytest.mark.parametrize("fails", ["nothing", "child-exits", "parent-raises"])
+def test_map_forked_restores_the_mask(fails):
+    mask = os.sched_getaffinity(0)
+    parent = os.getpid()
+
+    def job(x):
+        if fails == "child-exits" and os.getpid() != parent:
+            os._exit(3)
+        if fails == "parent-raises" and os.getpid() == parent:
+            raise KeyError(x)
+        return x
+
+    if fails == "parent-raises":
+        with pytest.raises(KeyError):
+            cli._map_forked(job, range(2))
+    else:
+        assert cli._map_forked(job, range(2)) == [0, 1]
+    assert os.sched_getaffinity(0) == mask
+
+
+def test_a_refused_pin_still_runs_its_chunk_in_its_child(monkeypatch):
+    mask = os.sched_getaffinity(0)
+    real_mask = os.sched_getaffinity
+    # CPU ids past any kernel's limit: every child's pin is refused
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, *range(1 << 16, (1 << 16) + 3)})
+    parent = os.getpid()
+    runs = cli._map_forked(lambda x: (os.getpid(), real_mask(0)), range(4))
+    assert runs[0][0] == parent
+    assert len({pid for pid, _ in runs[1:]} - {parent}) == 3  # no chunk rerun by the parent
+    assert all(cpus == mask for _, cpus in runs[1:])  # left unpinned
+
+
+@two_cpus
+def test_a_map_nested_in_the_main_chunk_runs_in_process():
+    parent = os.getpid()
+
+    def job(x):
+        return cli._map_forked(lambda y: os.getpid(), range(2)) if os.getpid() == parent else []
+
+    assert cli._map_forked(job, range(2))[0] == [parent, parent]
+
+
+def test_discover_in_process_leaves_the_mask_as_it_was(tmp_path):
+    paths = _traces(tmp_path, (SRV01, SRV02, EDGE03))
+    mask = os.sched_getaffinity(0)
+    assert main(["discover", *paths, "--out", str(tmp_path / "report")]) in (0, 1)
+    assert os.sched_getaffinity(0) == mask
 
 
 def test_discover_and_retrieve_bytes_do_not_depend_on_the_cpu_count(monkeypatch, tmp_path):
