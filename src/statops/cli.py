@@ -186,10 +186,12 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     )
 
     def discover_host(path: str):
-        trace = _load(Path(path), traces.parse_trace, "trace file")
+        trace = _load(Path(path), lambda text: traces.parse_trace(text, _map_forked),
+                      "trace file")
         return trace.host, discovery.local_dependencies(trace, config)
 
-    # Hosts are independent, so their traces can be discovered in any process.
+    # Hosts are independent, so their traces can be discovered in any process;
+    # a trace parsed with the whole mask (a run of one trace) is cut into pieces.
     per_host = _map_forked(discover_host, args.traces)
 
     # --seed changes no result (the null is exact); it is echoed as given
@@ -437,8 +439,21 @@ def _cmd_repair_mine(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
-def _read_floats(line: str) -> list[float]:
-    return [float(v) for v in line.split()]
+def _read_samples(text: str, what: str, rule: str, ok) -> list[list[float]]:
+    """The numbers of each non-blank stdin line; a ValueError names the line
+    of the first token that is no number ok accepts."""
+    rows = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        row = []
+        for token in line.split():
+            try:
+                row.append(float(token))
+            except ValueError:
+                row.append(math.nan)
+            if not ok(row[-1]):
+                raise ValueError(f"stdin: line {line_no}: bad {what} '{token}' (want {rule})")
+        rows += [row] if row else []
+    return rows
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -446,7 +461,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     text = sys.stdin.read()
     if args.which == "bh":
-        p_values = _read_floats(text)
+        rows = _read_samples(text, "p-value", "a number in [0, 1]", lambda p: 0 <= p <= 1)
+        p_values = [p for row in rows for p in row]
         selection = stats.bh_select(p_values, args.alpha)
         naive = sum(1 for p in p_values if p <= args.alpha)
         expected_fp = stats.expected_false_positives(selection.m, args.alpha)
@@ -462,10 +478,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             "expected_false_proportion": expected_fp / naive if naive else None,
         }
     else:  # ks
-        lines = [l for l in text.splitlines() if l.strip()]
-        if len(lines) != 2:
+        samples = _read_samples(text, "sample", "a finite number", math.isfinite)
+        if len(samples) != 2:
             return _fail("stats ks expects two lines on stdin: sample a, sample b")
-        a, b = _read_floats(lines[0]), _read_floats(lines[1])
+        a, b = samples
         d = stats.ks_statistic(stats.empirical_cdf(a), stats.empirical_cdf(b))
         p = stats.ks_p_value(d, len(a), len(b))
         payload = {"statistic": d, "p_value": p, "n_a": len(a), "n_b": len(b)}
@@ -550,7 +566,18 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    """main(), then the process ends without interpreter finalization (which
+    writes nothing) once the standard streams are flushed; a failed flush,
+    such as into a closed pipe, exits 2, as a failed write in main() does."""
+    code = main()
+    for stream in filter(None, (sys.stdout, sys.stderr)):  # None: a closed stream
+        try:
+            stream.flush()
+        except (OSError, ValueError) as exc:
+            code = _EXIT_ERROR
+            with contextlib.suppress(OSError, ValueError):
+                _fail(str(exc))
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -624,6 +624,21 @@ def test_stats_bh_bad_input_exit_2(monkeypatch, capsys):
     assert main(["stats", "bh"]) == 2
 
 
+@pytest.mark.parametrize("which,stdin,message", [
+    ("bh", "0.1 x", "line 1: bad p-value 'x' (want a number in [0, 1])"),
+    ("bh", "0.1\n\n0.2 nan 0.3\n", "line 3: bad p-value 'nan' (want a number in [0, 1])"),
+    ("bh", "0.1 -0.5", "line 1: bad p-value '-0.5' (want a number in [0, 1])"),
+    ("ks", "1 2 3\n4 inf 5\n", "line 2: bad sample 'inf' (want a finite number)"),
+    ("ks", "1 nan\n2\n", "line 1: bad sample 'nan' (want a finite number)"),
+    ("ks", "1 2\n3 x\n", "line 2: bad sample 'x' (want a finite number)"),
+], ids=["bh-word", "bh-nan-line-3", "bh-negative", "ks-inf", "ks-nan", "ks-word"])
+def test_stats_bad_number_names_its_line(which, stdin, message, monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    assert main(["stats", which]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: stdin: {message}\n")
+
+
 # ---------------------------------------------------------------------------
 # packaging entry points
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ Each case imports a module in a fresh interpreter that notes
 chose a count (an empty value chooses none), and must leave the cyclic GC
 on with the import heap frozen;
 importing ``statops.cli`` must change neither the environment nor the GC.
+A command ends its process without interpreter finalization, so fresh
+processes check that piped output arrives whole and each exit code is kept.
 """
 
 from __future__ import annotations
@@ -79,3 +81,38 @@ def test_library_import_leaves_environment_and_gc_alone(module):
     assert state["at_numpy_import"] in ([], [None])  # ``import statops`` loads no numpy
     assert state["after"] is None
     assert state["gc_enabled"] and state["frozen"] == 0
+
+
+def _run(args: list[str], stdin: str = "", close_stdout: bool = False):
+    """``python -m statops`` in a fresh process with piped, buffered streams."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "statops", *args], stdin=subprocess.PIPE,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    if close_stdout:
+        proc.stdout.close()  # before the command writes: its flush meets a closed pipe
+    out, err = proc.communicate(stdin.encode())
+    return proc.returncode, out.decode() if out else "", err.decode()
+
+
+def test_piped_output_arrives_whole_and_exit_codes_are_kept(tmp_path):
+    p_values = [k / 20_000 for k in range(20_000)]  # a report larger than a pipe's buffer
+    code, out, err = _run(["stats", "bh"], " ".join(map(repr, p_values)))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["m"] == 20_000 and len(report["q_values"]) == 20_000
+
+    trace = tmp_path / "in-only.trace"
+    trace.write_text("ts=1 host=h remote=x service=http dir=in\n", encoding="utf-8")
+    code, out, err = _run(["discover", str(trace), "--out", str(tmp_path / "report")])
+    assert (code, out) == (1, "")
+    assert err == "warning: at least one host had no testable channel pairs\n"
+
+    code, out, err = _run(["stats", "bh"], "0.1 x")
+    assert (code, out, err) == (2, "", "error: stdin: line 1: bad p-value 'x' "
+                                       "(want a number in [0, 1])\n")
+
+
+def test_a_closed_stdout_is_an_output_error_not_a_traceback():
+    code, _, err = _run(["stats", "bh"], "0.1 0.2", close_stdout=True)
+    assert (code, err) == (2, "error: [Errno 32] Broken pipe\n")

@@ -1,9 +1,10 @@
 """The forked worker of ``discover`` and ``diagnose --actions retrieve``.
 
 ``cli._map_forked`` runs contiguous chunks of a job list in one process per
-usable CPU, each pinned to its own CPU of the mask.  Whatever that count, the
-commands must write the bytes of the plain loop, fail with its error and exit
-code, and leave no child behind and the caller's mask as it was.
+usable CPU, each pinned to its own CPU of the mask; ``discover`` also reads
+the pieces of one large trace through it.  Whatever that count, the commands
+must write the bytes of the plain loop, fail with its error and exit code,
+and leave no child behind and the caller's mask as it was.
 """
 
 from __future__ import annotations
@@ -12,11 +13,14 @@ import hashlib
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from statops import cli, discovery
+from statops import cli, discovery, records
 from statops.cli import main
 from test_golden_discover import EDGE03, SRV01, SRV02
 from test_golden_diagnose import _write_metrics
+from test_records import small_pieces, trace_columns, with_cpus, written_trace
 
 
 # Collected before any test runs, so a test's pins cannot change it.
@@ -245,3 +249,50 @@ def test_a_hosts_rows_do_not_depend_on_the_other_hosts(monkeypatch, tmp_path):
     assert srv01_rows([first, second, third], "first") == alone
     assert srv01_rows([second, third, first], "last") == alone
 
+
+
+# The fixture restores the mask once per test, not per example.
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rnd=st.randoms(), cpus=st.integers(2, 4))
+def test_trace_pieces_read_in_children_match_one_pass(rnd, cpus):
+    text = written_trace(rnd)
+    with small_pieces(rnd), with_cpus(cpus):
+        assert trace_columns(text, cli._map_forked) == trace_columns(text, map) \
+            == trace_columns(text)
+
+
+def test_discover_of_one_large_trace_does_not_depend_on_the_cpu_count(monkeypatch, tmp_path):
+    # about 2.6 MB, so that even four pieces span several blocks each
+    spec = ("kind=trace host=desk duration=800 seed=0\n"
+            + "".join(f"kind=channel dir={d} service=s{k} remote=r{k} rate=6.0\n"
+                      for k, d in enumerate(["in"] * 4 + ["out"] * 4))
+            + "kind=dep in_service=s0 in_remote=r0 out_service=s4 out_remote=r4 "
+              "mean_delay=0.05 prob=0.9\n")
+    path, = _traces(tmp_path, [spec])
+    pieces = records._pieces
+    cuts = []
+    monkeypatch.setattr(records, "_pieces", lambda text: cuts.append(pieces(text)) or cuts[-1])
+    trees = []
+    for n in (1, 2, 4):
+        _use_cpus(monkeypatch, n)
+        _discover_all_formats([path], tmp_path / f"cpus{n}")
+        trees.append(_tree_digests(tmp_path / f"cpus{n}"))
+    assert [len(c) for c in cuts] == [1, 1, 2, 2, 4, 4]
+    assert len(trees[0]) == 4 and trees[1] == trees[0] and trees[2] == trees[0]
+
+
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_discover_names_a_bad_line_in_a_later_piece(cpus, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(records, "_PIECE_BYTES", 1 << 12)
+    path, = _traces(tmp_path, [_host_spec("h0")])
+    with open(path, encoding="utf-8") as f:
+        lines = f.read().splitlines(keepends=True)
+    bad = len(lines) * 9 // 10
+    lines[bad - 1] = lines[bad - 1].replace("host=h0", "host=x")
+    with open(path, "w", encoding="utf-8") as f:
+        f.write("".join(lines))
+    _use_cpus(monkeypatch, cpus)
+    capsys.readouterr()
+    assert main(["discover", path, "--out", str(tmp_path / "report")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: line {bad}: host 'x' differs from 'h0'\n"
