@@ -186,12 +186,10 @@ def _cmd_discover(args: argparse.Namespace) -> int:
     )
 
     def discover_host(path: str):
-        trace = _load(Path(path), lambda text: traces.parse_trace(text, _map_forked),
-                      "trace file")
+        trace = _load(Path(path), traces.parse_trace, "trace file")
         return trace.host, discovery.local_dependencies(trace, config)
 
-    # Hosts are independent, so their traces can be discovered in any process;
-    # a trace parsed with the whole mask (a run of one trace) is cut into pieces.
+    # Hosts are independent, so their traces can be discovered in any process.
     per_host = _map_forked(discover_host, args.traces)
 
     # --seed changes no result (the null is exact); it is echoed as given
@@ -459,6 +457,11 @@ def _read_samples(text: str, what: str, rule: str, ok) -> list[list[float]]:
 def _cmd_stats(args: argparse.Namespace) -> int:
     import statops.stats as stats
 
+    # a standard stream closed at start is None
+    if sys.stdin is None:
+        return _fail("stdin is closed: stats reads its samples there")
+    if sys.stdout is None and not args.out:
+        return _fail("stdout is closed: name a report file with --out")
     text = sys.stdin.read()
     if args.which == "bh":
         rows = _read_samples(text, "p-value", "a number in [0, 1]", lambda p: 0 <= p <= 1)

@@ -9,13 +9,11 @@ included; a blank line holds no record.  This module writes every error of
 the syntax: ``line N: expected K fields, got M``, ``line N: expected field
 'k', got 't'`` and ``line N: bad k 'v'``.  A format is described once, by
 its field list; ``read_columns`` reads traces, repair logs and truth
-sidecars from ``str``; handed a ``map`` over processes (``discover``'s
-trace reads are), it reads a large text in a line-aligned piece per CPU.
+sidecars from ``str``, in one pass.
 """
 
 from __future__ import annotations
 
-import os
 from collections import defaultdict
 from itertools import islice
 from typing import Callable, NamedTuple, NoReturn, Sequence
@@ -30,9 +28,6 @@ Field = tuple[str, Callable[[str], object]]
 # next to a block, and a block's masks and tokens (about 4x its size) stay
 # small next to the rest of a command's memory.
 _BLOCK_BYTES = 1 << 17
-# Characters per piece at least: a process's fork, pickled columns and exit
-# stay small next to several blocks.
-_PIECE_BYTES = 4 * _BLOCK_BYTES
 
 
 class RecordError(ValueError):
@@ -95,8 +90,8 @@ def tokenize(line_no: int, line: str, fields: Sequence[Field]) -> list | None:
     return values
 
 
-def read_columns(text: str, fields: Sequence[Field], decode: Callable[[int, list], object],
-                 map_pieces: Callable | None = None) -> tuple[np.ndarray, np.ndarray, list]:
+def read_columns(text: str, fields: Sequence[Field],
+                 decode: Callable[[int, list], object]) -> tuple[np.ndarray, np.ndarray, list]:
     """Columns of records whose first field is a ``Number`` and whose other
     fields form a key that many lines share: (numbers, codes, keys), where
     record i's key is ``keys[codes[i]]``, the value of ``decode(line_no,
@@ -106,17 +101,8 @@ def read_columns(text: str, fields: Sequence[Field], decode: Callable[[int, list
     from the text normalized (each non-blank line's fields joined by single
     spaces), with each record mapped back to its line.  If both fail,
     ``_raise_first_error`` raises the first bad line's error.
-
-    With ``map_pieces`` (a ``map`` that may run its calls in other processes),
-    ASCII text is read as written in ``_pieces``, whose columns ``_merged``
-    joins into one pass's; if any piece is rejected, the whole text is
-    normalized.
     """
-    pieces = _pieces(text) if map_pieces and text.isascii() else []
-    if len(pieces) > 1:
-        found = _merged(map_pieces(lambda piece: _block_columns(text, fields, *piece), pieces))
-    else:
-        found = _block_columns(text, fields) if text.isascii() else None
+    found = _block_columns(text, fields) if text.isascii() else None
     line_of: Sequence[int] = range(1, len(text) + 2)  # as written, record k is line k + 1
     if found is None:
         lines = [" ".join(line.split()) for line in text.splitlines()]
@@ -124,36 +110,8 @@ def read_columns(text: str, fields: Sequence[Field], decode: Callable[[int, list
         found = _block_columns("\n".join(filter(None, lines)), fields)
     if found is None:
         _raise_first_error(text, fields, decode)
-    numbers, code_of, firsts, _ = found
+    numbers, code_of, firsts = found
     return numbers, code_of, [decode(line_of[k], values) for k, values in firsts]
-
-
-def _pieces(text: str) -> list[tuple[int, int]]:
-    """(start, end) of text's line-aligned pieces: one per usable CPU, but
-    none much shorter than ``_PIECE_BYTES``."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    n = min(cpus, len(text) // _PIECE_BYTES)
-    cuts = [0, *(text.find("\n", len(text) * k // n) + 1 or len(text) for k in range(1, n))]
-    return [(a, b) for a, b in zip(cuts, [*cuts[1:], len(text)]) if a < b]
-
-
-def _merged(pieces):
-    """``_block_columns`` of a text from those of its consecutive pieces, or
-    None if a piece's is: codes remapped to one table of rests in file order,
-    and each new rest's first record counted from the text's start."""
-    pieces = list(pieces)
-    if None in pieces:
-        return None
-    table: dict[bytes, int] = {}
-    codes, firsts, row = [], [], 0
-    for _, code_of, piece_firsts, rests in pieces:
-        known = len(table)
-        remap = np.array([table.setdefault(rest, len(table)) for rest in rests], np.intp)
-        firsts += [(row + k, values) for code, (k, values) in zip(remap.tolist(), piece_firsts)
-                   if code >= known]
-        codes.append(remap[code_of])
-        row += code_of.size
-    return np.concatenate([piece[0] for piece in pieces]), np.concatenate(codes), firsts, [*table]
 
 
 def _raise_first_error(text: str, fields: Sequence[Field], decode: Callable) -> NoReturn:
@@ -169,30 +127,28 @@ def _raise_first_error(text: str, fields: Sequence[Field], decode: Callable) -> 
     raise RuntimeError("record reader bug: the block reader rejected text with no bad line")
 
 
-def _block_columns(text: str, fields: Sequence[Field], start: int = 0, stop: int | None = None):
-    """(numbers, codes, [(first record, values)], rests) of ``text[start:stop]``,
-    ``rests[code]`` a key's bytes, if it is all in the written form, else
-    None: ``\\n`` line ends and no other byte at or below a space, each
-    line ``<first key>=<number> <rest>`` with single spaces between fields,
-    the number accepted by the first field's ``Number`` and ``rest`` by
-    ``tokenize``.  Blocks of about ``_BLOCK_BYTES`` characters, cut at line
-    ends, are checked with numpy, and each distinct rest is tokenized at its
-    first record.  A byte check cannot see non-ASCII whitespace, so the
-    caller hands over no text that holds it."""
+def _block_columns(text: str, fields: Sequence[Field]):
+    """(numbers, codes, [(first record, values)]) of ``text`` if it is all
+    in the written form, else None: ``\\n`` line ends and no other byte at or
+    below a space, each line ``<first key>=<number> <rest>`` with single
+    spaces between fields, the number accepted by the first field's
+    ``Number`` and ``rest`` by ``tokenize``.  Blocks of about ``_BLOCK_BYTES``
+    characters, cut at line ends, are checked with numpy, and each distinct
+    rest is tokenized at its first record.  A byte check cannot see non-ASCII
+    whitespace, so the caller hands over no text that holds it."""
     number = fields[0][1]
     prefix = np.frombuffer(f"{fields[0][0]}=".encode(), np.uint8)
     layout = np.array([32] * (len(fields) - 1) + [10], np.uint8)  # a line's gaps
-    stop = len(text) if stop is None else stop
-    rows = text.count("\n", start, stop) + 1  # at least the number of lines
+    rows = text.count("\n") + 1  # at least the number of lines
     numbers, code_of = np.empty(rows, np.dtype(number.kind)), np.empty(rows, np.intp)
     codes: dict[bytes, int] = defaultdict()
     codes.default_factory = codes.__len__  # a new rest gets the next code
     firsts: list = []
-    row = 0
-    while start < stop:
-        end = text.rfind("\n", start, min(start + _BLOCK_BYTES, stop)) + 1
+    row = start = 0
+    while start < len(text):
+        end = text.rfind("\n", start, start + _BLOCK_BYTES) + 1
         if end <= start:  # a line longer than a block
-            end = text.find("\n", start + _BLOCK_BYTES, stop) + 1 or stop
+            end = text.find("\n", start + _BLOCK_BYTES) + 1 or len(text)
         try:
             buf = bytearray(text[start:end].encode())
         except UnicodeEncodeError:  # a lone surrogate: the line loop names its line
@@ -235,4 +191,4 @@ def _block_columns(text: str, fields: Sequence[Field], start: int = 0, stop: int
             firsts.append((k, values))
         numbers[row:row + n], code_of[row:row + n] = x, c
         row += n
-    return numbers[:row], code_of[:row], firsts, [*codes]
+    return numbers[:row], code_of[:row], firsts

@@ -122,15 +122,12 @@ _TRACE_FIELDS = (("ts", Number(float, 0.0, np.inf)), ("host", _identifier),
                  ("remote", _identifier), ("service", _identifier), ("dir", _direction))
 
 
-def parse_trace(text: str, map_pieces: Callable | None = None) -> HostTrace:
+def parse_trace(text: str) -> HostTrace:
     """Parse a trace's text into a HostTrace.
 
     Accepts the record syntax of ``statops.records``; all records must share
     one host id, and per-channel duplicate timestamps are coalesced.  The
     first malformed line raises TraceFormatError with its 1-based line number.
-    ``map_pieces`` goes to ``read_columns``: ``discover`` passes its forked
-    map, so that one large trace as written is read in a piece per usable
-    CPU, to the same HostTrace and the same errors as one pass.
     """
     hosts: list[str] = []
 
@@ -145,7 +142,7 @@ def parse_trace(text: str, map_pieces: Callable | None = None) -> HostTrace:
         hosts.append(host)
         return ChannelId(direction, service, remote)
 
-    times, codes, ids = read_columns(text, _TRACE_FIELDS, channel, map_pieces)
+    times, codes, ids = read_columns(text, _TRACE_FIELDS, channel)
     by_channel = np.split(times[np.argsort(codes, kind="stable")],
                           np.cumsum(np.bincount(codes, minlength=len(ids)))[:-1])
     channels = {cid: ChannelSeries(cid, ts) for cid, ts in zip(ids, by_channel)}

@@ -87,9 +87,8 @@ def record_text(rnd, fields) -> tuple[str, list[str]]:
     return text, lines
 
 
-def _every_line_tokenized(text, fields, decode, map_pieces=None):
-    """``records.read_columns`` as a plain loop that tokenizes every line,
-    in one process."""
+def _every_line_tokenized(text, fields, decode):
+    """``records.read_columns`` as a plain loop that tokenizes every line."""
     codes: dict[str, int] = {}
     keys, numbers, code_of = [], [], []
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -123,14 +122,13 @@ def _outcome(parse, source):
 
 
 def _block_reads(monkeypatch) -> list[str]:
-    """The texts the block reader is handed from now on, in order; a piece
-    of a text counts as its own text."""
+    """The texts the block reader is handed from now on, in order."""
     seen = []
     block_columns = records._block_columns
 
-    def spy(text, fields, *piece):
-        seen.append(text[slice(*piece)] if piece else text)
-        return block_columns(text, fields, *piece)
+    def spy(text, fields):
+        seen.append(text)
+        return block_columns(text, fields)
 
     monkeypatch.setattr(records, "_block_columns", spy)
     return seen
@@ -255,97 +253,3 @@ def test_parse_trace_peak_memory_stays_near_text_size():
         tracemalloc.stop()
     assert sum(s.times.size for s in trace.channels.values()) == 80_000
     assert peak <= 1.5 * len(text), (peak, len(text))
-
-
-
-# --- the piece path: one text read in line-aligned pieces, then merged ------
-
-
-def written_trace(rnd) -> str:
-    """A trace whose every line is as written, some values spelled otherwise;
-    half the texts lack the final line end."""
-    fields = _FORMATS["trace"][1]
-    text = "".join(" ".join(f"{key}={rnd.choice(written + other)}"
-                            for key, written, other, _ in fields) + "\n"
-                   for _ in range(rnd.randint(0, 40)))
-    return text[:-1] if rnd.random() < 0.5 else text
-
-
-def trace_columns(text, map_pieces=None):
-    """read_columns of a trace's fields with each key decoded as (its first
-    line, its values), or the error it raised."""
-    try:
-        numbers, codes, keys = records.read_columns(
-            text, traces._TRACE_FIELDS, lambda line_no, values: (line_no, values), map_pieces)
-    except RecordError as exc:
-        return str(exc)
-    return numbers.tolist(), codes.tolist(), keys
-
-
-def with_cpus(n: int):
-    """The affinity mask the piece cutter sees, faked to n CPUs."""
-    return mock.patch.object(records.os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-def small_pieces(rnd):
-    """Blocks and pieces a few lines long, so that a short text is cut."""
-    return mock.patch.multiple(records, _BLOCK_BYTES=rnd.randint(1, 120),
-                               _PIECE_BYTES=rnd.randint(1, 200))
-
-
-@pytest.mark.parametrize("source", ["written", "any"])
-@settings(max_examples=100, deadline=None)
-@given(rnd=st.randoms(), cpus=st.integers(2, 4))
-def test_pieces_through_map_match_one_pass(rnd, cpus, source):
-    text = written_trace(rnd) if source == "written" else \
-        record_text(rnd, _FORMATS["trace"][1])[0]
-    with small_pieces(rnd), with_cpus(cpus):
-        assert trace_columns(text, map) == trace_columns(text)
-
-
-_TRACE_LINE = "ts={} host=h remote=r{} service=s{} dir={}\n"
-
-
-def _trace_text(lines: int, bad: str = "", at: tuple[int, ...] = ()) -> str:
-    """A written-form trace of host h, with ``bad`` at the lines ``at`` names."""
-    return "".join(bad + "\n" if k + 1 in at else
-                   _TRACE_LINE.format(k / 4, k % 3, k % 5, ("in", "out")[k % 2])
-                   for k in range(lines))
-
-
-@pytest.mark.parametrize("bad,message", [
-    ("ts=-1 host=h remote=r0 service=s0 dir=in", "bad ts '-1.0': negative"),
-    ("ts=1 host=h remote=h service=s9 dir=in", "host equals remote 'h'"),
-    ("ts=1 host=g remote=r0 service=s0 dir=in", "host 'g' differs from 'h'"),
-], ids=["bad-ts", "host-equals-remote", "host-differs"])
-def test_error_in_a_later_piece_names_the_serial_line(bad, message, monkeypatch):
-    monkeypatch.setattr(records, "_PIECE_BYTES", 2000)
-    text = _trace_text(400, bad, at=(250, 390))
-    with pytest.raises(RecordError, match=f"^line 250: {message}$"):
-        parse_trace(text)
-    seen = _block_reads(monkeypatch)
-    with with_cpus(4), pytest.raises(RecordError, match=f"^line 250: {message}$"):
-        parse_trace(text, map)
-    assert "".join(seen[:4]) == text and bad not in seen[0] + seen[1] and bad in seen[2]
-
-
-def test_a_piece_not_as_written_sends_the_whole_text_to_the_normalized_path(monkeypatch):
-    monkeypatch.setattr(records, "_PIECE_BYTES", 2000)
-    text = _trace_text(400)
-    tabbed = text[:-100] + text[-100:].replace(" ", "\t", 1)  # a line of the last piece
-    expected = parse_trace(text)
-    seen = _block_reads(monkeypatch)
-    with with_cpus(2):
-        assert parse_trace(tabbed, map) == expected
-    assert len(seen) == 3 and seen[0] + seen[1] == tabbed
-    assert seen[2] == text[:-1]  # normalized: joined by line ends, in one pass
-
-
-def test_one_cpu_or_a_short_text_is_read_in_one_pass(monkeypatch):
-    text = _trace_text(400)
-    monkeypatch.setattr(records, "_PIECE_BYTES", len(text) // 2 + 1)
-    seen = _block_reads(monkeypatch)
-    for cpus in (1, 4):
-        with with_cpus(cpus):
-            parse_trace(text, map)
-    assert seen == [text, text]

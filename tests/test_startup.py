@@ -7,7 +7,9 @@ chose a count (an empty value chooses none), and must leave the cyclic GC
 on with the import heap frozen;
 importing ``statops.cli`` must change neither the environment nor the GC.
 A command ends its process without interpreter finalization, so fresh
-processes check that piped output arrives whole and each exit code is kept.
+processes check that piped output arrives whole and each exit code is kept,
+and that a stdin or stdout closed at start gives an error line, not a
+traceback.
 """
 
 from __future__ import annotations
@@ -116,3 +118,20 @@ def test_piped_output_arrives_whole_and_exit_codes_are_kept(tmp_path):
 def test_a_closed_stdout_is_an_output_error_not_a_traceback():
     code, _, err = _run(["stats", "bh"], "0.1 0.2", close_stdout=True)
     assert (code, err) == (2, "error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize("which", ["bh", "ks"])
+def test_a_stream_closed_at_start_is_an_error_line_not_a_traceback(which, tmp_path):
+    env = dict(os.environ, PYTHONPATH=SRC)
+
+    def run(redirect: str, *flags: str):
+        command = ["sh", "-c", f'"$@" {redirect}', "sh",
+                   sys.executable, "-m", "statops", "stats", which, *flags]
+        proc = subprocess.run(command, input=b"0.1 0.2\n0.3 0.4\n", capture_output=True,
+                              env=env)
+        return proc.returncode, proc.stderr.decode()
+
+    assert run(">&-") == (2, "error: stdout is closed: name a report file with --out\n")
+    assert run("<&-") == (2, "error: stdin is closed: stats reads its samples there\n")
+    out = tmp_path / "report.json"
+    assert run(">&-", "--out", str(out)) == (0, "") and json.loads(out.read_text())
