@@ -264,7 +264,11 @@ def test_discover_of_one_large_trace_does_not_depend_on_the_cpu_count(monkeypatc
     assert len(trees[0]) == 4 and trees[1] == trees[0] and trees[2] == trees[0]
 
 
-def test_discover_names_a_bad_line_late_in_a_large_trace(tmp_path, capsys):
+# The name is kept from when a large trace was cut into pieces: the bad line
+# sits at 9/10 of the trace, and neither the line nor the error may depend on
+# the CPU count.
+@pytest.mark.parametrize("cpus", [2, 4])
+def test_discover_names_a_bad_line_in_a_later_piece(cpus, monkeypatch, tmp_path, capsys):
     path, = _traces(tmp_path, [_LARGE_SPEC])
     with open(path, encoding="utf-8") as f:
         lines = f.read().splitlines(keepends=True)
@@ -272,6 +276,7 @@ def test_discover_names_a_bad_line_late_in_a_large_trace(tmp_path, capsys):
     lines[bad - 1] = lines[bad - 1].replace("host=desk", "host=x")
     with open(path, "w", encoding="utf-8") as f:
         f.write("".join(lines))
+    _use_cpus(monkeypatch, cpus)
     capsys.readouterr()
     assert main(["discover", path, "--out", str(tmp_path / "report")]) == 2
     assert capsys.readouterr().err == f"error: {path}: line {bad}: host 'x' differs from 'desk'\n"
