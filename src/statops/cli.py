@@ -242,13 +242,13 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
 
     import statops.diagnosis as diagnosis
 
-    # The metrics log is read here and the catalog in a child; a read error
-    # is raised only where the checks below reach its file.
-    reads = [lambda: _load(Path(args.metrics), diagnosis.load_metrics_csv, "metrics file")]
+    # The inputs are read in argument order, the catalog in a forked child:
+    # the first that fails to read is the error, before any check of what
+    # they hold.  Every report is computed before the first is written.
+    reads = [(Path(args.metrics), diagnosis.load_metrics_csv, "metrics file")]
     if "retrieve" in actions:
-        reads.append(lambda: _load(Path(args.catalog), diagnosis.catalog_from_jsonl, "catalog"))
-    dataset, *catalog_read = _map_forked(_outcome, reads)
-    dataset = _value(dataset)
+        reads.append((Path(args.catalog), diagnosis.catalog_from_jsonl, "catalog"))
+    dataset, *catalog = _map_forked(lambda read: _load(*read), reads)
     labels = diagnosis.label_slo(dataset, diagnosis.SloConfig(args.slo_threshold))
     violation_idx = np.flatnonzero(labels)
     if violation_idx.size in (0, dataset.n_epochs):
@@ -259,85 +259,67 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     if "cluster" in actions and not 1 <= args.clusters <= violation_idx.size:
         return _fail(f"--clusters must lie in [1, {violation_idx.size}], the number of "
                      f"violations, got {args.clusters}")
-    catalog = _check_catalog(_value(catalog_read[0]), Path(args.catalog),
-                             dataset.n_metrics) if catalog_read else None
-    model = diagnosis.fit_classifier(dataset, labels)
-
+    if catalog:
+        catalog, width = catalog[0], catalog[0].attributions.shape[1]
+        if not len(catalog):
+            return _fail(f"{Path(args.catalog)}: catalog is empty")
+        if width != dataset.n_metrics:
+            return _fail(f"{Path(args.catalog)}: catalog entries have {width} attributions, "
+                         f"the metrics log has {dataset.n_metrics} metrics")
     echo = {
         "slo_threshold": args.slo_threshold, "seed": args.seed, "clusters": args.clusters,
         "actions": ",".join(actions),
     }
-    out_dir = Path(args.out)
-    if "train" in actions:
-        pred = diagnosis.predict(model, dataset.metrics)
-        payload = {
-            "accuracy": float(np.mean(pred == labels)),
-            "prior": {"compliant": model.prior[0], "violation": model.prior[1]},
-            "feature_set": list(range(dataset.n_metrics)),
-            "metric_names": list(model.metric_names),
-            "n_epochs": dataset.n_epochs,
-        }
-        _write(out_dir / "model.json", _json_report(payload, echo))
+    reports = {}  # file name -> text, in the order they are written
+    try:  # past the checks above, only the metrics log's values can fail a step
+        model = diagnosis.fit_classifier(dataset, labels)
+        if "train" in actions:
+            payload = {
+                "accuracy": float(np.mean(diagnosis.predict(model, dataset.metrics) == labels)),
+                "prior": {"compliant": model.prior[0], "violation": model.prior[1]},
+                "feature_set": list(range(dataset.n_metrics)),
+                "metric_names": list(model.metric_names),
+                "n_epochs": dataset.n_epochs,
+            }
+            reports["model.json"] = _json_report(payload, echo)
 
-    if {"signatures", "cluster"} & set(actions):
-        signatures = diagnosis.signatures(model, dataset.metrics[violation_idx],
-                                          dataset.timestamps[violation_idx])
-    if "signatures" in actions:
-        _write(out_dir / "signatures.jsonl", signatures.to_jsonl())
+        if {"signatures", "cluster"} & set(actions):
+            signatures = diagnosis.signatures(model, dataset.metrics[violation_idx],
+                                              dataset.timestamps[violation_idx])
+        if "signatures" in actions:
+            reports["signatures.jsonl"] = signatures.to_jsonl()
 
-    if "cluster" in actions:
-        cluster_id = np.full(dataset.n_epochs, -1)
-        cluster_id[violation_idx] = diagnosis.cluster_signatures(
-            signatures.attributions, args.clusters, seed=args.seed)
-        rows = zip(dataset.timestamps.tolist(), dataset.art.tolist(), labels.tolist(),
-                   cluster_id.tolist())
-        lines = ["ts,art_ms,slo_state,cluster_id"] + [
-            f"{ts!r},{art!r},{'violation' if violated else 'compliant'},{c}"
-            for ts, art, violated, c in rows
-        ]
-        _write(out_dir / "timeline.csv", _config_comment(echo) + "".join(l + "\n" for l in lines))
+        if "cluster" in actions:
+            cluster_id = np.full(dataset.n_epochs, -1)
+            cluster_id[violation_idx] = diagnosis.cluster_signatures(
+                signatures.attributions, args.clusters, seed=args.seed)
+            rows = zip(dataset.timestamps.tolist(), dataset.art.tolist(), labels.tolist(),
+                       cluster_id.tolist())
+            lines = ["ts,art_ms,slo_state,cluster_id"] + [
+                f"{ts!r},{art!r},{'violation' if violated else 'compliant'},{c}"
+                for ts, art, violated, c in rows
+            ]
+            reports["timeline.csv"] = _config_comment(echo) + "".join(l + "\n" for l in lines)
 
-    if "retrieve" in actions:
-        i = int(np.argmin(np.abs(dataset.timestamps - args.query_epoch)))
-        query = diagnosis.signatures(model, dataset.metrics[i:i + 1], dataset.timestamps[i:i + 1])
-        order, distances = diagnosis.retrieve(query.attributions[0], catalog, args.top_k)
-        payload = {
-            "query_epoch": float(query.epochs[0]),
-            "results": [
-                {"ts": ts, "annotation": catalog.annotations[j], "distance": d}
-                for j, ts, d in zip(order.tolist(), catalog.epochs[order].tolist(),
-                                    distances.tolist())
-            ],
-        }
-        _write(out_dir / "retrieval.json", _json_report(payload, echo))
+        if "retrieve" in actions:
+            i = int(np.argmin(np.abs(dataset.timestamps - args.query_epoch)))
+            query = diagnosis.signatures(model, dataset.metrics[i:i + 1],
+                                         dataset.timestamps[i:i + 1])
+            order, distances = diagnosis.retrieve(query.attributions[0], catalog, args.top_k)
+            payload = {
+                "query_epoch": float(query.epochs[0]),
+                "results": [
+                    {"ts": ts, "annotation": catalog.annotations[j], "distance": d}
+                    for j, ts, d in zip(order.tolist(), catalog.epochs[order].tolist(),
+                                        distances.tolist())
+                ],
+            }
+            reports["retrieval.json"] = _json_report(payload, echo)
+    except ValueError as exc:
+        raise ValueError(f"{Path(args.metrics)}: {exc}") from None
+    for name, text in reports.items():
+        _write(Path(args.out) / name, text)
     return _EXIT_OK
-
-
-def _outcome(read):
-    """read()'s value, or the ValueError or OSError it raised."""
-    try:
-        return read()
-    except (ValueError, OSError) as exc:
-        return exc
-
-
-def _value(outcome):
-    """Raise the error _outcome caught, or return its value."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
-def _check_catalog(catalog: diagnosis.SignatureCatalog, path: Path,
-                   n_metrics: int) -> diagnosis.SignatureCatalog:
-    """The --catalog of a retrieve action, read from path; a ValueError says
-    what is wrong."""
-    if not len(catalog):
-        raise ValueError(f"{path}: catalog is empty")
-    if catalog.attributions.shape[1] != n_metrics:
-        raise ValueError(f"{path}: catalog entries have {catalog.attributions.shape[1]} "
-                         f"attributions, the metrics log has {n_metrics} metrics")
-    return catalog
 
 
 # --policy name -> the name of its function in statops.repairs

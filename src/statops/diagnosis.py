@@ -8,9 +8,10 @@ abnormal metrics.  Signatures are clustered and indexed so recurring
 problems can be recognized and past annotations retrieved.
 
 Metric logs are CSV: header ``ts,art_ms,<metric_1>,...,<metric_k>`` followed
-by numeric rows.  Catalogs persist as JSON lines
-``{ts, attributions, abnormal, annotation}``; ``abnormal`` is written for
-readers and ignored on read.
+by numeric rows; a metric too large to model (a class variance or an
+attribution overflows) raises ValueError naming it.  Catalogs persist as JSON
+lines ``{ts, attributions, abnormal, annotation}`` of finite numbers, on write
+and on read; ``abnormal`` is written for readers and ignored on read.
 """
 
 from __future__ import annotations
@@ -119,24 +120,37 @@ def fit_classifier(dataset: MetricDataset, labels: np.ndarray) -> DiagnosisModel
     if y.all() or not y.any():
         raise ValueError("need both classes")
     viol, comp = dataset.metrics[y], dataset.metrics[~y]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by name
+        moments = comp.mean(axis=0), comp.var(axis=0), viol.mean(axis=0), viol.var(axis=0)
+    mean_c, var_c, mean_v, var_v = _finite(moments, dataset.metric_names, "a class mean or variance")
     return DiagnosisModel(
         prior=(float((~y).mean()), float(y.mean())),
-        mean_compliant=comp.mean(axis=0),
-        var_compliant=np.maximum(comp.var(axis=0), VARIANCE_FLOOR),
-        mean_violation=viol.mean(axis=0),
-        var_violation=np.maximum(viol.var(axis=0), VARIANCE_FLOOR),
+        mean_compliant=mean_c,
+        var_compliant=np.maximum(var_c, VARIANCE_FLOOR),
+        mean_violation=mean_v,
+        var_violation=np.maximum(var_v, VARIANCE_FLOOR),
         metric_names=dataset.metric_names,
     )
 
 
+def _finite(values, names: tuple[str, ...], what: str):
+    """values, rows whose columns align with names; a ValueError names the
+    first metric whose column holds a nan or inf."""
+    bad = ~np.isfinite(values).all(axis=0)
+    if bad.any():
+        raise ValueError(f"metric '{names[int(bad.argmax())]}': {what} is not finite")
+    return values
+
+
 def _attribution_matrix(model: DiagnosisModel, rows: np.ndarray) -> np.ndarray:
     """Per-metric log-likelihood difference toward the violation class, one
-    row per row of the (n, k) metric matrix."""
-    log_v = -0.5 * (np.log(2 * math.pi * model.var_violation)
-                    + (rows - model.mean_violation) ** 2 / model.var_violation)
-    log_c = -0.5 * (np.log(2 * math.pi * model.var_compliant)
-                    + (rows - model.mean_compliant) ** 2 / model.var_compliant)
-    return log_v - log_c
+    row per row of the (n, k) metric matrix; a nan or inf one raises ValueError."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused by name
+        log_v = -0.5 * (np.log(2 * math.pi * model.var_violation)
+                        + (rows - model.mean_violation) ** 2 / model.var_violation)
+        log_c = -0.5 * (np.log(2 * math.pi * model.var_compliant)
+                        + (rows - model.mean_compliant) ** 2 / model.var_compliant)
+        return _finite(log_v - log_c, model.metric_names, "an epoch's attribution")
 
 
 def log_odds(model: DiagnosisModel, rows: np.ndarray) -> np.ndarray:
@@ -237,23 +251,17 @@ class SignatureCatalog:
         return self.attributions > 0
 
     def to_jsonl(self) -> str:
-        """One line per row, the bytes of ``json.dumps(row, sort_keys=True)``.
-
-        Finite rows are formatted directly (``repr`` is how ``json`` writes
-        a float); a row with a nan or inf takes ``json.dumps`` itself, which
-        writes ``NaN``, ``Infinity`` and ``-Infinity``."""
-        finite = (np.isfinite(self.attributions).all(axis=1) & np.isfinite(self.epochs)).tolist()
+        """One line per row, the bytes of ``json.dumps(row, sort_keys=True)``
+        (``repr`` is how ``json`` writes a float).  A nan or inf raises
+        ValueError, as it does in ``catalog_from_jsonl``."""
+        if not (np.isfinite(self.attributions).all() and np.isfinite(self.epochs).all()):
+            raise ValueError("catalog holds a nan or inf ts or attribution")
         lines = []
-        for ts, attr, annotation, ok in zip(self.epochs.tolist(), self.attributions.tolist(),
-                                            self.annotations, finite):
-            if ok:
-                abnormal = ", ".join(["true" if a > 0 else "false" for a in attr])
-                lines.append(f'{{"abnormal": [{abnormal}], "annotation": {json.dumps(annotation)}, '
-                             f'"attributions": [{", ".join(map(repr, attr))}], "ts": {ts!r}}}\n')
-            else:
-                lines.append(json.dumps({"ts": ts, "attributions": attr,
-                                         "abnormal": [a > 0 for a in attr],
-                                         "annotation": annotation}, sort_keys=True) + "\n")
+        for ts, attr, annotation in zip(self.epochs.tolist(), self.attributions.tolist(),
+                                        self.annotations):
+            abnormal = ", ".join(["true" if a > 0 else "false" for a in attr])
+            lines.append(f'{{"abnormal": [{abnormal}], "annotation": {json.dumps(annotation)}, '
+                         f'"attributions": [{", ".join(map(repr, attr))}], "ts": {ts!r}}}\n')
         return "".join(lines)
 
 

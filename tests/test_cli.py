@@ -5,7 +5,9 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 
+import numpy as np
 import pytest
 
 from statops import diagnosis
@@ -404,6 +406,46 @@ def test_diagnose_bad_input_exit_2_writes_nothing(case, tmp_path, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == message
     assert not (tmp_path / "out").exists()
+
+
+def _huge_metric_log(path, case):
+    """A 40-epoch log (every third epoch a violation) with one cell of metric
+    m0 too large to model.  "variance": 1e+200 on one compliant epoch, whose
+    class variance overflows.  "attribution": 5.0 on every compliant epoch
+    and 1e152 on one violation, whose variances stay finite but whose
+    attribution does not."""
+    rng = np.random.default_rng(0)
+    cells = rng.random((40, 2))
+    violation = np.arange(40) % 3 == 0
+    if case == "variance":
+        cells[1, 0] = 1e200
+    else:
+        cells[~violation, 0] = 5.0
+        cells[0, 0] = 1e152
+    rows = [f"{ts},{300.0 if v else 100.0},{m0!r},{m1!r}"
+            for ts, (v, (m0, m1)) in enumerate(zip(violation.tolist(), cells.tolist()))]
+    path.write_text("\n".join(["ts,art_ms,m0,m1", *rows]) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("actions", [[], ["--actions", "signatures"]],
+                         ids=["default-actions", "signatures"])
+@pytest.mark.parametrize("case,what", [
+    ("variance", "a class mean or variance"),
+    ("attribution", "an epoch's attribution"),
+], ids=["variance", "attribution"])
+def test_diagnose_metric_too_large_to_model_names_it_exit_2_writes_nothing(case, what, actions,
+                                                                            tmp_path, capsys):
+    # the fit and the signatures fail after the reads and the checks: no
+    # report may be written before them
+    metrics = tmp_path / "metrics.csv"
+    _huge_metric_log(metrics, case)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        assert main(["diagnose", str(metrics), "--slo-threshold", "200", *actions,
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {metrics}: metric 'm0': {what} is not finite\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags,message", [

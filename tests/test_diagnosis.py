@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,31 @@ def test_signature_driver_metric_abnormal_on_violations():
         driver = next(iter(planted[cause[i]]))
         hits.append(bool(s.abnormal[row, driver]))
     assert np.mean(hits) >= 0.9
+
+
+def test_fit_refuses_a_class_variance_that_overflows_and_names_its_metric():
+    y = np.array([False, True] * 5)
+    x = np.column_stack([np.arange(10.0), np.arange(10.0)])
+    x[2, 1] = 1e200  # a compliant epoch: that class's variance overflows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        with pytest.raises(ValueError, match="^metric 'm1': a class mean or variance is not "
+                                             "finite$"):
+            fit_classifier(_dataset(x, y), y)
+
+
+def test_signatures_refuse_an_attribution_that_overflows_and_name_its_metric():
+    y = np.array([False, True] * 5)
+    x = np.column_stack([np.arange(10.0), np.where(y, 1.0, 5.0)])
+    x[1, 1] = 1e152  # a violation: finite variances, an infinite attribution
+    model = fit_classifier(_dataset(x, y), y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rows in (x, x[1:2]):
+            with pytest.raises(ValueError, match="^metric 'm1': an epoch's attribution is not "
+                                                 "finite$"):
+                signatures(model, rows, np.arange(float(len(rows))))
+    assert np.isfinite(signatures(model, x[2:], np.arange(8.0)).attributions).all()
 
 
 # ---------------------------------------------------------------------------

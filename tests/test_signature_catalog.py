@@ -9,7 +9,7 @@ against its line-checked path: the same bits for every text both accept,
 and the same error for every text either rejects.  On generated catalog
 texts the catalog reader must return each line's values or name a line.
 The catalog writer is checked against one ``json.dumps(..., sort_keys=True)``
-per row.
+per finite row, and must refuse a row holding a nan or inf.
 """
 
 from __future__ import annotations
@@ -360,6 +360,10 @@ def any_catalogs(draw):
 @settings(max_examples=200, deadline=None)
 @given(any_catalogs())
 def test_to_jsonl_is_json_dumps_per_row(catalog):
+    if not (np.isfinite(catalog.attributions).all() and np.isfinite(catalog.epochs).all()):
+        with pytest.raises(ValueError, match="^catalog holds a nan or inf ts or attribution$"):
+            catalog.to_jsonl()
+        return
     reference = "".join(
         json.dumps({"ts": ts, "attributions": attr, "abnormal": [a > 0 for a in attr],
                     "annotation": annotation}, sort_keys=True) + "\n"
@@ -368,8 +372,12 @@ def test_to_jsonl_is_json_dumps_per_row(catalog):
     assert catalog.to_jsonl() == reference
 
 
-def test_to_jsonl_writes_non_finite_values_as_json_does():
-    catalog = SignatureCatalog([[math.nan, math.inf, -math.inf, 1e308]], [0.0], ("x",))
-    assert catalog.to_jsonl() == ('{"abnormal": [false, true, false, true], "annotation": "x", '
-                                  '"attributions": [NaN, Infinity, -Infinity, 1e+308], '
-                                  '"ts": 0.0}\n')
+@pytest.mark.parametrize("ts,row", [
+    (0.0, [math.nan, 1.0]), (0.0, [1.0, math.inf]), (0.0, [-math.inf, 1.0]),
+    (math.nan, [1.0, 2.0]), (-math.inf, [1.0, 2.0]),
+], ids=["nan-attribution", "inf-attribution", "minus-inf-attribution", "nan-ts", "minus-inf-ts"])
+def test_to_jsonl_refuses_a_non_finite_row(ts, row):
+    # json.dumps would write NaN or Infinity, which catalog_from_jsonl rejects
+    catalog = SignatureCatalog([[1.0, 1e308], row], [-1.0, ts], ("a", "b"))
+    with pytest.raises(ValueError, match="^catalog holds a nan or inf ts or attribution$"):
+        catalog.to_jsonl()

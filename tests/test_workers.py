@@ -224,9 +224,15 @@ def test_retrieve_reports_read_errors_in_the_serial_order(cpus, monkeypatch, tmp
     capsys.readouterr()
     out = tmp_path / "out"
 
+    catalog_error = (f"error: {catalog}: line 1: bad JSON: Expecting property name enclosed "
+                     "in double quotes\n")
     assert _retrieve(metrics, catalog, out) == 2
-    assert capsys.readouterr().err == (f"error: {catalog}: line 1: bad JSON: Expecting property "
-                                       "name enclosed in double quotes\n")
+    assert capsys.readouterr().err == catalog_error
+    # a read error comes before any check of the contents: here, that the
+    # log holds both classes
+    assert main(["diagnose", str(metrics), "--slo-threshold", "1e9", "--actions", "retrieve",
+                 "--catalog", str(catalog), "--query-epoch", "1234.5", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == catalog_error
     lines = metrics.read_text(encoding="utf-8").splitlines()
     metrics.write_text("\n".join([*lines[:3], lines[3] + ",1.0", *lines[4:]]) + "\n",
                        encoding="utf-8")
