@@ -121,15 +121,41 @@ def _pin(cpus) -> None:
         os.sched_setaffinity(0, cpus)
 
 
-def _seed(raw: str) -> int:
-    """argparse type of every --seed flag; argparse names the flag in the error."""
+def _number(kind, test, rule: str):
+    """The argparse type of a flag whose value is kind(raw) and must pass
+    test; argparse names the flag in the error and exits 2."""
+    def parse(raw: str):
+        with contextlib.suppress(ValueError):
+            if test(value := kind(raw)):
+                return value
+        raise argparse.ArgumentTypeError(f"must be {rule}, got '{raw}'")
+    return parse
+
+
+_open_unit = _number(float, lambda x: 0 < x < 1, "a number in (0, 1)")
+_unit = _number(float, lambda x: 0 <= x <= 1, "a number in [0, 1]")
+_positive = _number(float, lambda x: 0 < x < math.inf, "a finite number > 0")
+_non_negative = _number(float, lambda x: 0 <= x < math.inf, "a finite number >= 0")
+_finite = _number(float, math.isfinite, "a finite number")
+_count = _number(int, lambda n: n >= 1, "an integer >= 1")
+_whole = _number(int, lambda n: n >= 0, "a non-negative integer")
+
+
+def _watchdog(raw: str) -> repairs.WatchdogSpec:
+    """argparse type of --watchdog NAME:FP:FN; the error quotes WatchdogSpec's
+    rule for the name and the rates."""
+    import statops.repairs as repairs
+
+    name, *rates = raw.split(":")
     try:
-        seed = int(raw)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got '{raw}'")
-    return seed
+        fp, fn = map(float, rates)
+    except ValueError:  # not two rates, or one that is no number
+        raise argparse.ArgumentTypeError(f"must be NAME:FP:FN with numbers FP and FN, "
+                                         f"got '{raw}'") from None
+    try:
+        return repairs.WatchdogSpec(name, fp, fn)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, in '{raw}'") from None
 
 
 def _json_report(payload: dict, config: dict) -> str:
@@ -170,13 +196,6 @@ def _pair_rows(host: str, table: discovery.PairTable) -> list[str]:
 
 
 def _cmd_discover(args: argparse.Namespace) -> int:
-    # DiscoveryConfig and LogOddsModel check these too, in their own field names
-    if not 0 < args.alpha < 1:
-        return _fail(f"--alpha must lie in (0, 1), got {args.alpha}")
-    if not 0 < args.horizon < math.inf:
-        return _fail(f"--horizon must be a finite number > 0, got {args.horizon}")
-    if args.min_samples < 1:
-        return _fail(f"--min-samples must be >= 1, got {args.min_samples}")
     import statops.discovery as discovery
     import statops.traces as traces
 
@@ -222,8 +241,6 @@ def _cmd_discover(args: argparse.Namespace) -> int:
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     # the flags are checked before the metrics log is read, and every
     # precondition before the first report is written
-    if not (math.isfinite(args.slo_threshold) and args.slo_threshold > 0):
-        return _fail(f"--slo-threshold must be a finite number > 0, got {args.slo_threshold}")
     actions = [a.strip() for a in args.actions.split(",") if a.strip()]
     if not actions:
         return _fail(f"--actions must name at least one action, got '{args.actions}'")
@@ -235,10 +252,6 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
             return _fail("retrieve requires --catalog")
         if args.query_epoch is None:
             return _fail("retrieve requires --query-epoch")
-        if not math.isfinite(args.query_epoch):
-            return _fail(f"--query-epoch must be a finite number, got {args.query_epoch}")
-        if args.top_k < 1:
-            return _fail("--top-k must be >= 1")
 
     import statops.diagnosis as diagnosis
 
@@ -247,7 +260,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     # they hold.  Every report is computed before the first is written.
     reads = [(Path(args.metrics), diagnosis.load_metrics_csv, "metrics file")]
     if "retrieve" in actions:
-        reads.append((Path(args.catalog), diagnosis.catalog_from_jsonl, "catalog"))
+        reads.append((Path(args.catalog), _catalog, "catalog"))
     dataset, *catalog = _map_forked(lambda read: _load(*read), reads)
     labels = diagnosis.label_slo(dataset, diagnosis.SloConfig(args.slo_threshold))
     violation_idx = np.flatnonzero(labels)
@@ -256,7 +269,7 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
                           ("compliant", "every"))
         return _fail(f"need both classes, but no epoch is {missing}: {which} art_ms exceeds "
                      f"--slo-threshold {args.slo_threshold}")
-    if "cluster" in actions and not 1 <= args.clusters <= violation_idx.size:
+    if "cluster" in actions and args.clusters > violation_idx.size:
         return _fail(f"--clusters must lie in [1, {violation_idx.size}], the number of "
                      f"violations, got {args.clusters}")
     if catalog:
@@ -322,6 +335,20 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
     return _EXIT_OK
 
 
+def _catalog(text: str) -> diagnosis.SignatureCatalog:
+    """catalog_from_jsonl(text); an entry with an attribution beyond
+    ATTRIBUTION_LIMIT, which signatures refuse, fails with its line."""
+    import statops.diagnosis as diagnosis
+
+    catalog = diagnosis.catalog_from_jsonl(text)
+    too_large = (np.abs(catalog.attributions) > diagnosis.ATTRIBUTION_LIMIT).any(axis=1)
+    if too_large.any():
+        line_nos = [n for n, line in enumerate(text.splitlines(), start=1) if line.strip()]
+        raise ValueError(f"line {line_nos[int(too_large.argmax())]}: an attribution exceeds "
+                         f"{diagnosis.ATTRIBUTION_LIMIT:g} in magnitude")
+    return catalog
+
+
 # --policy name -> the name of its function in statops.repairs
 _POLICIES = {
     "escalation": "escalation_policy",
@@ -330,42 +357,14 @@ _POLICIES = {
 }
 
 
-def _parse_watchdogs(specs: list[str]) -> tuple[repairs.WatchdogSpec, ...]:
-    import statops.repairs as repairs
-
-    out = []
-    for raw in specs:
-        parts = raw.split(":")
-        if len(parts) != 3:
-            raise ValueError(f"--watchdog must be NAME:FP:FN, got '{raw}'")
-        if any(spec.name == parts[0] for spec in out):
-            raise ValueError(f"--watchdog names must be distinct, '{parts[0]}' repeats")
-        try:
-            rates = float(parts[1]), float(parts[2])
-        except ValueError:
-            raise ValueError(f"--watchdog FP and FN must be numbers, got '{raw}'") from None
-        for what, rate in zip(("FP", "FN"), rates):
-            if not 0 <= rate < 1:
-                raise ValueError(f"--watchdog {what} must lie in [0, 1), got {rate} in '{raw}'")
-        try:
-            out.append(repairs.WatchdogSpec(parts[0], *rates))
-        except ValueError as exc:  # the rates are checked above: the name
-            raise ValueError(f"--watchdog: {exc}") from None
-    return tuple(out)
-
-
 def _cmd_repair_sim(args: argparse.Namespace) -> int:
-    if args.machines < 1:
-        return _fail(f"--machines must be >= 1, got {args.machines}")
-    if args.ticks < 1:
-        return _fail(f"--ticks must be >= 1, got {args.ticks}")
-    for flag in ("transient_rate", "persistent_rate", "warning_rate"):
-        rate = getattr(args, flag)
-        if not 0 <= rate <= 1:
-            return _fail(f"--{flag.replace('_', '-')} must lie in [0, 1], got {rate}")
     import statops.repairs as repairs
 
-    watchdogs = _parse_watchdogs(args.watchdog) if args.watchdog else (repairs.WatchdogSpec("wd0"),)
+    watchdogs = tuple(args.watchdog or [repairs.WatchdogSpec("wd0")])
+    names = [spec.name for spec in watchdogs]
+    repeated = [name for i, name in enumerate(names) if name in names[:i]]
+    if repeated:
+        return _fail(f"--watchdog names must be distinct, '{repeated[0]}' repeats")
     model = repairs.FaultModel(
         transient_rate=args.transient_rate,
         persistent_rate=args.persistent_rate,
@@ -382,10 +381,6 @@ def _cmd_repair_sim(args: argparse.Namespace) -> int:
 
 
 def _cmd_repair_mine(args: argparse.Namespace) -> int:
-    if args.lookahead < 0:
-        return _fail(f"--lookahead must be >= 0, got {args.lookahead}")
-    if not 0 <= args.downtime_cost < math.inf:
-        return _fail(f"--downtime-cost must be a finite number >= 0, got {args.downtime_cost}")
     import statops.repairs as repairs
 
     log = _load(Path(args.log), repairs.parse_repair_log, "log file")
@@ -484,42 +479,42 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-trace", help="generate a synthetic trace plus ground-truth sidecar")
     p.add_argument("spec", help="generator spec file")
-    p.add_argument("--seed", type=_seed, help="override the spec file's seed")
+    p.add_argument("--seed", type=_whole, help="override the spec file's seed")
     p.add_argument("--out", required=True, help="output trace path (sidecar at <out>.truth)")
     p.set_defaults(func=_cmd_gen_trace)
 
     p = sub.add_parser("discover", help="mine dependency graph from trace files")
     p.add_argument("traces", nargs="+", help="per-host trace files")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--horizon", type=float, default=1.0)
-    p.add_argument("--min-samples", type=int, default=10)
+    p.add_argument("--alpha", type=_open_unit, default=0.05)
+    p.add_argument("--horizon", type=_positive, default=1.0)
+    p.add_argument("--min-samples", type=_count, default=10)
     p.add_argument("--method", choices=["ks", "log-odds", "both"], default="ks")
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--seed", type=_whole, default=0)
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_discover)
 
     p = sub.add_parser("diagnose", help="train/diagnose SLO violations from a metrics log")
     p.add_argument("metrics", help="metrics CSV (ts,art_ms,<metric...>)")
-    p.add_argument("--slo-threshold", type=float, required=True)
+    p.add_argument("--slo-threshold", type=_positive, required=True)
     p.add_argument("--actions", default="train,signatures,cluster")
-    p.add_argument("--clusters", type=int, default=3)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--clusters", type=_count, default=3)
+    p.add_argument("--seed", type=_whole, default=0)
     p.add_argument("--catalog", help="signature catalog (JSONL) for retrieve")
-    p.add_argument("--query-epoch", type=float, help="epoch timestamp to query for retrieve")
-    p.add_argument("--top-k", type=int, default=3)
+    p.add_argument("--query-epoch", type=_finite, help="epoch timestamp to query for retrieve")
+    p.add_argument("--top-k", type=_count, default=3)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_diagnose)
 
     p = sub.add_parser("repair-sim", help="simulate the fault/repair loop")
-    p.add_argument("--machines", type=int, default=20)
-    p.add_argument("--ticks", type=int, default=500)
-    p.add_argument("--seed", type=_seed, default=0)
+    p.add_argument("--machines", type=_count, default=20)
+    p.add_argument("--ticks", type=_count, default=500)
+    p.add_argument("--seed", type=_whole, default=0)
     p.add_argument("--policy", choices=sorted(_POLICIES), default="escalation")
-    p.add_argument("--transient-rate", type=float, default=0.0)
-    p.add_argument("--persistent-rate", type=float, default=0.0)
-    p.add_argument("--warning-rate", type=float, default=0.0)
-    p.add_argument("--watchdog", action="append", metavar="NAME:FP:FN",
+    p.add_argument("--transient-rate", type=_unit, default=0.0)
+    p.add_argument("--persistent-rate", type=_unit, default=0.0)
+    p.add_argument("--warning-rate", type=_unit, default=0.0)
+    p.add_argument("--watchdog", type=_watchdog, action="append", metavar="NAME:FP:FN",
                    help="repeatable watchdog spec (default wd0:0:0)")
     p.add_argument("--out", required=True, help="output log path (sidecar at <out>.truth)")
     p.set_defaults(func=_cmd_repair_sim)
@@ -527,14 +522,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("repair-mine", help="mine a repair log for watchdog and policy metrics")
     p.add_argument("log", help="repair log file")
     p.add_argument("--truth", help="ground-truth sidecar (default <log>.truth when present)")
-    p.add_argument("--lookahead", type=int, default=20)
-    p.add_argument("--downtime-cost", type=float, default=1.0)
+    p.add_argument("--lookahead", type=_whole, default=20)
+    p.add_argument("--downtime-cost", type=_non_negative, default=1.0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_repair_mine)
 
     p = sub.add_parser("stats", help="bh/ks primitives on stdin lists, for scripting")
     p.add_argument("which", choices=["bh", "ks"])
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_open_unit, default=0.05)
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.set_defaults(func=_cmd_stats)
     return parser

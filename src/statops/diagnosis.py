@@ -30,6 +30,7 @@ __all__ = [
     "DiagnosisModel",
     "SignatureCatalog",
     "VARIANCE_FLOOR",
+    "ATTRIBUTION_LIMIT",
     "label_slo",
     "fit_classifier",
     "log_odds",
@@ -45,6 +46,9 @@ __all__ = [
 
 # Constant metrics must not collapse a class-conditional to a point mass.
 VARIANCE_FLOOR = 1e-6
+# Signatures keep every attribution within +-ATTRIBUTION_LIMIT, so that each
+# squared distance k-means and retrieval sum stays finite (for n * k < 4e107).
+ATTRIBUTION_LIMIT = 1e100
 # Lloyd iterations cluster_signatures runs at most before it stops unconverged.
 _KMEANS_MAX_ITER = 100
 
@@ -168,11 +172,17 @@ def predict(model: DiagnosisModel, rows: np.ndarray) -> np.ndarray:
 def signatures(model: DiagnosisModel, rows: np.ndarray, epochs: np.ndarray) -> SignatureCatalog:
     """Unannotated signatures of a batch of epochs, one catalog row each; row
     i satisfies log prior ratio + attributions[i].sum() == log_odds(model,
-    rows)[i] exactly."""
+    rows)[i] exactly.  An attribution beyond +-ATTRIBUTION_LIMIT raises
+    ValueError naming its metric."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != len(model.metric_names):
         raise ValueError(f"metric rows must have {len(model.metric_names)} columns")
-    return SignatureCatalog(_attribution_matrix(model, rows), epochs, ("",) * rows.shape[0])
+    attributions = _attribution_matrix(model, rows)
+    too_large = (np.abs(attributions) > ATTRIBUTION_LIMIT).any(axis=0)
+    if too_large.any():
+        raise ValueError(f"metric '{model.metric_names[int(too_large.argmax())]}': an epoch's "
+                         f"attribution exceeds {ATTRIBUTION_LIMIT:g} in magnitude")
+    return SignatureCatalog(attributions, epochs, ("",) * rows.shape[0])
 
 
 def mcnemar_p_value(n01: int, n10: int) -> float:

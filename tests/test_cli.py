@@ -212,23 +212,6 @@ def test_discover_dot_output(tmp_path):
     assert "digraph constellation {" in text
 
 
-@pytest.mark.parametrize("empty", [False, True], ids=["trace", "empty-trace"])
-@pytest.mark.parametrize("horizon", ["inf", "nan", "0"])
-def test_discover_bad_horizon_exit_2_writes_nothing(horizon, empty, tmp_path, capsys):
-    spec = _write_spec(tmp_path)
-    trace = tmp_path / "host.trace"
-    main(["gen-trace", str(spec), "--out", str(trace)])
-    if empty:
-        trace.write_text("")
-    capsys.readouterr()
-    out = tmp_path / "report"
-    assert main(["discover", str(trace), "--horizon", horizon, "--method", "log-odds",
-                 "--out", str(out)]) == 2
-    assert capsys.readouterr().err == \
-        f"error: --horizon must be a finite number > 0, got {float(horizon)}\n"
-    assert not out.exists()
-
-
 def test_discover_repeated_host_exit_2_writes_nothing(tmp_path, capsys):
     spec = _write_spec(tmp_path)
     trace = tmp_path / "host.trace"
@@ -367,18 +350,13 @@ def _bad_diagnose_input(case, tmp_path):
         metrics.write_text("\n".join(lines) + "\n")
         return argv, (f"error: {metrics}: line 7: 'nan' in column 'metric_01' is not a "
                       "finite number\n")
-    if case in ("too-many-clusters", "zero-clusters"):
-        k = "100000" if case == "too-many-clusters" else "0"
-        return ([*argv, "--clusters", k], f"error: --clusters must lie in [1, {len(entries)}], "
-                f"the number of violations, got {k}\n")
+    if case == "too-many-clusters":
+        return ([*argv, "--clusters", "100000"], f"error: --clusters must lie in "
+                f"[1, {len(entries)}], the number of violations, got 100000\n")
     if case == "no-catalog":
         return [*argv, *retrieve[:2], *retrieve[4:]], "error: retrieve requires --catalog\n"
     if case == "no-query-epoch":
         return [*argv, *retrieve[:4]], "error: retrieve requires --query-epoch\n"
-    if case in ("nan-query-epoch", "inf-query-epoch"):
-        epoch = case.split("-")[0]
-        return ([*argv, *retrieve[:-1], epoch],
-                f"error: --query-epoch must be a finite number, got {epoch}\n")
     if case == "missing-catalog":
         catalog.unlink()
         return [*argv, *retrieve], f"error: catalog not found: {catalog}\n"
@@ -396,9 +374,8 @@ def _bad_diagnose_input(case, tmp_path):
 
 
 @pytest.mark.parametrize("case", [
-    "ragged-row", "unsorted-ts", "nan-cell", "too-many-clusters", "zero-clusters", "no-catalog",
-    "no-query-epoch", "nan-query-epoch", "inf-query-epoch", "missing-catalog",
-    "bad-catalog-json", "catalog-width",
+    "ragged-row", "unsorted-ts", "nan-cell", "too-many-clusters", "no-catalog", "no-query-epoch",
+    "missing-catalog", "bad-catalog-json", "catalog-width",
 ])
 def test_diagnose_bad_input_exit_2_writes_nothing(case, tmp_path, capsys):
     argv, message = _bad_diagnose_input(case, tmp_path)
@@ -448,23 +425,44 @@ def test_diagnose_metric_too_large_to_model_names_it_exit_2_writes_nothing(case,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case", ["default-actions", "train-signatures", "retrieve"])
+def test_diagnose_attribution_too_large_to_compare_names_it_exit_2_writes_nothing(case, tmp_path,
+                                                                                  capsys):
+    # 40 epochs, a violation on every fourth; m0 is 5.0 on each compliant
+    # epoch, so its variance sits at the floor, and 6 + ts on each violation
+    # but 1e+100 at ts 8, whose attribution (about 5e+205) is finite but
+    # squares past float range in every distance k-means or retrieve takes
+    metrics = tmp_path / "metrics.csv"
+    rows = [f"{ts},{300.0 if ts % 4 == 0 else 100.0},"
+            f"{(1e100 if ts == 8 else 6.0 + ts) if ts % 4 == 0 else 5.0!r}" for ts in range(40)]
+    metrics.write_text("\n".join(["ts,art_ms,m0", *rows]) + "\n", encoding="utf-8")
+    argv = ["diagnose", str(metrics), "--slo-threshold", "200", "--out", str(tmp_path / "out")]
+    message = f"{metrics}: metric 'm0': an epoch's attribution exceeds 1e+100 in magnitude"
+    if case == "train-signatures":
+        argv += ["--actions", "train,signatures"]
+    elif case == "retrieve":
+        # the catalog a signatures run would write, with a blank line: line 4
+        # holds the attribution that is too large
+        catalog = tmp_path / "catalog.jsonl"
+        lines = diagnosis.SignatureCatalog([[5e8], [1.2e9], [5e205]], [0.0, 4.0, 8.0],
+                                           ("", "", "")).to_jsonl().splitlines()
+        catalog.write_text("\n".join([lines[0], "", *lines[1:]]) + "\n", encoding="utf-8")
+        argv += ["--actions", "retrieve", "--catalog", str(catalog), "--query-epoch", "8"]
+        message = f"{catalog}: line 4: an attribution exceeds 1e+100 in magnitude"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning on the way
+        assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flags,message", [
     (["--actions", ","], "--actions must name at least one action, got ','"),
     (["--actions", ""], "--actions must name at least one action, got ''"),
     (["--actions", "train,bogus"], "unknown actions: ['bogus']"),
     (["--actions", "retrieve", "--query-epoch", "5"], "retrieve requires --catalog"),
     (["--actions", "retrieve", "--catalog", "c.jsonl"], "retrieve requires --query-epoch"),
-    (["--actions", "retrieve", "--catalog", "c.jsonl", "--query-epoch", "inf"],
-     "--query-epoch must be a finite number, got inf"),
-    (["--actions", "retrieve", "--catalog", "c.jsonl", "--query-epoch", "5", "--top-k", "0"],
-     "--top-k must be >= 1"),
-    (["--slo-threshold", "0"], "--slo-threshold must be a finite number > 0, got 0.0"),
-    (["--slo-threshold", "-5"], "--slo-threshold must be a finite number > 0, got -5.0"),
-    (["--slo-threshold", "inf"], "--slo-threshold must be a finite number > 0, got inf"),
-    (["--slo-threshold", "nan"], "--slo-threshold must be a finite number > 0, got nan"),
-], ids=["comma-actions", "empty-actions", "unknown-action", "no-catalog", "no-query-epoch",
-        "inf-query-epoch", "zero-top-k", "zero-slo-threshold", "negative-slo-threshold",
-        "inf-slo-threshold", "nan-slo-threshold"])
+], ids=["comma-actions", "empty-actions", "unknown-action", "no-catalog", "no-query-epoch"])
 def test_diagnose_bad_flag_fails_before_reading_metrics(flags, message, tmp_path, capsys):
     # the metrics path does not exist: the flag error must come first
     out = tmp_path / "out"
@@ -498,63 +496,14 @@ def test_repair_mine_missing_file_exit_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-def test_repair_sim_bad_watchdog_spec_exit_2(tmp_path, capsys):
-    assert main(["repair-sim", "--watchdog", "broken", "--out",
-                 str(tmp_path / "x.log")]) == 2
-
-
 @pytest.mark.parametrize("flags,message", [
-    (["--machines", "0"], "--machines must be >= 1, got 0"),
-    (["--ticks", "-1"], "--ticks must be >= 1, got -1"),
-    (["--watchdog", "a:x:0"], "--watchdog FP and FN must be numbers, got 'a:x:0'"),
     (["--watchdog", "a:0:0", "--watchdog", "a:0.1:0"],
      "--watchdog names must be distinct, 'a' repeats"),
-], ids=["machines", "ticks", "watchdog", "watchdog-repeat"])
+], ids=["watchdog-repeat"])
 def test_repair_sim_bad_flag_names_it_exit_2_writes_nothing(flags, message, tmp_path, capsys):
     log = tmp_path / "x.log"
     assert main(["repair-sim", *flags, "--out", str(log)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert not log.exists() and not (tmp_path / "x.log.truth").exists()
-
-
-@pytest.mark.parametrize("command,flag,value,message", [
-    ("repair-sim", "--transient-rate", "2", "--transient-rate must lie in [0, 1], got 2.0"),
-    ("repair-sim", "--persistent-rate", "-0.1",
-     "--persistent-rate must lie in [0, 1], got -0.1"),
-    ("repair-sim", "--warning-rate", "nan", "--warning-rate must lie in [0, 1], got nan"),
-    ("repair-sim", "--watchdog", "a:1.5:0",
-     "--watchdog FP must lie in [0, 1), got 1.5 in 'a:1.5:0'"),
-    ("repair-sim", "--watchdog", "a:0:1",
-     "--watchdog FN must lie in [0, 1), got 1.0 in 'a:0:1'"),
-    ("discover", "--min-samples", "0", "--min-samples must be >= 1, got 0"),
-    ("discover", "--alpha", "2", "--alpha must lie in (0, 1), got 2.0"),
-    ("discover", "--alpha", "0", "--alpha must lie in (0, 1), got 0.0"),
-    ("discover", "--horizon", "0", "--horizon must be a finite number > 0, got 0.0"),
-    ("discover", "--horizon", "nan", "--horizon must be a finite number > 0, got nan"),
-], ids=["transient-rate", "persistent-rate", "warning-rate", "watchdog-fp", "watchdog-fn",
-        "min-samples", "alpha-2", "alpha-0", "horizon-0", "horizon-nan"])
-def test_out_of_range_flag_names_it_exit_2_writes_nothing(command, flag, value, message,
-                                                          tmp_path, capsys):
-    out = tmp_path / "out"
-    inputs = []
-    if command == "discover":
-        inputs = [str(tmp_path / "host.trace")]
-        main(["gen-trace", str(_write_spec(tmp_path)), "--out", inputs[0]])
-        capsys.readouterr()
-    assert main([command, *inputs, flag, value, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists() and not (tmp_path / "out.truth").exists()
-
-
-@pytest.mark.parametrize("spec,name", [("a;b:0:0", "a;b"), ("a b:0:0", "a b"), (":0:0", ""),
-                                       ("a\x01:0.1:0", "a\x01")],
-                         ids=["semicolon", "space", "empty", "control-character"])
-def test_repair_sim_watchdog_name_outside_log_syntax_exit_2(tmp_path, capsys, spec, name):
-    log = tmp_path / "x.log"
-    assert main(["repair-sim", "--watchdog", spec, "--out", str(log)]) == 2
-    assert capsys.readouterr().err == (
-        "error: --watchdog: watchdog name must be non-empty without whitespace, control "
-        f"characters, ';' or ':', got {name!r}\n")
     assert not log.exists() and not (tmp_path / "x.log.truth").exists()
 
 
@@ -599,44 +548,126 @@ def test_repair_mine_bad_truth_sidecar_names_file_and_line_exit_2(tmp_path, caps
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag,value,message", [
-    ("--lookahead", "-1", "--lookahead must be >= 0, got -1"),
-    ("--downtime-cost", "-5", "--downtime-cost must be a finite number >= 0, got -5.0"),
-    ("--downtime-cost", "nan", "--downtime-cost must be a finite number >= 0, got nan"),
-])
-def test_repair_mine_bad_flag_exit_2_writes_nothing(flag, value, message, tmp_path, capsys):
-    log = tmp_path / "repair.log"
-    log.write_text(_GOOD_LOG_LINE, encoding="utf-8")
-    out = tmp_path / "mine"
-    assert main(["repair-mine", str(log), flag, value, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-    assert not out.exists()
-
-
 # ---------------------------------------------------------------------------
-# --seed
+# flag rules
 # ---------------------------------------------------------------------------
 
+# flag -> the rule its argparse type states
+FLAG_RULES = {
+    "--seed": "a non-negative integer", "--lookahead": "a non-negative integer",
+    "--alpha": "a number in (0, 1)", "--min-samples": "an integer >= 1",
+    "--horizon": "a finite number > 0", "--slo-threshold": "a finite number > 0",
+    "--query-epoch": "a finite number", "--top-k": "an integer >= 1",
+    "--clusters": "an integer >= 1", "--machines": "an integer >= 1", "--ticks": "an integer >= 1",
+    "--transient-rate": "a number in [0, 1]", "--persistent-rate": "a number in [0, 1]",
+    "--warning-rate": "a number in [0, 1]", "--downtime-cost": "a finite number >= 0",
+    "--watchdog": "NAME:FP:FN with numbers FP and FN",
+}
+_NAME_RULE = "watchdog name must be non-empty without whitespace, control characters, ';' or ':'"
+# --watchdog values of the right form that WatchdogSpec refuses -> its message
+WATCHDOG_REFUSALS = {
+    "a:1.5:0": "watchdog rates must lie in [0, 1), got 1.5",
+    "a:0:1": "watchdog rates must lie in [0, 1), got 1.0",
+    "a;b:0:0": f"{_NAME_RULE}, got 'a;b'", "a b:0:0": f"{_NAME_RULE}, got 'a b'",
+    ":0:0": f"{_NAME_RULE}, got ''", "a\x01:0.1:0": f"{_NAME_RULE}, got 'a\\x01'",
+}
+RETRIEVE = ("--actions", "retrieve", "--catalog", "c.jsonl")
 
-@pytest.mark.parametrize("command", ["gen-trace", "discover", "diagnose", "repair-sim"])
-def test_negative_seed_names_the_flag_exit_2_writes_nothing(command, tmp_path, capsys):
-    spec = _write_spec(tmp_path)
-    trace = tmp_path / "host.trace"
-    main(["gen-trace", str(spec), "--out", str(trace)])
-    inputs = {
-        "gen-trace": [str(spec)],
-        "discover": [str(trace)],
-        "diagnose": [str(_metrics_file(tmp_path)), "--slo-threshold", "200"],
-        "repair-sim": [],
-    }[command]
-    out = tmp_path / "out"
-    capsys.readouterr()
+
+def _bad_flag(id, command, flag, value, *others):
+    if command == "diagnose":
+        others = ("--slo-threshold", "200", *others)
+    return pytest.param(command, others, flag, value, id=id)
+
+
+# (command, its other arguments, flag, bad value), one row per case
+BAD_FLAGS = [
+    _bad_flag("gen-trace-seed", "gen-trace", "--seed", "-1"),
+    _bad_flag("discover-seed", "discover", "--seed", "-1"),
+    _bad_flag("alpha-2", "discover", "--alpha", "2"),
+    _bad_flag("alpha-0", "discover", "--alpha", "0"),
+    _bad_flag("horizon-0", "discover", "--horizon", "0"),
+    _bad_flag("horizon-nan", "discover", "--horizon", "nan"),
+    _bad_flag("horizon-inf", "discover", "--horizon", "inf"),
+    _bad_flag("horizon-0-log-odds", "discover", "--horizon", "0", "--method", "log-odds"),
+    _bad_flag("horizon-nan-log-odds", "discover", "--horizon", "nan", "--method", "log-odds"),
+    _bad_flag("horizon-inf-log-odds", "discover", "--horizon", "inf", "--method", "log-odds"),
+    _bad_flag("min-samples", "discover", "--min-samples", "0"),
+    _bad_flag("diagnose-seed", "diagnose", "--seed", "-1"),
+    _bad_flag("zero-slo-threshold", "diagnose", "--slo-threshold", "0"),
+    _bad_flag("negative-slo-threshold", "diagnose", "--slo-threshold", "-5"),
+    _bad_flag("inf-slo-threshold", "diagnose", "--slo-threshold", "inf"),
+    _bad_flag("nan-slo-threshold", "diagnose", "--slo-threshold", "nan"),
+    _bad_flag("inf-query-epoch", "diagnose", "--query-epoch", "inf", *RETRIEVE),
+    _bad_flag("nan-query-epoch", "diagnose", "--query-epoch", "nan", *RETRIEVE),
+    _bad_flag("zero-top-k", "diagnose", "--top-k", "0", *RETRIEVE, "--query-epoch", "5"),
+    _bad_flag("zero-top-k-train", "diagnose", "--top-k", "0", "--actions", "train"),
+    _bad_flag("zero-clusters", "diagnose", "--clusters", "0"),
+    _bad_flag("repair-sim-seed", "repair-sim", "--seed", "-1"),
+    _bad_flag("machines", "repair-sim", "--machines", "0"),
+    _bad_flag("ticks", "repair-sim", "--ticks", "-1"),
+    _bad_flag("transient-rate", "repair-sim", "--transient-rate", "2"),
+    _bad_flag("persistent-rate", "repair-sim", "--persistent-rate", "-0.1"),
+    _bad_flag("warning-rate", "repair-sim", "--warning-rate", "nan"),
+    _bad_flag("watchdog", "repair-sim", "--watchdog", "a:x:0"),
+    _bad_flag("watchdog-no-rates", "repair-sim", "--watchdog", "broken"),
+    _bad_flag("watchdog-fp", "repair-sim", "--watchdog", "a:1.5:0"),
+    _bad_flag("watchdog-fn", "repair-sim", "--watchdog", "a:0:1"),
+    _bad_flag("watchdog-name-semicolon", "repair-sim", "--watchdog", "a;b:0:0"),
+    _bad_flag("watchdog-name-space", "repair-sim", "--watchdog", "a b:0:0"),
+    _bad_flag("watchdog-name-empty", "repair-sim", "--watchdog", ":0:0"),
+    _bad_flag("watchdog-name-control-character", "repair-sim", "--watchdog", "a\x01:0.1:0"),
+    _bad_flag("lookahead", "repair-mine", "--lookahead", "-1"),
+    _bad_flag("negative-downtime-cost", "repair-mine", "--downtime-cost", "-5"),
+    _bad_flag("nan-downtime-cost", "repair-mine", "--downtime-cost", "nan"),
+    _bad_flag("stats-bh-alpha-2", "stats", "--alpha", "2", "bh"),
+    _bad_flag("stats-ks-alpha-5", "stats", "--alpha", "5", "ks"),
+    _bad_flag("stats-ks-alpha-nan", "stats", "--alpha", "nan", "ks"),
+]
+# the input file each command is given; none of them exists
+INPUTS = {"gen-trace": "trace.spec", "discover": "host.trace", "diagnose": "metrics.csv",
+          "repair-mine": "repair.log"}
+
+
+def _bad_flag_argv(tmp_path, command, others, flag, value):
+    """(argv, the last stderr line it must print) of one table row."""
+    if value in WATCHDOG_REFUSALS:
+        message = f"{WATCHDOG_REFUSALS[value]}, in '{value}'"
+    else:
+        message = f"must be {FLAG_RULES[flag]}, got '{value}'"
+    inputs = [str(tmp_path / INPUTS[command])] if command in INPUTS else []
+    out = [] if command == "stats" else ["--out", str(tmp_path / "out")]
+    return ([command, *inputs, *others, flag, value, *out],
+            f"statops {command}: error: argument {flag}: {message}")
+
+
+@pytest.mark.parametrize("command,others,flag,value", BAD_FLAGS)
+def test_out_of_range_flag_names_it_exit_2_writes_nothing(command, others, flag, value, tmp_path,
+                                                          capsys, monkeypatch):
+    # argparse refuses the value before any input is read (none exists) and
+    # before anything is written, even where the actions do not use the flag
+    monkeypatch.setattr("sys.stdin", io.StringIO("0.1 0.2\n0.3\n"))
+    argv, last_line = _bad_flag_argv(tmp_path, command, others, flag, value)
     with pytest.raises(SystemExit) as exit_info:
-        main([command, *inputs, "--seed", "-1", "--out", str(out)])
+        main(argv)
     assert exit_info.value.code == 2
-    assert capsys.readouterr().err.endswith(
-        "error: argument --seed: must be a non-negative integer, got '-1'\n")
-    assert not out.exists() and not (tmp_path / "out.truth").exists()
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err.splitlines()[-1]) == ("", last_line)
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command,others,flag,value", [
+    row for row in BAD_FLAGS if row.id in (
+        "gen-trace-seed", "horizon-inf", "zero-top-k-train", "watchdog-name-semicolon",
+        "nan-downtime-cost", "stats-ks-alpha-nan")])
+def test_out_of_range_flag_fails_the_same_in_a_fresh_process(command, others, flag, value,
+                                                              tmp_path):
+    # one row per command, as `python -m statops`
+    argv, last_line = _bad_flag_argv(tmp_path, command, others, flag, value)
+    proc = subprocess.run([sys.executable, "-m", "statops", *argv], input="0.1 0.2\n0.3\n",
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr.splitlines()[-1]) == (2, "", last_line)
+    assert not any(tmp_path.iterdir())
 
 
 # ---------------------------------------------------------------------------

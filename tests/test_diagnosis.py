@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from statops.diagnosis import (
+    ATTRIBUTION_LIMIT,
     MetricDataset,
     SignatureCatalog,
     SloConfig,
@@ -204,6 +205,24 @@ def test_signatures_refuse_an_attribution_that_overflows_and_name_its_metric():
                                                  "finite$"):
                 signatures(model, rows, np.arange(float(len(rows))))
     assert np.isfinite(signatures(model, x[2:], np.arange(8.0)).attributions).all()
+
+
+def test_signatures_refuse_an_attribution_beyond_the_limit_and_name_its_metric():
+    # m1 is constant on the compliant epochs, so its variance sits at the
+    # floor: 1e+100 on a violation gives a finite attribution near 5e+205,
+    # whose square no distance between signatures could hold
+    y = np.array([False, True] * 5)
+    x = np.column_stack([np.arange(10.0), np.where(y, 1.0, 5.0)])
+    x[1, 1] = 1e100
+    model = fit_classifier(_dataset(x, y), y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(log_odds(model, x)).all()  # predict takes no distance: it keeps them
+        for rows in (x, x[1:2]):
+            with pytest.raises(ValueError, match=r"^metric 'm1': an epoch's attribution exceeds "
+                                                 r"1e\+100 in magnitude$"):
+                signatures(model, rows, np.arange(float(len(rows))))
+    assert (np.abs(signatures(model, x[2:], np.arange(8.0)).attributions) <= ATTRIBUTION_LIMIT).all()
 
 
 # ---------------------------------------------------------------------------
