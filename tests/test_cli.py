@@ -212,6 +212,27 @@ def test_discover_dot_output(tmp_path):
     assert "digraph constellation {" in text
 
 
+@pytest.mark.parametrize("empty", [False, True], ids=["trace", "empty-trace"])
+@pytest.mark.parametrize("horizon", ["inf", "nan", "0"])
+def test_discover_bad_horizon_exit_2_writes_nothing(horizon, empty, tmp_path, capsys):
+    # the trace exists (full or empty): argparse refuses the flag all the same
+    spec = _write_spec(tmp_path)
+    trace = tmp_path / "host.trace"
+    main(["gen-trace", str(spec), "--out", str(trace)])
+    if empty:
+        trace.write_text("")
+    capsys.readouterr()
+    out = tmp_path / "report"
+    with pytest.raises(SystemExit) as exit_info:
+        main(["discover", str(trace), "--horizon", horizon, "--method", "log-odds",
+              "--out", str(out)])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"statops discover: error: argument --horizon: must be a finite number > 0, "
+        f"got '{horizon}'")
+    assert not out.exists()
+
+
 def test_discover_repeated_host_exit_2_writes_nothing(tmp_path, capsys):
     spec = _write_spec(tmp_path)
     trace = tmp_path / "host.trace"
@@ -357,6 +378,10 @@ def _bad_diagnose_input(case, tmp_path):
         return [*argv, *retrieve[:2], *retrieve[4:]], "error: retrieve requires --catalog\n"
     if case == "no-query-epoch":
         return [*argv, *retrieve[:4]], "error: retrieve requires --query-epoch\n"
+    if case == "inf-query-epoch":
+        # argparse refuses it: the message is the last stderr line
+        return ([*argv, *retrieve[:-1], "inf"], "statops diagnose: error: argument "
+                "--query-epoch: must be a finite number, got 'inf'")
     if case == "missing-catalog":
         catalog.unlink()
         return [*argv, *retrieve], f"error: catalog not found: {catalog}\n"
@@ -375,13 +400,19 @@ def _bad_diagnose_input(case, tmp_path):
 
 @pytest.mark.parametrize("case", [
     "ragged-row", "unsorted-ts", "nan-cell", "too-many-clusters", "no-catalog", "no-query-epoch",
-    "missing-catalog", "bad-catalog-json", "catalog-width",
+    "inf-query-epoch", "missing-catalog", "bad-catalog-json", "catalog-width",
 ])
 def test_diagnose_bad_input_exit_2_writes_nothing(case, tmp_path, capsys):
     argv, message = _bad_diagnose_input(case, tmp_path)
     capsys.readouterr()
-    assert main(argv) == 2
-    assert capsys.readouterr().err == message
+    if case == "inf-query-epoch":
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == message
+    else:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == message
     assert not (tmp_path / "out").exists()
 
 
@@ -462,14 +493,24 @@ def test_diagnose_attribution_too_large_to_compare_names_it_exit_2_writes_nothin
     (["--actions", "train,bogus"], "unknown actions: ['bogus']"),
     (["--actions", "retrieve", "--query-epoch", "5"], "retrieve requires --catalog"),
     (["--actions", "retrieve", "--catalog", "c.jsonl"], "retrieve requires --query-epoch"),
-], ids=["comma-actions", "empty-actions", "unknown-action", "no-catalog", "no-query-epoch"])
+    (["--actions", "retrieve", "--catalog", "c.jsonl", "--query-epoch", "inf"],
+     "argument --query-epoch: must be a finite number, got 'inf'"),
+], ids=["comma-actions", "empty-actions", "unknown-action", "no-catalog", "no-query-epoch",
+        "inf-query-epoch"])
 def test_diagnose_bad_flag_fails_before_reading_metrics(flags, message, tmp_path, capsys):
     # the metrics path does not exist: the flag error must come first
     out = tmp_path / "out"
     argv = ["diagnose", str(tmp_path / "missing.csv"), "--slo-threshold", "200", *flags,
             "--out", str(out)]
-    assert main(argv) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    if message.startswith("argument "):
+        # argparse refuses the value: it exits, printing usage first
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"statops diagnose: error: {message}"
+    else:
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -589,16 +630,12 @@ BAD_FLAGS = [
     _bad_flag("horizon-0", "discover", "--horizon", "0"),
     _bad_flag("horizon-nan", "discover", "--horizon", "nan"),
     _bad_flag("horizon-inf", "discover", "--horizon", "inf"),
-    _bad_flag("horizon-0-log-odds", "discover", "--horizon", "0", "--method", "log-odds"),
-    _bad_flag("horizon-nan-log-odds", "discover", "--horizon", "nan", "--method", "log-odds"),
-    _bad_flag("horizon-inf-log-odds", "discover", "--horizon", "inf", "--method", "log-odds"),
     _bad_flag("min-samples", "discover", "--min-samples", "0"),
     _bad_flag("diagnose-seed", "diagnose", "--seed", "-1"),
     _bad_flag("zero-slo-threshold", "diagnose", "--slo-threshold", "0"),
     _bad_flag("negative-slo-threshold", "diagnose", "--slo-threshold", "-5"),
     _bad_flag("inf-slo-threshold", "diagnose", "--slo-threshold", "inf"),
     _bad_flag("nan-slo-threshold", "diagnose", "--slo-threshold", "nan"),
-    _bad_flag("inf-query-epoch", "diagnose", "--query-epoch", "inf", *RETRIEVE),
     _bad_flag("nan-query-epoch", "diagnose", "--query-epoch", "nan", *RETRIEVE),
     _bad_flag("zero-top-k", "diagnose", "--top-k", "0", *RETRIEVE, "--query-epoch", "5"),
     _bad_flag("zero-top-k-train", "diagnose", "--top-k", "0", "--actions", "train"),
